@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -22,7 +21,6 @@ from .config import ConfigError, load_problem
 from .experiments import UnstableFamilySpec
 from .fem import SingularSystemError
 from .oracle import UnsupportedProblemError
-from .problem import BoundaryConfig
 
 
 class UsageError(Exception):

@@ -27,9 +27,6 @@ can be described in a file; sources are library-only as well.
 from __future__ import annotations
 
 import configparser
-from typing import Sequence
-
-import numpy as np
 
 from .coeffs import Constant, Linear, PiecewiseCoefficient, from_segments
 from .problem import BoundaryConfig, HelmholtzProblem
@@ -54,13 +51,21 @@ def _parse_complex(text: str) -> complex:
         raise ConfigError(f"expected a complex number, got {text!r}") from exc
 
 
+def _parse_float(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: expected a number, got {text!r}") from exc
+
+
 def _parse_segment(text: str):
     parts = text.split()
     kind = parts[0].lower() if parts else ""
     if kind == "constant" and len(parts) == 2:
-        return Constant(float(parts[1]))
+        return Constant(_parse_float(parts[1], "segment value"))
     if kind == "linear" and len(parts) == 3:
-        return Linear(float(parts[1]), float(parts[2]))
+        return Linear(_parse_float(parts[1], "segment value"),
+                      _parse_float(parts[2], "segment value"))
     raise ConfigError(
         f"bad segment entry {text!r}: use 'constant <v>' or 'linear <l> <r>'")
 
@@ -80,8 +85,8 @@ def _parse_coefficient(section: configparser.SectionProxy,
 
 
 def load_problem(path: str) -> HelmholtzProblem:
-    """Read a problem description file."""
-    parser = configparser.ConfigParser()
+    """Read a problem description file (`;` and `#` start inline comments)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -91,7 +96,7 @@ def load_problem(path: str) -> HelmholtzProblem:
     prob = parser["problem"]
     if "omega" not in prob:
         raise ConfigError("[problem] needs 'omega'")
-    omega = float(prob["omega"])
+    omega = _parse_float(prob["omega"], "[problem] omega")
     bc_name = prob.get("bc", "pure_impedance").strip().lower()
     try:
         bc = BoundaryConfig(bc_name)

@@ -30,12 +30,9 @@ import numpy as np
 from . import fem, oracle, stability
 from .coeffs import constant, piecewise_constant
 from .problem import BoundaryConfig, HelmholtzProblem
+from .quadrature import G5_T, G5_W
 
 JOBS_ENV_VAR = "HELMLAB_JOBS"
-
-_G5_T, _G5_W = np.polynomial.legendre.leggauss(5)
-_G5_T = 0.5 * (_G5_T + 1.0)
-_G5_W = 0.5 * _G5_W
 
 
 @dataclass(frozen=True)
@@ -391,13 +388,13 @@ def _energy_error(problem: HelmholtzProblem, mesh: fem.Mesh1D,
     c_e = problem.c.values(mid)
     om = problem.omega
 
-    xg = xl[:, None] + h[:, None] * _G5_T[None, :]
-    wg = h[:, None] * _G5_W[None, :]
+    xg = xl[:, None] + h[:, None] * G5_T[None, :]
+    wg = h[:, None] * G5_W[None, :]
     u_ex = amps.eval(xg.ravel()).reshape(xg.shape)
     du_ex = amps.deriv(xg.ravel()).reshape(xg.shape)
     ul = nodal_values[:-1][:, None]
     ur = nodal_values[1:][:, None]
-    u_h = ul * (1.0 - _G5_T)[None, :] + ur * _G5_T[None, :]
+    u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
     du_h = (ur - ul) / h[:, None]
     err2 = np.sum(a_e[:, None] * wg * np.abs(du_ex - du_h) ** 2) \
         + np.sum((om / c_e[:, None]) ** 2 * wg * np.abs(u_ex - u_h) ** 2)

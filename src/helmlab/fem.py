@@ -1,11 +1,15 @@
 """Conforming P1 finite elements for the 1D heterogeneous problem.
 
 Element integrals are exact for piecewise-constant and piecewise-linear
-coefficients (5-point Gauss for smooth data and sources); the complex
-symmetric tridiagonal system is solved by banded LU with partial pivoting,
+coefficients (5-point Gauss for smooth data and sources) and are computed one
+coefficient segment at a time, on the contiguous run of elements that the
+segment owns.  The complex symmetric tridiagonal system stores its diagonal
+and a single off-diagonal; it is solved by banded LU with partial pivoting,
 and conditioning is estimated by a Hager-style 1-norm iteration on the
 factors.  Condition numbers in the instability studies reach 1e17, which is
-why plain pivot-free recursions are not used here.
+why plain pivot-free recursions are not used here.  At that conditioning the
+finest ladder levels depend on the last bit of the assembled entries, so
+reordering the element or assembly arithmetic changes printed table cells.
 """
 
 from __future__ import annotations
@@ -17,11 +21,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .coeffs import Constant, Linear, _seg_values
-from .problem import BoundaryConfig, HelmholtzProblem
-
-_G5_T, _G5_W = np.polynomial.legendre.leggauss(5)
-_G5_T = 0.5 * (_G5_T + 1.0)  # nodes on [0, 1]
-_G5_W = 0.5 * _G5_W
+from .problem import HelmholtzProblem
+from .quadrature import G5_T, G5_W
 
 
 class MeshAlignmentError(ValueError):
@@ -73,14 +74,13 @@ def build_mesh(problem: HelmholtzProblem, elems_per_subinterval: int) -> Mesh1D:
 class BandedComplexSystem:
     """Complex symmetric tridiagonal system over the free (non-Dirichlet) nodes.
 
-    `lower` and `upper` are assembled independently and are equal exactly;
-    they are kept separate so the symmetry of the assembly is observable.
-    Factorization state is single-owner and cached after the first solve.
+    The matrix is symmetric (not Hermitian), so one array `offdiag` holds
+    both the sub- and the super-diagonal.  Factorization state is
+    single-owner and cached after the first solve.
     """
 
     diag: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    offdiag: np.ndarray
     rhs: np.ndarray
     dirichlet_left: bool
     dirichlet_right: bool
@@ -97,14 +97,13 @@ class BandedComplexSystem:
                 # a dense matrix for these degenerate sizes
                 dense = np.diag(self.diag)
                 if self.dimension == 2:
-                    dense[1, 0] = self.lower[0]
-                    dense[0, 1] = self.upper[0]
+                    dense[1, 0] = dense[0, 1] = self.offdiag[0]
                 if np.linalg.matrix_rank(dense) < self.dimension:
                     raise SingularSystemError("singular small system", 0)
                 self._factors = ("dense", dense)
                 return self._factors
-            dl, d, du, du2, ipiv, info = lapack.zgttrf(self.lower, self.diag,
-                                                       self.upper)
+            dl, d, du, du2, ipiv, info = lapack.zgttrf(self.offdiag, self.diag,
+                                                       self.offdiag)
             if info != 0:
                 raise SingularSystemError(
                     f"zero pivot at row {info - 1} during banded LU", info - 1)
@@ -130,15 +129,16 @@ class BandedComplexSystem:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
         if self.dimension > 1:
-            y[:-1] += self.upper * x[1:]
-            y[1:] += self.lower * x[:-1]
+            y[:-1] += self.offdiag * x[1:]
+            y[1:] += self.offdiag * x[:-1]
         return y
 
     def norm1(self) -> float:
-        col = np.abs(self.diag).copy()
+        col = np.abs(self.diag)
         if self.dimension > 1:
-            col[1:] += np.abs(self.upper)
-            col[:-1] += np.abs(self.lower)
+            off = np.abs(self.offdiag)
+            col[1:] += off
+            col[:-1] += off
         return float(col.max())
 
 
@@ -167,48 +167,48 @@ def _element_data(problem: HelmholtzProblem, mesh: Mesh1D):
 
     xl, xr = nodes[:-1], nodes[1:]
     h = xr - xl
-    mid = 0.5 * (xl + xr)
-    seg = np.clip(np.searchsorted(part, mid) - 1, 0, problem.a.n_segments - 1)
+    # segment j owns the contiguous elements pos[j]:pos[j+1]; elements of a
+    # mesh that overhangs the partition belong to the end segments
+    bounds = pos.copy()
+    bounds[0], bounds[-1] = 0, len(h)
 
     a_mean = np.empty(len(h))
     p00 = np.empty(len(h))
     p01 = np.empty(len(h))
     p11 = np.empty(len(h))
-    for j in np.unique(seg):
-        mask = seg == j
+    for j, (aseg, cseg) in enumerate(zip(problem.a.segments, problem.c.segments)):
+        sl = slice(bounds[j], bounds[j + 1])
         x0, x1 = part[j], part[j + 1]
-        aseg = problem.a.segments[j]
-        cseg = problem.c.segments[j]
 
         if isinstance(aseg, Constant):
-            a_mean[mask] = aseg.value
+            a_mean[sl] = aseg.value
         elif isinstance(aseg, Linear):
-            al = _seg_values(aseg, x0, x1, xl[mask])
-            ar = _seg_values(aseg, x0, x1, xr[mask])
-            a_mean[mask] = 0.5 * (al + ar)
+            al = _seg_values(aseg, x0, x1, xl[sl])
+            ar = _seg_values(aseg, x0, x1, xr[sl])
+            a_mean[sl] = 0.5 * (al + ar)
         else:
-            xg = xl[mask][:, None] + h[mask][:, None] * _G5_T[None, :]
-            a_mean[mask] = _seg_values(aseg, x0, x1, xg.ravel()).reshape(
-                xg.shape) @ _G5_W
+            xg = xl[sl][:, None] + h[sl][:, None] * G5_T[None, :]
+            a_mean[sl] = _seg_values(aseg, x0, x1, xg.ravel()).reshape(
+                xg.shape) @ G5_W
 
         if isinstance(cseg, Constant):
             inv = 1.0 / cseg.value ** 2
-            p00[mask] = inv / 3.0
-            p01[mask] = inv / 6.0
-            p11[mask] = inv / 3.0
+            p00[sl] = inv / 3.0
+            p01[sl] = inv / 6.0
+            p11[sl] = inv / 3.0
         elif isinstance(cseg, Linear):
-            cl = _seg_values(cseg, x0, x1, xl[mask])
-            cr = _seg_values(cseg, x0, x1, xr[mask])
+            cl = _seg_values(cseg, x0, x1, xl[sl])
+            cr = _seg_values(cseg, x0, x1, xr[sl])
             j0, j1, j2 = _linear_mass_integrals(cl, cr)
-            p00[mask] = j0 - 2.0 * j1 + j2
-            p01[mask] = j1 - j2
-            p11[mask] = j2
+            p00[sl] = j0 - 2.0 * j1 + j2
+            p01[sl] = j1 - j2
+            p11[sl] = j2
         else:
-            xg = xl[mask][:, None] + h[mask][:, None] * _G5_T[None, :]
+            xg = xl[sl][:, None] + h[sl][:, None] * G5_T[None, :]
             inv = 1.0 / _seg_values(cseg, x0, x1, xg.ravel()).reshape(xg.shape) ** 2
-            p00[mask] = (inv * (1.0 - _G5_T) ** 2) @ _G5_W
-            p01[mask] = (inv * _G5_T * (1.0 - _G5_T)) @ _G5_W
-            p11[mask] = (inv * _G5_T**2) @ _G5_W
+            p00[sl] = (inv * (1.0 - G5_T) ** 2) @ G5_W
+            p01[sl] = (inv * G5_T * (1.0 - G5_T)) @ G5_W
+            p11[sl] = (inv * G5_T**2) @ G5_W
     return a_mean, p00, p01, p11
 
 
@@ -246,15 +246,14 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
     diag = np.zeros(n, dtype=complex)
     diag[:-1] += kdiag - om**2 * h * p00
     diag[1:] += kdiag - om**2 * h * p11
-    lower = (-kdiag - om**2 * h * p01).astype(complex)
-    upper = (-kdiag - om**2 * h * p01).astype(complex)
+    offdiag = (-kdiag - om**2 * h * p01).astype(complex)
 
     rhs = np.zeros(n, dtype=complex)
     if problem.f is not None:
-        xg = mesh.nodes[:-1, None] + h[:, None] * _G5_T[None, :]
+        xg = mesh.nodes[:-1, None] + h[:, None] * G5_T[None, :]
         fg = np.asarray(problem.f(xg.ravel()), dtype=complex).reshape(xg.shape)
-        rhs[:-1] += h * ((fg * (1.0 - _G5_T)) @ _G5_W)
-        rhs[1:] += h * ((fg * _G5_T) @ _G5_W)
+        rhs[:-1] += h * ((fg * (1.0 - G5_T)) @ G5_W)
+        rhs[1:] += h * ((fg * G5_T) @ G5_W)
 
     if problem.bc.impedance_left:
         diag[0] -= 1j * om * problem.beta_left
@@ -266,8 +265,7 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
     lo = 0 if problem.bc.impedance_left else 1
     hi = n if problem.bc.impedance_right else n - 1
     return BandedComplexSystem(
-        diag=diag[lo:hi], lower=lower[lo:hi - 1], upper=upper[lo:hi - 1],
-        rhs=rhs[lo:hi],
+        diag=diag[lo:hi], offdiag=offdiag[lo:hi - 1], rhs=rhs[lo:hi],
         dirichlet_left=not problem.bc.impedance_left,
         dirichlet_right=not problem.bc.impedance_right)
 
@@ -317,9 +315,10 @@ def condition_estimate(system: BandedComplexSystem, itmax: int = 5) -> float:
     est = 0.0
     for _ in range(itmax):
         y = system.solve_vector(x)
-        est_new = float(np.abs(y).sum())
         mags = np.abs(y)
-        xi = np.where(mags == 0.0, 1.0 + 0.0j, y / np.where(mags == 0.0, 1.0, mags))
+        est_new = float(mags.sum())
+        zero = mags == 0.0
+        xi = np.where(zero, 1.0 + 0.0j, y / np.where(zero, 1.0, mags))
         z = system.solve_vector(xi, trans="C")
         j = int(np.argmax(np.abs(z)))
         if est_new <= est or np.abs(z[j]) <= (z.conj() @ x).real + 1e-300:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .coeffs import Constant
-from .problem import BoundaryConfig, HelmholtzProblem
+from .problem import HelmholtzProblem
 
 RESIDUAL_FLAG_LEVEL = 1e-9
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import PiecewiseCoefficient, CoefficientError, on_common_partition
+from .coeffs import PiecewiseCoefficient, on_common_partition
 
 
 class BoundaryConfig(enum.Enum):

@@ -7,6 +7,12 @@ import numpy as np
 # 15-point rule on [-1, 1]; adaptive panels bisect until the tolerance is met.
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 
+# 5-point rule on the unit element [0, 1]: per-element integrals in the finite
+# element code and in the energy-error measurements.
+G5_T, G5_W = np.polynomial.legendre.leggauss(5)
+G5_T = 0.5 * (G5_T + 1.0)
+G5_W = 0.5 * G5_W
+
 
 def gauss_panel(f, a: float, b: float) -> float:
     """Single 15-point Gauss-Legendre panel of f over [a, b]."""

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .coeffs import (Constant, Linear, PiecewiseCoefficient, Smooth,
-                     CoefficientError, on_common_partition, variation_of_square)
+from .coeffs import (Constant, Linear, PiecewiseCoefficient, CoefficientError,
+                     on_common_partition, variation_of_square)
 from .problem import BoundaryConfig
 from .quadrature import adaptive_gauss, cumulative_gauss
 

@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helmlab.cli import fmt_paper, fmt_sig, parse_and_dispatch
+from helmlab.config import ConfigError, load_problem
+
+FORMATS_DOC = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
 
 UNIT_CFG = """
@@ -86,6 +92,26 @@ class TestDispatch:
         path.write_text(bad)
         assert parse_and_dispatch(["solve", "--config", str(path)]) == 1
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("omega = 1.5707963267948966", "omega = fast", "omega"),
+        ("segment1 = constant 1", "segment1 = constant one", "segment")])
+    def test_non_numeric_value_is_config_error(self, tmp_path, old, new, where):
+        path = tmp_path / "bad.cfg"
+        path.write_text(UNIT_CFG.replace(old, new))
+        with pytest.raises(ConfigError, match=where):
+            load_problem(str(path))
+
+    def test_documented_problem_file_loads(self, tmp_path, capsys):
+        # the [problem] example in docs/formats.md, inline comments included
+        block = re.search(r"```ini\n(.*?)```", FORMATS_DOC.read_text(), re.S)
+        path = tmp_path / "doc.ini"
+        path.write_text(block.group(1))
+        problem = load_problem(str(path))
+        assert problem.omega == 3.9269908169872414
+        assert problem.c.n_segments == 5
+        assert parse_and_dispatch(["oracle", "--config", str(path)]) == 0
+        assert "layers = 5" in capsys.readouterr().out
 
     def test_solve_reports_norms(self, unit_cfg, capsys):
         assert parse_and_dispatch(["solve", "--config", unit_cfg,

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import helmlab as hl
+from helmlab import fem
+from helmlab.coeffs import Constant, Linear, _seg_values
 from helmlab.fem import MeshAlignmentError, SingularSystemError
+from helmlab.quadrature import G5_T, G5_W
 
 from conftest import random_layered_problem
 
@@ -52,13 +55,17 @@ class TestAssembly:
         assert system.diag[1] == pytest.approx(2.0 / h - 4.0 * h / 6.0)
         assert system.diag[0] == pytest.approx(1.0 / h - 2.0 * h / 6.0 - 1.0j)
         assert system.diag[2] == pytest.approx(1.0 / h - 2.0 * h / 6.0 - 1.0j)
-        assert np.allclose(system.lower, -1.0 / h - h / 6.0)
+        assert np.allclose(system.offdiag, -1.0 / h - h / 6.0)
 
     def test_symmetry(self, rng):
+        # one stored off-diagonal serves both bands: x^T A y = y^T A x
         prob = random_layered_problem(rng)
         mesh = hl.build_mesh(prob, 13)
         system = hl.assemble(prob, mesh)
-        assert np.array_equal(system.lower, system.upper)
+        assert len(system.offdiag) == system.dimension - 1
+        x = rng.normal(size=system.dimension) + 1j * rng.normal(size=system.dimension)
+        y = rng.normal(size=system.dimension) + 1j * rng.normal(size=system.dimension)
+        assert x @ system.matvec(y) == pytest.approx(y @ system.matvec(x), rel=1e-13)
 
     def test_rhs_boundary_only(self):
         prob = unit_problem(g=(0.25 + 1j, 2.0))
@@ -95,11 +102,108 @@ class TestAssembly:
             hl.assemble(prob, bad)
 
 
+def _element_data_masked(problem, mesh):
+    """Reference element data: one masked pass over all elements per segment.
+
+    The segment of each element is looked up from its midpoint; the
+    arithmetic per element is the one `fem._element_data` must reproduce
+    bit for bit on its contiguous per-segment slices.
+    """
+    nodes = mesh.nodes
+    part = problem.partition
+    xl, xr = nodes[:-1], nodes[1:]
+    h = xr - xl
+    mid = 0.5 * (xl + xr)
+    seg = np.clip(np.searchsorted(part, mid) - 1, 0, problem.a.n_segments - 1)
+    a_mean, p00, p01, p11 = (np.empty(len(h)) for _ in range(4))
+    for j in np.unique(seg):
+        mask = seg == j
+        x0, x1 = part[j], part[j + 1]
+        aseg = problem.a.segments[j]
+        cseg = problem.c.segments[j]
+        if isinstance(aseg, Constant):
+            a_mean[mask] = aseg.value
+        elif isinstance(aseg, Linear):
+            al = _seg_values(aseg, x0, x1, xl[mask])
+            ar = _seg_values(aseg, x0, x1, xr[mask])
+            a_mean[mask] = 0.5 * (al + ar)
+        else:
+            xg = xl[mask][:, None] + h[mask][:, None] * G5_T[None, :]
+            a_mean[mask] = _seg_values(aseg, x0, x1, xg.ravel()).reshape(
+                xg.shape) @ G5_W
+        if isinstance(cseg, Constant):
+            inv = 1.0 / cseg.value ** 2
+            p00[mask] = inv / 3.0
+            p01[mask] = inv / 6.0
+            p11[mask] = inv / 3.0
+        elif isinstance(cseg, Linear):
+            cl = _seg_values(cseg, x0, x1, xl[mask])
+            cr = _seg_values(cseg, x0, x1, xr[mask])
+            j0, j1, j2 = fem._linear_mass_integrals(cl, cr)
+            p00[mask] = j0 - 2.0 * j1 + j2
+            p01[mask] = j1 - j2
+            p11[mask] = j2
+        else:
+            xg = xl[mask][:, None] + h[mask][:, None] * G5_T[None, :]
+            inv = 1.0 / _seg_values(cseg, x0, x1, xg.ravel()).reshape(xg.shape) ** 2
+            p00[mask] = (inv * (1.0 - G5_T) ** 2) @ G5_W
+            p01[mask] = (inv * G5_T * (1.0 - G5_T)) @ G5_W
+            p11[mask] = (inv * G5_T**2) @ G5_W
+    return a_mean, p00, p01, p11
+
+
+def _assert_element_data_identical(problem, mesh):
+    new = fem._element_data(problem, mesh)
+    ref = _element_data_masked(problem, mesh)
+    for name, got, want in zip(("a_mean", "p00", "p01", "p11"), new, ref):
+        assert np.array_equal(got, want), name
+
+
+class TestElementData:
+    @pytest.mark.parametrize("m, r, eps, level", [
+        (2, 0.4, 0.0, 0), (6, 0.5, 1e-6, 1), (12, 0.6, 0.0, 2)])
+    def test_family_matches_masked_reference(self, m, r, eps, level):
+        prob = hl.family(hl.UnstableFamilySpec(m, r, eps=eps))
+        _assert_element_data_identical(prob, hl.build_mesh(prob, 100 * 2**level))
+
+    def test_mixed_segment_kinds_match_masked_reference(self):
+        # Constant, Linear and Smooth segments in both a and c, on
+        # partitions that differ until the problem merges them
+        a = hl.from_segments([-1.0, -0.3, 0.2, 1.0], [
+            hl.Constant(2.0), hl.Linear(1.0, 3.0),
+            hl.Smooth(func=lambda x: 2.0 + x**2, deriv=lambda x: 2.0 * x,
+                      sign="positive")])
+        c = hl.from_segments([-1.0, -0.5, 0.5, 1.0], [
+            hl.Linear(1.0, 3.0),
+            hl.Smooth(func=lambda x: 2.0 + np.sin(x), deriv=np.cos,
+                      sign="positive"),
+            hl.Constant(0.5)])
+        prob = hl.HelmholtzProblem(a=a, c=c, omega=7.0, g_right=1.0)
+        for coef in (prob.a, prob.c):
+            assert {type(s) for s in coef.segments} == {
+                hl.Constant, hl.Linear, hl.Smooth}
+        _assert_element_data_identical(prob, hl.build_mesh(prob, 37))
+
+    def test_node_just_above_breakpoint(self):
+        # the alignment check accepts a node 1e-13 above the breakpoint; the
+        # element ending there still belongs to the left segment
+        prob = hl.family(hl.UnstableFamilySpec(2, 0.5))
+        nodes = hl.build_mesh(prob, 8).nodes.copy()
+        k = int(np.searchsorted(nodes, prob.partition[2]))
+        assert nodes[k] == prob.partition[2]
+        nodes[k] += 1e-13
+        mesh = hl.Mesh1D(nodes, prob.partition)
+        _assert_element_data_identical(prob, mesh)
+        a_mean, p00, _, _ = fem._element_data(prob, mesh)
+        c_left = prob.c.segments[1].value
+        assert p00[k - 1] == 1.0 / c_left**2 / 3.0
+
+
 class TestSolve:
     def test_one_by_one_system(self):
         system = hl.BandedComplexSystem(
-            diag=np.array([2.0 + 0j]), lower=np.array([], dtype=complex),
-            upper=np.array([], dtype=complex), rhs=np.array([4.0 + 0j]),
+            diag=np.array([2.0 + 0j]), offdiag=np.array([], dtype=complex),
+            rhs=np.array([4.0 + 0j]),
             dirichlet_left=False, dirichlet_right=False)
         solution = hl.solve(system)
         assert solution.values[0] == 2.0
@@ -139,8 +243,8 @@ class TestSolve:
 
     def test_singular_pivot_raises(self):
         system = hl.BandedComplexSystem(
-            diag=np.zeros(3, dtype=complex), lower=np.zeros(2, dtype=complex),
-            upper=np.zeros(2, dtype=complex), rhs=np.ones(3, dtype=complex),
+            diag=np.zeros(3, dtype=complex), offdiag=np.zeros(2, dtype=complex),
+            rhs=np.ones(3, dtype=complex),
             dirichlet_left=False, dirichlet_right=False)
         with pytest.raises(SingularSystemError):
             hl.solve(system)
@@ -191,16 +295,15 @@ class TestNorms:
 class TestConditionEstimate:
     def test_identity(self):
         system = hl.BandedComplexSystem(
-            diag=np.ones(50, dtype=complex), lower=np.zeros(49, dtype=complex),
-            upper=np.zeros(49, dtype=complex), rhs=np.ones(50, dtype=complex),
+            diag=np.ones(50, dtype=complex), offdiag=np.zeros(49, dtype=complex),
+            rhs=np.ones(50, dtype=complex),
             dirichlet_left=False, dirichlet_right=False)
         assert hl.condition_estimate(system) == pytest.approx(1.0)
 
     def test_known_diagonal(self):
         system = hl.BandedComplexSystem(
             diag=np.array([1.0, 1e-6], dtype=complex),
-            lower=np.zeros(1, dtype=complex), upper=np.zeros(1, dtype=complex),
-            rhs=np.ones(2, dtype=complex),
+            offdiag=np.zeros(1, dtype=complex), rhs=np.ones(2, dtype=complex),
             dirichlet_left=False, dirichlet_right=False)
         est = hl.condition_estimate(system)
         assert 0.5e6 <= est <= 2e6
