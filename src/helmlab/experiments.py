@@ -33,6 +33,9 @@ from .problem import BoundaryConfig, HelmholtzProblem
 from .quadrature import G5_T, G5_W
 
 JOBS_ENV_VAR = "HELMLAB_JOBS"
+# Part of every cached level's file name and entry; a level stored under
+# another version is a miss.  Bump it when a change may move a cached value.
+CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ def _run_level(problem: HelmholtzProblem, base: int, level: int,
 def _cache_path(cache_dir, cache_key, base, level) -> Optional[Path]:
     if cache_dir is None or cache_key is None:
         return None
-    return Path(cache_dir) / f"{cache_key}_base{base}_L{level}.json"
+    return Path(cache_dir) / f"{cache_key}_base{base}_L{level}_v{CACHE_VERSION}.json"
 
 
 def _load_cached(cache_dir, cache_key, base, level, need_condition):
@@ -164,6 +167,8 @@ def _load_cached(cache_dir, cache_key, base, level, need_condition):
     try:
         entry = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
+        return None
+    if entry.get("version") != CACHE_VERSION:
         return None
     if need_condition and "cond" not in entry:
         return None
@@ -176,7 +181,7 @@ def _store_cached(cache_dir, cache_key, base, level, entry):
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry))
+    tmp.write_text(json.dumps({**entry, "version": CACHE_VERSION}))
     os.replace(tmp, path)
 
 
@@ -364,21 +369,27 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
         solution, _system = fem.solve_problem(problem, mesh)
         u_h = solution.values
         u_nodes = amps.eval(mesh.nodes)
-        energy_fem.append(_energy_error(problem, mesh, amps, u_h))
-        energy_interp.append(_energy_error(problem, mesh, amps, u_nodes))
+        e_fem, e_interp = _energy_errors(problem, mesh, amps, u_h, u_nodes)
+        energy_fem.append(e_fem)
+        energy_interp.append(e_interp)
         nodal.append(_nodal_l2_error(mesh, u_nodes, u_h))
         lv.append(level)
     return QuasiOptimalityProbe(tuple(lv), tuple(energy_fem),
                                 tuple(energy_interp), tuple(nodal))
 
 
-def _energy_error(problem: HelmholtzProblem, mesh: fem.Mesh1D,
-                  amps: oracle.WaveAmplitudes, nodal_values: np.ndarray) -> float:
-    """Weighted-norm distance between the analytic solution and a P1 function.
+def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
+                   amps: oracle.WaveAmplitudes, u_fem: np.ndarray,
+                   u_interp: np.ndarray) -> tuple:
+    """Weighted-norm distances between the analytic solution and two P1
+    functions on one mesh, given by their nodal values.
 
     5-point Gauss per element; the meshes resolve the waves far below a
     wavelength, so the quadrature error is negligible against the error
-    being measured.
+    being measured.  The Gauss-point data (weights, element coefficients,
+    and the exact u and u' from one oracle pass) is built once per level and
+    shared by both distances; it is freed on return, before the next level's
+    mesh is built.
     """
     nodes = mesh.nodes
     h = mesh.widths
@@ -387,18 +398,19 @@ def _energy_error(problem: HelmholtzProblem, mesh: fem.Mesh1D,
     a_e = problem.a.values(mid)
     c_e = problem.c.values(mid)
     om = problem.omega
-
-    xg = xl[:, None] + h[:, None] * G5_T[None, :]
     wg = h[:, None] * G5_W[None, :]
-    u_ex = amps.eval(xg.ravel()).reshape(xg.shape)
-    du_ex = amps.deriv(xg.ravel()).reshape(xg.shape)
-    ul = nodal_values[:-1][:, None]
-    ur = nodal_values[1:][:, None]
-    u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
-    du_h = (ur - ul) / h[:, None]
-    err2 = np.sum(a_e[:, None] * wg * np.abs(du_ex - du_h) ** 2) \
-        + np.sum((om / c_e[:, None]) ** 2 * wg * np.abs(u_ex - u_h) ** 2)
-    return float(np.sqrt(err2))
+    u_ex, du_ex = amps.eval_with_deriv(xl[:, None] + h[:, None] * G5_T[None, :])
+
+    def error(nodal_values):
+        ul = nodal_values[:-1][:, None]
+        ur = nodal_values[1:][:, None]
+        u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
+        du_h = (ur - ul) / h[:, None]
+        err2 = np.sum(a_e[:, None] * wg * np.abs(du_ex - du_h) ** 2) \
+            + np.sum((om / c_e[:, None]) ** 2 * wg * np.abs(u_ex - u_h) ** 2)
+        return float(np.sqrt(err2))
+
+    return error(u_fem), error(u_interp)
 
 
 def _nodal_l2_error(mesh: fem.Mesh1D, u_exact_nodes: np.ndarray,

@@ -159,9 +159,9 @@ def _element_data(problem: HelmholtzProblem, mesh: Mesh1D):
     """
     nodes = mesh.nodes
     part = problem.partition
-    # every breakpoint must be a mesh node
-    pos = np.searchsorted(nodes, part)
+    # every breakpoint must be a mesh node, to within tol on either side
     tol = 1e-12 * (abs(nodes[-1] - nodes[0]) + 1.0)
+    pos = np.searchsorted(nodes, part - tol)
     if np.any(pos >= len(nodes)) or np.any(np.abs(nodes[np.clip(pos, 0, len(nodes) - 1)] - part) > tol):
         raise MeshAlignmentError("mesh must contain every coefficient breakpoint")
 

@@ -31,7 +31,9 @@ class WaveAmplitudes:
 
     u(x) = A_l exp(i k_l (x - z_{l-1})) + B_l exp(-i k_l (x - z_{l-1})) on
     layer l.  `flagged` marks a near-singular amplitude system (relative
-    residual above RESIDUAL_FLAG_LEVEL).
+    residual above RESIDUAL_FLAG_LEVEL).  Three evaluators share one layer
+    lookup: `eval` gives u, `deriv` gives u', and `eval_with_deriv` gives
+    both from a single pass over the points.
     """
 
     partition: np.ndarray
@@ -51,8 +53,9 @@ class WaveAmplitudes:
     def widths(self) -> np.ndarray:
         return np.diff(self.partition)
 
-    def eval(self, x) -> np.ndarray:
-        """Solution values; continuous across layer boundaries."""
+    def _waves(self, x):
+        """Shape of x, and per point the layer wavenumber and the forward
+        and backward travelling waves."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.partition[0], self.partition[-1]
         if np.any(x < lo) or np.any(x > hi):
@@ -61,19 +64,25 @@ class WaveAmplitudes:
                       0, len(self.A) - 1)
         s = x.ravel() - self.partition[idx]
         k = self.k[idx]
-        out = self.A[idx] * np.exp(1j * k * s) + self.B[idx] * np.exp(-1j * k * s)
-        return out.reshape(x.shape)
+        fwd = self.A[idx] * np.exp(1j * k * s)
+        bwd = self.B[idx] * np.exp(-1j * k * s)
+        return x.shape, k, fwd, bwd
+
+    def eval(self, x) -> np.ndarray:
+        """Solution values; continuous across layer boundaries."""
+        shape, _k, fwd, bwd = self._waves(x)
+        return (fwd + bwd).reshape(shape)
 
     def deriv(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.partition, x.ravel(), side="right") - 1,
-                      0, len(self.A) - 1)
-        s = x.ravel() - self.partition[idx]
-        k = self.k[idx]
-        out = 1j * k * (self.A[idx] * np.exp(1j * k * s)
-                        - self.B[idx] * np.exp(-1j * k * s))
-        return out.reshape(x.shape)
+        """Derivative values, taken from the layer on the right at an interface."""
+        shape, k, fwd, bwd = self._waves(x)
+        return (1j * k * (fwd - bwd)).reshape(shape)
 
+    def eval_with_deriv(self, x) -> tuple:
+        """(eval(x), deriv(x)) from one layer lookup and one pair of
+        exponentials per point; bit-identical to the two separate calls."""
+        shape, k, fwd, bwd = self._waves(x)
+        return (fwd + bwd).reshape(shape), (1j * k * (fwd - bwd)).reshape(shape)
 
 def _layer_values(problem: HelmholtzProblem):
     if not problem.is_layered() or problem.f is not None:

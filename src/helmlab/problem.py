@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import PiecewiseCoefficient, on_common_partition
+from .coeffs import Constant, PiecewiseCoefficient, on_common_partition
 
 
 class BoundaryConfig(enum.Enum):
@@ -108,6 +108,5 @@ class HelmholtzProblem:
 
     def is_layered(self) -> bool:
         """True when both coefficients are piecewise constant."""
-        from .coeffs import Constant
         return all(isinstance(s, Constant) for s in self.a.segments) and \
             all(isinstance(s, Constant) for s in self.c.segments)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import (Constant, Linear, PiecewiseCoefficient, CoefficientError,
-                     on_common_partition, variation_of_square)
+                     _seg_deriv, _seg_values, on_common_partition,
+                     variation_of_square)
 from .problem import BoundaryConfig
 from .quadrature import adaptive_gauss, cumulative_gauss
 
@@ -110,7 +111,6 @@ def _recip_integrals(a_seg, c_seg, x0: float, x1: float,
             return np.asarray(F) - F0
 
     def integrand(x, aa=a_seg, cc=c_seg):
-        from .coeffs import _seg_values
         av = _seg_values(aa, x0, x1, x)
         cv = _seg_values(cc, x0, x1, x)
         return 1.0 / (av * cv * cv)
@@ -128,7 +128,6 @@ def _recip_segment_integral(a_seg, c_seg, x0: float, x1: float,
         return float(val[0])
 
     def integrand(x, aa=a_seg, cc=c_seg):
-        from .coeffs import _seg_values
         av = _seg_values(aa, x0, x1, x)
         cv = _seg_values(cc, x0, x1, x)
         return 1.0 / (av * cv * cv)
@@ -179,7 +178,6 @@ class MultiplierQ:
             pts = xs[mask]
             I = _recip_integrals(self.a_tilde.segments[j], self.c_tilde.segments[j],
                                  bp[j], bp[j + 1], pts)
-            from .coeffs import _seg_values
             at = _seg_values(self.a_tilde.segments[j], bp[j], bp[j + 1], pts)
             ct = _seg_values(self.c_tilde.segments[j], bp[j], bp[j + 1], pts)
             out[mask] = at * ct * ct * (I + self.A[j])
@@ -364,7 +362,6 @@ def verify_q_properties(q: MultiplierQ, a: PiecewiseCoefficient,
     Derivatives are evaluated analytically at `samples_per_segment` interior
     points per subinterval; jumps use exact one-sided limits.
     """
-    from .coeffs import _seg_values, _seg_deriv
     a, c = on_common_partition(a, c)
     _check_common(a, c, q.a, q.c)
     bp = q.partition

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import helmlab as hl
+from helmlab import experiments
+from helmlab.quadrature import G5_T, G5_W
 
 
 class TestFamily:
@@ -84,6 +86,27 @@ class TestRefinementProtocol:
         assert 123.0 in run2.values
         assert run1.values != run2.values
 
+    @pytest.mark.parametrize("stale", [
+        lambda entry: entry.pop("version"),
+        lambda entry: entry.update(version=experiments.CACHE_VERSION - 1)],
+        ids=["missing", "older"])
+    def test_cache_entry_of_another_version_is_recomputed(self, tmp_path, stale):
+        spec = hl.UnstableFamilySpec(2, 0.4)
+        prob = hl.family(spec)
+        kwargs = dict(base=50, levels=2, cache_dir=str(tmp_path),
+                      cache_key=spec.cache_key(), with_condition=False)
+        run1 = hl.refine_to_convergence(prob, **kwargs)
+        files = sorted(tmp_path.glob("*.json"))
+        assert all(f"_v{experiments.CACHE_VERSION}." in f.name for f in files)
+        data = json.loads(files[0].read_text())
+        assert data["version"] == experiments.CACHE_VERSION
+        data["du"] = 123.0
+        stale(data)
+        files[0].write_text(json.dumps(data))
+        run2 = hl.refine_to_convergence(prob, **kwargs)
+        assert run2.values == run1.values
+        assert json.loads(files[0].read_text())["version"] == experiments.CACHE_VERSION
+
     def test_parallel_matches_serial(self, tmp_path):
         specs = [hl.UnstableFamilySpec(2, r) for r in (0.4, 0.5)]
         serial = hl.run_cells(specs, base=50, levels=2, jobs=1)
@@ -125,7 +148,64 @@ class TestBoundComparison:
         assert rows[-1].bound_variation < 2.0
 
 
+def _energy_error_two_calls(problem, mesh, amps, nodal_values):
+    """Reference energy error: its own Gauss data and one `eval` and one
+    `deriv` call per P1 function."""
+    nodes = mesh.nodes
+    h = mesh.widths
+    xl = nodes[:-1]
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    a_e = problem.a.values(mid)
+    c_e = problem.c.values(mid)
+    om = problem.omega
+
+    xg = xl[:, None] + h[:, None] * G5_T[None, :]
+    wg = h[:, None] * G5_W[None, :]
+    u_ex = amps.eval(xg.ravel()).reshape(xg.shape)
+    du_ex = amps.deriv(xg.ravel()).reshape(xg.shape)
+    ul = nodal_values[:-1][:, None]
+    ur = nodal_values[1:][:, None]
+    u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
+    du_h = (ur - ul) / h[:, None]
+    err2 = np.sum(a_e[:, None] * wg * np.abs(du_ex - du_h) ** 2) \
+        + np.sum((om / c_e[:, None]) ** 2 * wg * np.abs(u_ex - u_h) ** 2)
+    return float(np.sqrt(err2))
+
+
+def _quasiopt_probe_two_calls(problem, levels, base):
+    """Reference probe: each energy error evaluates the oracle on its own."""
+    amps = hl.solve_analytic(problem)
+    energy_fem, energy_interp, nodal = [], [], []
+    for level in range(levels):
+        mesh = hl.build_mesh(problem, base * 2**level)
+        u_h = hl.solve_problem(problem, mesh)[0].values
+        u_nodes = amps.eval(mesh.nodes)
+        energy_fem.append(_energy_error_two_calls(problem, mesh, amps, u_h))
+        energy_interp.append(_energy_error_two_calls(problem, mesh, amps, u_nodes))
+        nodal.append(experiments._nodal_l2_error(mesh, u_nodes, u_h))
+    return hl.QuasiOptimalityProbe(tuple(range(levels)), tuple(energy_fem),
+                                   tuple(energy_interp), tuple(nodal))
+
+
 class TestQuasiOpt:
+    @pytest.mark.parametrize("name", ["family", "homogeneous", "dirichlet"])
+    def test_probe_bit_identical_to_two_call_reference(self, name):
+        base, levels = 8, 4
+        if name == "family":
+            prob = hl.family(hl.UnstableFamilySpec(2, 0.4))
+            base, levels = 50, 3
+        elif name == "homogeneous":
+            prob = hl.HelmholtzProblem(a=hl.constant(1.0), c=hl.constant(1.0),
+                                       omega=2.0, g_right=1.0)
+        else:
+            bp = [-1.0, -0.3, 0.4, 1.0]
+            prob = hl.HelmholtzProblem(
+                a=hl.piecewise_constant(bp, [1.0, 2.5, 0.6]),
+                c=hl.piecewise_constant(bp, [1.0, 0.7, 1.4]), omega=6.0,
+                bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j)
+        assert hl.quasiopt_probe(prob, levels=levels, base=base) == \
+            _quasiopt_probe_two_calls(prob, levels, base)
+
     def test_easy_problem_ratio_near_one(self):
         prob = hl.HelmholtzProblem(a=hl.constant(1.0), c=hl.constant(1.0),
                                    omega=2.0, g_right=1.0)

@@ -97,7 +97,9 @@ class TestAssembly:
 
     def test_misaligned_mesh_rejected(self):
         prob = hl.family(hl.UnstableFamilySpec(2, 0.5))
-        bad = hl.Mesh1D(np.linspace(-1.0, 1.0, 101), prob.partition)
+        # every interior breakpoint lies at least 2e-3 from this mesh's
+        # nodes; with 101 nodes they would be nodes to within round-off
+        bad = hl.Mesh1D(np.linspace(-1.0, 1.0, 100), prob.partition)
         with pytest.raises(MeshAlignmentError):
             hl.assemble(prob, bad)
 
@@ -184,19 +186,27 @@ class TestElementData:
                 hl.Constant, hl.Linear, hl.Smooth}
         _assert_element_data_identical(prob, hl.build_mesh(prob, 37))
 
-    def test_node_just_above_breakpoint(self):
-        # the alignment check accepts a node 1e-13 above the breakpoint; the
-        # element ending there still belongs to the left segment
+    @staticmethod
+    def _check_node_moved_off_breakpoint(shift):
+        # the alignment check accepts a node within 1e-13 of the breakpoint
+        # on either side; the element ending there still belongs to the left
+        # segment
         prob = hl.family(hl.UnstableFamilySpec(2, 0.5))
         nodes = hl.build_mesh(prob, 8).nodes.copy()
         k = int(np.searchsorted(nodes, prob.partition[2]))
         assert nodes[k] == prob.partition[2]
-        nodes[k] += 1e-13
+        nodes[k] += shift
         mesh = hl.Mesh1D(nodes, prob.partition)
         _assert_element_data_identical(prob, mesh)
         a_mean, p00, _, _ = fem._element_data(prob, mesh)
         c_left = prob.c.segments[1].value
         assert p00[k - 1] == 1.0 / c_left**2 / 3.0
+
+    def test_node_just_above_breakpoint(self):
+        self._check_node_moved_off_breakpoint(1e-13)
+
+    def test_node_just_below_breakpoint(self):
+        self._check_node_moved_off_breakpoint(-1e-13)
 
 
 class TestSolve:

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "helmlab"
+ALL_MODULES = sorted(SRC.glob("*.py"))
 # __init__.py imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_module_imports(source: str) -> list:
@@ -34,3 +35,29 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_module_imports(path.read_text()) == []
+
+
+def nested_relative_imports(source: str) -> list:
+    """Relative imports anywhere but at module level."""
+    tree = ast.parse(source)
+    return sorted(f"line {node.lineno}: from {'.' * node.level}{node.module or ''}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level >= 1
+                  and node not in tree.body)
+
+
+def test_scanner_flags_a_nested_relative_import():
+    source = ("from .a import x\n"
+              "import os\n"
+              "def f():\n"
+              "    from .b import y\n"
+              "    from os import path\n"
+              "    class C:\n"
+              "        from ..c import z\n")
+    assert nested_relative_imports(source) == ["line 4: from .b",
+                                               "line 7: from ..c"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_nested_relative_imports(path):
+    assert nested_relative_imports(path.read_text()) == []

@@ -97,8 +97,21 @@ class TestEval:
 
     def test_out_of_domain(self):
         amps = hl.solve_analytic(unit_problem())
-        with pytest.raises(ValueError):
-            amps.eval(np.array([1.5]))
+        for evaluate in (amps.eval, amps.deriv, amps.eval_with_deriv):
+            with pytest.raises(ValueError):
+                evaluate(np.array([1.5]))
+
+    def test_eval_with_deriv_matches_separate_calls(self):
+        prob = hl.family(hl.UnstableFamilySpec(2, 0.4))
+        amps = hl.solve_analytic(prob)
+        # breakpoints (both endpoints among them) and points between them
+        x = np.concatenate([prob.partition,
+                            np.linspace(-1.0, 1.0, 3 * len(prob.partition))])
+        x = x.reshape(2, -1)
+        u, du = amps.eval_with_deriv(x)
+        assert u.shape == du.shape == x.shape
+        assert np.array_equal(u, amps.eval(x))
+        assert np.array_equal(du, amps.deriv(x))
 
 
 class TestExactNorms:
