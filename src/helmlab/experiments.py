@@ -10,7 +10,9 @@ breakpoint collapses the growth.
 
 Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
-significant figures), table grids over (m, r, data, perturbation),
+significant figures; the finest level runs first, and its condition estimate
+runs on one helper thread while the coarser levels run), table grids over
+(m, r, data, perturbation),
 least-squares growth-rate fits, comparison against the theoretical bound, and
 an empirical quasi-optimality probe against the analytic reference.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -119,39 +121,59 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
                           with_condition: bool = True) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
 
+    With `with_condition` the finest level runs first, and the condition
+    estimate of its system runs on one helper thread while the calling
+    thread works through the coarser levels; every level still runs the
+    same functions on the same inputs, so the run is the one a serial
+    ladder gives.  Without an estimate to compute (not asked for, or cached)
+    no thread starts and the levels run in order.
+
     Levels found in the cache directory (keyed by problem and level) are
-    reused, so interrupted table runs resume where they stopped.
+    reused, so interrupted table runs resume where they stopped; the finest
+    level is stored once its estimate is done.
     """
-    values = []
-    cond = math.nan
-    residual = math.nan
-    wu = math.nan
-    for level in range(levels):
-        final = level == levels - 1
-        entry = _load_cached(cache_dir, cache_key, base, level, with_condition and final)
-        if entry is None:
-            entry = _run_level(problem, base, level, with_condition and final)
-            _store_cached(cache_dir, cache_key, base, level, entry)
-        values.append(entry["du"])
-        if final:
-            cond = entry.get("cond", math.nan)
-            residual = entry["res"]
-            wu = entry["wu"]
+    if levels < 1:
+        raise ValueError("a refinement ladder needs at least one level")
+    finest = levels - 1
+    entries = {}
+    estimate = None
+    # no thread starts before the first submit; leaving the block joins it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if with_condition:
+            entry = _load_cached(cache_dir, cache_key, base, finest, True)
+            if entry is None:
+                entry, system = _run_level(problem, base, finest)
+                system.rhs = None  # the estimate needs the matrix and its LU
+                estimate = pool.submit(fem.condition_estimate, system)
+                del system  # so the system is freed when its estimate is done
+            entries[finest] = entry
+        for level in range(levels):
+            if level in entries:
+                continue
+            entry = _load_cached(cache_dir, cache_key, base, level, False)
+            if entry is None:
+                entry = _run_level(problem, base, level)[0]
+                _store_cached(cache_dir, cache_key, base, level, entry)
+            entries[level] = entry
+        if estimate is not None:
+            entries[finest]["cond"] = estimate.result()
+            _store_cached(cache_dir, cache_key, base, finest, entries[finest])
+    values = [entries[level]["du"] for level in range(levels)]
+    last = entries[finest]
     tail = [_sig_repr(v, sigfigs) for v in values[-3:]]
     converged = len(values) >= 3 and tail[0] == tail[1] == tail[2]
     return RefinementRun(tuple(values), converged, round_sig(values[-1], sigfigs),
-                         cond, residual, wu, sigfigs)
+                         last.get("cond", math.nan), last["res"], last["wu"],
+                         sigfigs)
 
 
-def _run_level(problem: HelmholtzProblem, base: int, level: int,
-               with_condition: bool) -> dict:
+def _run_level(problem: HelmholtzProblem, base: int, level: int) -> tuple:
+    """One ladder level: its cache entry (du, wu, residual) and its
+    factored system."""
     mesh = fem.build_mesh(problem, base * 2**level)
     solution, system = fem.solve_problem(problem, mesh)
     du, wu, _energy = fem.norms(solution, problem, mesh)
-    entry = {"du": float(du), "wu": float(wu), "res": solution.residual}
-    if with_condition:
-        entry["cond"] = fem.condition_estimate(system)
-    return entry
+    return {"du": float(du), "wu": float(wu), "res": solution.residual}, system
 
 
 def _cache_path(cache_dir, cache_key, base, level) -> Optional[Path]:

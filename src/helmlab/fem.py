@@ -110,7 +110,13 @@ class BandedComplexSystem:
             self._factors = (dl, d, du, du2, ipiv)
         return self._factors
 
-    def solve_vector(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def solve_vector(self, b: np.ndarray, trans: str = "N",
+                     overwrite_b: bool = False) -> np.ndarray:
+        """Solve A x = b (trans "N"), A^T x = b ("T") or A^H x = b ("C").
+
+        With `overwrite_b` a contiguous complex `b` receives the solution and
+        is returned; otherwise `b` is left untouched.
+        """
         fact = self.factorize()
         if isinstance(fact[0], str):  # dense fallback for n <= 2
             dense = fact[1]
@@ -118,10 +124,14 @@ class BandedComplexSystem:
                 dense = dense.T
             elif trans == "C":
                 dense = dense.conj().T
-            return np.linalg.solve(dense, b)
+            x = np.linalg.solve(dense, b)
+            if overwrite_b:
+                b[...] = x
+                return b
+            return x
         dl, d, du, du2, ipiv = fact
-        x, info = lapack.zgttrs(dl, d, du, du2, ipiv,
-                                b.reshape(-1, 1), trans=trans)
+        x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1),
+                                trans=trans, overwrite_b=overwrite_b)
         if info != 0:
             raise SingularSystemError(f"banded solve failed (info={info})", info)
         return x.ravel()
@@ -279,10 +289,11 @@ def solve(system: BandedComplexSystem) -> FemSolution:
     else:
         residual = float(np.linalg.norm(system.matvec(x) - system.rhs, np.inf)
                          / b_inf)
-    pad_l = [0.0] if system.dirichlet_left else []
-    pad_r = [0.0] if system.dirichlet_right else []
-    values = np.concatenate([pad_l, x, pad_r])
-    return FemSolution(values=values, residual=residual)
+    if system.dirichlet_left or system.dirichlet_right:
+        pad_l = [0.0] if system.dirichlet_left else []
+        pad_r = [0.0] if system.dirichlet_right else []
+        x = np.concatenate([pad_l, x, pad_r])
+    return FemSolution(values=x, residual=residual)
 
 
 def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
@@ -307,25 +318,41 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
 
 
 def condition_estimate(system: BandedComplexSystem, itmax: int = 5) -> float:
-    """1-norm condition estimate from the LU factors (Hager-style iteration)."""
+    """1-norm condition estimate from the LU factors (Hager-style iteration).
+
+    Hager (1984) as refined by Higham (1988).  The buffers are allocated
+    once and reused by every step: each solve runs in place in one complex
+    vector (`solve_vector(..., overwrite_b=True)`), and the magnitudes, the
+    zero mask and the current vector x have one array each.  The iteration,
+    its expressions and so its result are those of the textbook loop.
+    """
     n = system.dimension
     if n == 1:
         return 1.0
     x = np.full(n, 1.0 / n, dtype=complex)
+    v = np.empty(n, dtype=complex)
+    mags = np.empty(n)
+    zero = np.empty(n, dtype=bool)
     est = 0.0
     for _ in range(itmax):
-        y = system.solve_vector(x)
-        mags = np.abs(y)
+        v[...] = x
+        y = system.solve_vector(v, overwrite_b=True)
+        np.abs(y, out=mags)
         est_new = float(mags.sum())
-        zero = mags == 0.0
-        xi = np.where(zero, 1.0 + 0.0j, y / np.where(zero, 1.0, mags))
-        z = system.solve_vector(xi, trans="C")
-        j = int(np.argmax(np.abs(z)))
-        if est_new <= est or np.abs(z[j]) <= (z.conj() @ x).real + 1e-300:
+        np.equal(mags, 0.0, out=zero)
+        # xi = y / |y|, with 1 where y vanishes
+        mags[zero] = 1.0
+        np.divide(y, mags, out=y)
+        y[zero] = 1.0
+        z = system.solve_vector(y, trans="C", overwrite_b=True)
+        j = int(np.argmax(np.abs(z, out=mags)))
+        # z^H x conjugates z in place: z is not needed afterwards
+        if est_new <= est or \
+                np.abs(z[j]) <= (np.conjugate(z, out=z) @ x).real + 1e-300:
             est = max(est, est_new)
             break
         est = est_new
-        x = np.zeros(n, dtype=complex)
+        x[...] = 0.0
         x[j] = 1.0
     return system.norm1() * est
 

@@ -1,11 +1,12 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import helmlab as hl
-from helmlab import experiments
+from helmlab import experiments, fem
 from helmlab.quadrature import G5_T, G5_W
 
 
@@ -107,12 +108,133 @@ class TestRefinementProtocol:
         assert run2.values == run1.values
         assert json.loads(files[0].read_text())["version"] == experiments.CACHE_VERSION
 
+    @pytest.mark.parametrize("with_condition", [True, False])
+    @pytest.mark.parametrize("cache", ["none", "fresh", "warm"])
+    def test_ladder_bit_identical_to_serial_reference(self, tmp_path,
+                                                      with_condition, cache):
+        prob = hl.family(_LADDER_SPEC)
+        expected = _refine_serial_reference(prob, with_condition)
+        kwargs = dict(_LADDER, with_condition=with_condition)
+        if cache != "none":
+            kwargs.update(cache_dir=str(tmp_path),
+                          cache_key=_LADDER_SPEC.cache_key())
+        if cache == "warm":
+            assert hl.refine_to_convergence(prob, **kwargs) == expected
+            assert len(list(tmp_path.glob("*.json"))) == _LADDER["levels"]
+        assert hl.refine_to_convergence(prob, **kwargs) == expected
+
+    @pytest.mark.parametrize("dropped", [[0], [1, 3], [3], [0, 1, 2]])
+    def test_partial_cache_resumes_to_the_same_run(self, tmp_path, dropped):
+        prob = hl.family(_LADDER_SPEC)
+        kwargs = dict(_LADDER, cache_dir=str(tmp_path),
+                      cache_key=_LADDER_SPEC.cache_key())
+        hl.refine_to_convergence(prob, **kwargs)
+        for level in dropped:
+            next(tmp_path.glob(f"*_L{level}_*.json")).unlink()
+        assert hl.refine_to_convergence(prob, **kwargs) == \
+            _refine_serial_reference(prob, True)
+        assert len(list(tmp_path.glob("*.json"))) == _LADDER["levels"]
+
+    def test_finest_entry_without_condition_is_recomputed(self, tmp_path):
+        prob = hl.family(_LADDER_SPEC)
+        kwargs = dict(_LADDER, cache_dir=str(tmp_path),
+                      cache_key=_LADDER_SPEC.cache_key())
+        hl.refine_to_convergence(prob, with_condition=False, **kwargs)
+        finest = next(tmp_path.glob(f"*_L{_LADDER['levels'] - 1}_*.json"))
+        data = json.loads(finest.read_text())
+        assert "cond" not in data
+        data["du"] = 123.0
+        finest.write_text(json.dumps(data))
+        assert hl.refine_to_convergence(prob, **kwargs) == \
+            _refine_serial_reference(prob, True)
+        assert "cond" in json.loads(finest.read_text())
+
+    @pytest.mark.parametrize("case", ["estimate", "no-condition",
+                                      "finest-cached"])
+    def test_level_order_and_threads(self, tmp_path, monkeypatch, case):
+        prob = hl.family(_LADDER_SPEC)
+        levels = _LADDER["levels"]
+        kwargs = dict(_LADDER, with_condition=case != "no-condition")
+        if case == "finest-cached":
+            # every level but the first cached, the finest with its estimate
+            kwargs.update(cache_dir=str(tmp_path),
+                          cache_key=_LADDER_SPEC.cache_key())
+            hl.refine_to_convergence(prob, **kwargs)
+            next(tmp_path.glob("*_L0_*.json")).unlink()
+        run_level = experiments._run_level
+        order, threads = [], []
+
+        def recording(problem, base, level):
+            order.append(level)
+            threads.append(threading.active_count())
+            return run_level(problem, base, level)
+
+        monkeypatch.setattr(experiments, "_run_level", recording)
+        before = threading.active_count()
+        assert hl.refine_to_convergence(prob, **kwargs) == \
+            _refine_serial_reference(prob, kwargs["with_condition"])
+        if case == "estimate":
+            # finest first; one helper thread runs its estimate beside the
+            # coarser levels and stays until the ladder is done
+            assert order == [levels - 1] + list(range(levels - 1))
+            assert threads == [before] + [before + 1] * (levels - 1)
+        elif case == "no-condition":
+            assert order == list(range(levels))
+            assert threads == [before] * levels
+        else:
+            assert order == [0] and threads == [before]
+        assert threading.active_count() == before
+
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            hl.refine_to_convergence(hl.family(_LADDER_SPEC), levels=0)
+
+    def test_estimate_error_surfaces_and_thread_is_joined(self, tmp_path,
+                                                          monkeypatch):
+        def boom(system):
+            raise FloatingPointError("estimate failed")
+
+        monkeypatch.setattr(fem, "condition_estimate", boom)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="estimate failed"):
+            hl.refine_to_convergence(hl.family(_LADDER_SPEC), **_LADDER,
+                                     cache_dir=str(tmp_path),
+                                     cache_key=_LADDER_SPEC.cache_key())
+        assert threading.active_count() == before
+        # the coarse levels were stored, the finest (no estimate) was not
+        stored = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert len(stored) == _LADDER["levels"] - 1
+        assert not any(f"_L{_LADDER['levels'] - 1}_" in name for name in stored)
+
     def test_parallel_matches_serial(self, tmp_path):
         specs = [hl.UnstableFamilySpec(2, r) for r in (0.4, 0.5)]
         serial = hl.run_cells(specs, base=50, levels=2, jobs=1)
         parallel = hl.run_cells(specs, base=50, levels=2, jobs=2)
         assert [r.value for r in serial] == [r.value for r in parallel]
         assert [(r.m, r.r) for r in parallel] == [(2, 0.4), (2, 0.5)]
+
+
+_LADDER_SPEC = hl.UnstableFamilySpec(2, 0.4)
+_LADDER = dict(base=20, levels=4)
+
+
+def _refine_serial_reference(problem, with_condition, base=_LADDER["base"],
+                             levels=_LADDER["levels"], sigfigs=4):
+    """The ladder run level by level, coarsest first, with the condition
+    estimate of the finest system computed last on the calling thread."""
+    values = []
+    for level in range(levels):
+        mesh = hl.build_mesh(problem, base * 2**level)
+        solution, system = hl.solve_problem(problem, mesh)
+        du, wu, _energy = hl.norms(solution, problem, mesh)
+        values.append(float(du))
+    # the ladder reports the math.nan object itself, so == on runs holds
+    cond = hl.condition_estimate(system) if with_condition else math.nan
+    tail = [f"%.{sigfigs - 1}e" % v for v in values[-3:]]
+    converged = len(values) >= 3 and tail[0] == tail[1] == tail[2]
+    return hl.RefinementRun(tuple(values), converged,
+                            hl.round_sig(values[-1], sigfigs), cond,
+                            solution.residual, float(wu), sigfigs)
 
 
 class TestSlopeFit:

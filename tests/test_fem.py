@@ -251,6 +251,38 @@ class TestSolve:
         solution, _ = hl.solve_problem(prob, mesh)
         assert solution.residual < 1e-12
 
+    @pytest.mark.parametrize("bc", list(BC), ids=lambda bc: bc.name)
+    def test_values_match_padded_path(self, bc):
+        prob = hl.HelmholtzProblem(
+            a=hl.piecewise_constant([-1.0, 0.2, 1.0], [1.0, 2.0]),
+            c=hl.piecewise_constant([-1.0, 0.2, 1.0], [1.0, 0.5]), omega=5.0,
+            bc=bc, g_left=1.0 if bc.impedance_left else 0.0,
+            g_right=0.5j if bc.impedance_right else 0.0)
+        system = hl.assemble(prob, hl.build_mesh(prob, 16))
+        x = system.solve_vector(system.rhs)
+        padded = np.concatenate([[0.0] if system.dirichlet_left else [], x,
+                                 [0.0] if system.dirichlet_right else []])
+        values = hl.solve(system).values
+        assert values.dtype == padded.dtype and values.shape == padded.shape
+        assert np.array_equal(values, padded)
+
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    @pytest.mark.parametrize("trans", ["N", "T", "C"])
+    def test_solve_in_place(self, n, trans):
+        rng = np.random.default_rng(n)
+        system = hl.BandedComplexSystem(
+            diag=rng.normal(size=n) + 1j * rng.normal(size=n) + 4.0,
+            offdiag=rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1),
+            rhs=np.ones(n, dtype=complex),
+            dirichlet_left=False, dirichlet_right=False)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        expected = system.solve_vector(b.copy(), trans=trans)
+        buf = b.copy()
+        x = system.solve_vector(buf, trans=trans, overwrite_b=True)
+        assert np.shares_memory(x, buf)
+        assert np.array_equal(x, expected)
+        assert np.array_equal(buf, expected)
+
     def test_singular_pivot_raises(self):
         system = hl.BandedComplexSystem(
             diag=np.zeros(3, dtype=complex), offdiag=np.zeros(2, dtype=complex),
@@ -302,7 +334,92 @@ class TestNorms:
         assert wu == pytest.approx(oracle, rel=1e-9)
 
 
+def _condition_estimate_reference(system, itmax=5):
+    """The Hager loop with fresh arrays at every step."""
+    n = system.dimension
+    if n == 1:
+        return 1.0
+    x = np.full(n, 1.0 / n, dtype=complex)
+    est = 0.0
+    for _ in range(itmax):
+        y = system.solve_vector(x)
+        mags = np.abs(y)
+        est_new = float(mags.sum())
+        zero = mags == 0.0
+        xi = np.where(zero, 1.0 + 0.0j, y / np.where(zero, 1.0, mags))
+        z = system.solve_vector(xi, trans="C")
+        j = int(np.argmax(np.abs(z)))
+        if est_new <= est or np.abs(z[j]) <= (z.conj() @ x).real + 1e-300:
+            est = max(est, est_new)
+            break
+        est = est_new
+        x = np.zeros(n, dtype=complex)
+        x[j] = 1.0
+    return system.norm1() * est
+
+
+def _estimate_case(name):
+    """A system on which to compare the estimator with the reference."""
+    if name.startswith("family"):
+        m, r = {"family-2-0.4": (2, 0.4), "family-12-0.6": (12, 0.6)}[name]
+        prob = hl.family(hl.UnstableFamilySpec(m, r))
+        return hl.assemble(prob, hl.build_mesh(prob, 100))
+    if name == "dirichlet-impedance":
+        bp = [-1.0, -0.3, 0.4, 1.0]
+        prob = hl.HelmholtzProblem(
+            a=hl.piecewise_constant(bp, [1.0, 2.5, 0.6]),
+            c=hl.piecewise_constant(bp, [1.0, 0.7, 1.4]), omega=6.0,
+            bc=BC.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j)
+        return hl.assemble(prob, hl.build_mesh(prob, 40))
+    n = {"diagonal": 20, "n2": 2, "n3": 3}[name]
+    k = np.arange(1, n + 1)
+    offdiag = np.zeros(n - 1, dtype=complex) if name == "diagonal" \
+        else 0.3 + 0.1j * k[:-1]
+    return hl.BandedComplexSystem(
+        diag=k * np.exp(1j * k), offdiag=offdiag, rhs=np.ones(n, dtype=complex),
+        dirichlet_left=False, dirichlet_right=False)
+
+
+def _recorded_estimate(estimator, system):
+    """The estimate, and (trans, rhs, solution) of every solve it made."""
+    solve = system.solve_vector
+    calls = []
+
+    def recording(b, trans="N", **kwargs):
+        rhs = b.copy()
+        x = solve(b, trans=trans, **kwargs)
+        calls.append((trans, rhs, x.copy()))
+        return x
+
+    system.solve_vector = recording
+    return estimator(system), calls
+
+
 class TestConditionEstimate:
+    @pytest.mark.parametrize("name", ["family-2-0.4", "family-12-0.6",
+                                      "dirichlet-impedance", "diagonal",
+                                      "n2", "n3"])
+    def test_bit_identical_to_reference(self, name):
+        est, calls = _recorded_estimate(hl.condition_estimate,
+                                        _estimate_case(name))
+        ref, ref_calls = _recorded_estimate(_condition_estimate_reference,
+                                            _estimate_case(name))
+        assert est == ref
+        # the same solves on the same right-hand sides, bit for bit
+        assert [c[0] for c in calls] == [c[0] for c in ref_calls]
+        for (_, rhs, x), (_, ref_rhs, ref_x) in zip(calls, ref_calls):
+            assert np.array_equal(rhs, ref_rhs) and np.array_equal(x, ref_x)
+
+    def test_diagonal_case_takes_the_zero_branch(self):
+        # after e_j, y = A^{-1} e_j vanishes off j, and xi is 1 there
+        system = _estimate_case("diagonal")
+        n = system.dimension
+        _est, calls = _recorded_estimate(hl.condition_estimate, system)
+        (_, _, y1), (_, xi1, _), (_, _, y2), (_, xi2, _) = calls[:4]
+        assert np.count_nonzero(y1 == 0.0) == 0
+        assert np.count_nonzero(y2 == 0.0) == n - 1
+        assert np.count_nonzero(xi2 == 1.0) >= n - 1
+
     def test_identity(self):
         system = hl.BandedComplexSystem(
             diag=np.ones(50, dtype=complex), offdiag=np.zeros(49, dtype=complex),
