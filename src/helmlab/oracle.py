@@ -7,6 +7,9 @@ instabilities.  Interface continuity of u and of a u', together with the
 boundary conditions, give a banded system solved with partial pivoting; a
 sequential 2x2 transfer-matrix sweep would be numerically explosive exactly
 where these problems are interesting, so the global solve is used instead.
+The system is written straight into (2, 2) band storage, and that one array
+serves the solve, the residual and the extended-precision refinement: O(N)
+memory, no dense matrix.
 """
 
 from __future__ import annotations
@@ -97,7 +100,9 @@ def solve_analytic(problem: HelmholtzProblem,
                    extended_precision: bool = False) -> WaveAmplitudes:
     """Amplitudes satisfying the interface and boundary conditions.
 
-    The 2N x 2N system (bandwidths (2, 2)) is solved by pivoted banded LU.
+    The 2N x 2N system (bandwidths (2, 2), unknowns A_0, B_0, A_1, ...) is
+    written straight into band storage: one (5, 2N) array, O(N) memory,
+    serves the pivoted banded LU solve, the residual and the refinement.
     `extended_precision` adds iterative refinement with an extended-precision
     residual; used for instability cases beyond the double-precision range.
     """
@@ -111,42 +116,39 @@ def solve_analytic(problem: HelmholtzProblem,
     Em = np.exp(-1j * k * h)
     beta = np.sqrt(a) / c
 
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
+    ab = np.zeros((5, 2 * n), dtype=complex)  # ab[2 + i - j, j] = M[i, j]
     rhs = np.zeros(2 * n, dtype=complex)
     # left endpoint: impedance (-a u' - i om beta u = g) or u = 0
     if problem.bc.impedance_left:
-        M[0, 0] = -1j * a[0] * k[0] - 1j * om * beta[0]
-        M[0, 1] = 1j * a[0] * k[0] - 1j * om * beta[0]
+        ab[2, 0] = -1j * a[0] * k[0] - 1j * om * beta[0]
+        ab[1, 1] = 1j * a[0] * k[0] - 1j * om * beta[0]
         rhs[0] = problem.g_left
     else:
-        M[0, 0] = 1.0
-        M[0, 1] = 1.0
-    # interfaces: [u] = 0 and [a u'] = 0
-    for j in range(1, n):
-        r0, r1 = 2 * j - 1, 2 * j
-        cA, cB = 2 * (j - 1), 2 * (j - 1) + 1
-        M[r0, cA] = E[j - 1]
-        M[r0, cB] = Em[j - 1]
-        M[r0, cA + 2] = -1.0
-        M[r0, cB + 2] = -1.0
-        M[r1, cA] = 1j * a[j - 1] * k[j - 1] * E[j - 1]
-        M[r1, cB] = -1j * a[j - 1] * k[j - 1] * Em[j - 1]
-        M[r1, cA + 2] = -1j * a[j] * k[j]
-        M[r1, cB + 2] = 1j * a[j] * k[j]
+        ab[2, 0] = ab[1, 1] = 1.0
+    # interface j: rows 2j-1 ([u] = 0) and 2j ([a u'] = 0) couple the
+    # columns 2j-2, 2j-1 of layer j-1 to the columns 2j, 2j+1 of layer j
+    ab[3, 0:-2:2] = E[:-1]
+    ab[2, 1:-2:2] = Em[:-1]
+    ab[1, 2::2] = -1.0
+    ab[0, 3::2] = -1.0
+    ab[4, 0:-2:2] = 1j * a[:-1] * k[:-1] * E[:-1]
+    ab[3, 1:-2:2] = -1j * a[:-1] * k[:-1] * Em[:-1]
+    ab[2, 2::2] = -1j * a[1:] * k[1:]
+    ab[1, 3::2] = 1j * a[1:] * k[1:]
     # right endpoint: impedance (a u' - i om beta u = g) or u = 0
     if problem.bc.impedance_right:
-        M[-1, -2] = (1j * a[-1] * k[-1] - 1j * om * beta[-1]) * E[-1]
-        M[-1, -1] = (-1j * a[-1] * k[-1] - 1j * om * beta[-1]) * Em[-1]
+        ab[3, -2] = (1j * a[-1] * k[-1] - 1j * om * beta[-1]) * E[-1]
+        ab[2, -1] = (-1j * a[-1] * k[-1] - 1j * om * beta[-1]) * Em[-1]
         rhs[-1] = problem.g_right
     else:
-        M[-1, -2] = E[-1]
-        M[-1, -1] = Em[-1]
+        ab[3, -2] = E[-1]
+        ab[2, -1] = Em[-1]
 
-    sol = _banded_solve(M, rhs)
+    sol = solve_banded((2, 2), ab, rhs)
     if extended_precision:
-        sol = _refine(M, rhs, sol)
+        sol = _refine(ab, rhs, sol)
     norm_rhs = np.linalg.norm(rhs, np.inf)
-    residual = float(np.linalg.norm(M @ sol - rhs, np.inf)
+    residual = float(np.linalg.norm(_band_matvec(ab, sol) - rhs, np.inf)
                      / (norm_rhs if norm_rhs > 0 else 1.0))
     return WaveAmplitudes(
         partition=part, a=a, c=c, omega=om,
@@ -154,28 +156,24 @@ def solve_analytic(problem: HelmholtzProblem,
         residual=residual, flagged=residual > RESIDUAL_FLAG_LEVEL)
 
 
-def _banded_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Pivoted banded solve of the (2, 2)-banded amplitude system."""
-    n = M.shape[0]
-    kl = ku = 2
-    ab = np.zeros((kl + ku + 1, n), dtype=complex)
-    for i in range(n):
-        lo = max(0, i - kl)
-        hi = min(n, i + ku + 1)
-        for j in range(lo, hi):
-            ab[ku + i - j, j] = M[i, j]
-    return solve_banded((kl, ku), ab, rhs)
+def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x for M in (2, 2) band storage; each row sums its five terms in
+    column order, like a dense row."""
+    n = len(x)
+    terms = np.zeros((5, n + 4), dtype=np.result_type(ab, x))
+    terms[:, 2:-2] = ab * x
+    return (terms[4, :n] + terms[3, 1:n + 1] + terms[2, 2:n + 2]
+            + terms[1, 3:n + 3] + terms[0, 4:])
 
 
-def _refine(M: np.ndarray, rhs: np.ndarray, x: np.ndarray,
+def _refine(ab: np.ndarray, rhs: np.ndarray, x: np.ndarray,
             iters: int = 3) -> np.ndarray:
     """Iterative refinement with an extended-precision residual."""
-    Mx = M.astype(np.clongdouble)
+    abx = ab.astype(np.clongdouble)
     bx = rhs.astype(np.clongdouble)
     for _ in range(iters):
-        r = bx - Mx @ x.astype(np.clongdouble)
-        dx = _banded_solve(M, r.astype(complex))
-        x = x + dx
+        r = bx - _band_matvec(abx, x.astype(np.clongdouble))
+        x = x + solve_banded((2, 2), ab, r.astype(complex))
     return x
 
 

@@ -143,8 +143,7 @@ class MultiplierQ:
 
     `A[j]` is the accumulated factor entering subinterval j (A[0] = 0 and the
     sequence is nondecreasing); `seg_integrals[j]` is the subinterval integral
-    of 1/(a~ c~^2).  The unshifted multiplier vanishes at -L and increases;
-    `shift` records the boundary-dependent offset applied when reporting Q.
+    of 1/(a~ c~^2).  The unshifted multiplier vanishes at -L and increases.
     """
 
     a: PiecewiseCoefficient
@@ -154,7 +153,6 @@ class MultiplierQ:
     factors: JumpFactors
     A: np.ndarray
     seg_integrals: np.ndarray
-    shift: float = 0.0
 
     @property
     def partition(self) -> np.ndarray:
@@ -163,7 +161,6 @@ class MultiplierQ:
     def end_value(self) -> float:
         """q(L) of the unshifted multiplier."""
         n = len(self.A) - 1
-        x1 = self.partition[-1]
         return (self.a_tilde.left_limit(n + 1) * self.c_tilde.left_limit(n + 1) ** 2
                 * (self.seg_integrals[n] + self.A[n]))
 
@@ -228,16 +225,6 @@ def q_sup(q: MultiplierQ, bc: BoundaryConfig) -> float:
     if BoundaryConfig(bc) is BoundaryConfig.PURE_IMPEDANCE:
         return 0.5 * qL
     return qL
-
-
-def boundary_shift(q: MultiplierQ, bc: BoundaryConfig) -> float:
-    """Offset subtracted from q so that it vanishes on the Dirichlet part."""
-    bc = BoundaryConfig(bc)
-    if bc is BoundaryConfig.PURE_IMPEDANCE:
-        return 0.5 * q.end_value()
-    if bc is BoundaryConfig.IMPEDANCE_DIRICHLET:
-        return q.end_value()
-    return 0.0
 
 
 # -- a priori bounds ----------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helmlab as hl
 from helmlab.cli import fmt_paper, fmt_sig, parse_and_dispatch
 from helmlab.config import ConfigError, load_problem
 
@@ -198,6 +199,17 @@ class TestTables:
         cells = lines[1].split(",")
         assert cells[1] == ""          # not attempted
         assert cells[2] != ""
+
+    def test_table3_beyond_paper_cells(self, tmp_path):
+        out = tmp_path / "t3.csv"
+        assert parse_and_dispatch(["table3", "--m", "14", "--eps", "0,1e-3",
+                                   "--base", "8", "--levels", "2",
+                                   "--beyond-paper", "-o", str(out)]) == 0
+        cells = out.read_text().splitlines()[1].split(",")
+        amps = hl.solve_analytic(hl.family(hl.UnstableFamilySpec(14, 0.5)),
+                                 extended_precision=True)
+        assert cells[1] == fmt_sig(hl.exact_norms(amps)[0]) + "!"
+        assert cells[2] != "" and "!" not in cells[2]
 
     def test_convergence_strict_exit_codes(self, capsys):
         assert parse_and_dispatch(["convergence", "--m", "2", "--r", "0.4",

@@ -61,3 +61,53 @@ def test_scanner_flags_a_nested_relative_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_nested_relative_imports(path):
     assert nested_relative_imports(path.read_text()) == []
+
+
+ROOT = SRC.parents[1]
+REFERENCING = ALL_MODULES + sorted((ROOT / "tests").glob("*.py")) \
+    + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def unreferenced_definitions(modules: dict, others: list) -> list:
+    """Module-level functions and classes of `modules` (name -> source) that
+    no source names: not as a name, an attribute, an imported or re-exported
+    name, or a string holding exactly the name (getattr and patching).  Uses
+    inside a definition's own body do not count for it."""
+    defs = []
+    used = set()
+    for module, source in list(modules.items()) + [(None, s) for s in others]:
+        for node in ast.parse(source).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    names.add(sub.value)
+            if module and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, f"{module}: {node.name}"))
+                names.discard(node.name)
+            used |= names
+    return sorted(where for name, where in defs if name not in used)
+
+
+def test_scanner_flags_an_unreferenced_definition():
+    module = ("import os\n"
+              "def used():\n    return os.sep\n"
+              "def dead():\n    return used()\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Exported:\n    pass\n"
+              "class Patched:\n    pass\n"
+              "class Dead:\n    pass\n")
+    others = ["from m import Exported\n", "setattr(m, 'Patched', None)\n"]
+    assert unreferenced_definitions({"m.py": module}, others) == [
+        "m.py: Dead", "m.py: dead", "m.py: recursive"]
+
+
+def test_no_unreferenced_definitions():
+    modules = {p.name: p.read_text() for p in MODULES}
+    others = [p.read_text() for p in REFERENCING if p not in MODULES]
+    assert unreferenced_definitions(modules, others) == []
