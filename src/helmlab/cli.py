@@ -319,7 +319,6 @@ def _add_family_opts(p):
     p.add_argument("--g2", default="1")
     p.add_argument("--base", type=int, default=800)
     p.add_argument("--levels", type=int, default=7)
-    p.add_argument("--cache", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="refinement ladder for one cell")
     _add_family_opts(p)
+    p.add_argument("--cache", default=None, help="directory for resumable runs")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when the ladder does not converge")
     p.set_defaults(func=_cmd_convergence)

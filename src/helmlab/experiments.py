@@ -223,12 +223,12 @@ class TableRow:
 
 def _default_jobs() -> int:
     env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"{JOBS_ENV_VAR}={env!r} is not an integer") from None
 
 
 def _run_cell(args) -> TableRow:
@@ -379,8 +379,13 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     Needs the analytic reference, hence piecewise-constant coefficients with
     zero source.  The ratio ladder stabilises below the quasi-optimality
     factor once the resolution condition holds, and approaches 1 for easy
-    problems.
+    problems.  The Gauss-point errors of each level are streamed in leaves
+    of at most `_SUM_LEAF` points (see `_energy_errors`), so memory beyond
+    the level's FEM system is bounded by the leaf, not the mesh, and the
+    errors are the bits one `np.sum` over the whole grid gives.
     """
+    if levels < 1:
+        raise ValueError("a quasi-optimality probe needs at least one level")
     amps = oracle.solve_analytic(problem)
     energy_fem = []
     energy_interp = []
@@ -388,8 +393,7 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     lv = []
     for level in range(levels):
         mesh = fem.build_mesh(problem, base * 2**level)
-        solution, _system = fem.solve_problem(problem, mesh)
-        u_h = solution.values
+        u_h = fem.solve_problem(problem, mesh)[0].values  # system freed here
         u_nodes = amps.eval(mesh.nodes)
         e_fem, e_interp = _energy_errors(problem, mesh, amps, u_h, u_nodes)
         energy_fem.append(e_fem)
@@ -400,6 +404,30 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
                                 tuple(energy_interp), tuple(nodal))
 
 
+# Flat Gauss points per leaf of the summation tree in `_energy_errors`.  At
+# least numpy's pairwise block of 128, below which the split can stall at 0.
+_SUM_LEAF = 2**14
+
+
+def _pairwise_tree(leaf_sums, lo: int, n: int):
+    """numpy's pairwise sum of the flat float64 run [lo, lo + n), with
+    every run of at most `_SUM_LEAF` values summed by `leaf_sums(lo, n)`.
+
+    numpy reduces a contiguous float64 array by halving it (the left half
+    rounded down to a multiple of 8) until a block has at most 128 values;
+    this follows the same splits down to the leaves and adds the halves in
+    the same order, so a leaf that returns `np.sum` of its run makes the
+    result bit-identical to `np.sum` of the whole run.  Leaves may return
+    arrays of several sums, which are added elementwise.
+    """
+    if n <= _SUM_LEAF:
+        return leaf_sums(lo, n)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_tree(leaf_sums, lo, n2) + \
+        _pairwise_tree(leaf_sums, lo + n2, n - n2)
+
+
 def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
                    amps: oracle.WaveAmplitudes, u_fem: np.ndarray,
                    u_interp: np.ndarray) -> tuple:
@@ -408,31 +436,41 @@ def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
 
     5-point Gauss per element; the meshes resolve the waves far below a
     wavelength, so the quadrature error is negligible against the error
-    being measured.  The Gauss-point data (weights, element coefficients,
-    and the exact u and u' from one oracle pass) is built once per level and
-    shared by both distances; it is freed on return, before the next level's
-    mesh is built.
+    being measured.  The squared error is a sum over the flat element-major
+    grid of Gauss points, taken by `_pairwise_tree`: each leaf builds the
+    Gauss data (weights, element coefficients, and the exact u and u' from
+    one oracle pass) for the elements covering its points only, shared by
+    both distances, and returns the four partial sums (derivative and mass
+    term of each function).  A leaf may start or end inside an element.
+    Memory is bounded by the leaf, not by the mesh, and the results are the
+    bits of one `np.sum` per term over the whole grid.
     """
     nodes = mesh.nodes
-    h = mesh.widths
-    xl = nodes[:-1]
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    a_e = problem.a.values(mid)
-    c_e = problem.c.values(mid)
     om = problem.omega
-    wg = h[:, None] * G5_W[None, :]
-    u_ex, du_ex = amps.eval_with_deriv(xl[:, None] + h[:, None] * G5_T[None, :])
+    n_gauss = len(G5_T)
 
-    def error(nodal_values):
-        ul = nodal_values[:-1][:, None]
-        ur = nodal_values[1:][:, None]
-        u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
-        du_h = (ur - ul) / h[:, None]
-        err2 = np.sum(a_e[:, None] * wg * np.abs(du_ex - du_h) ** 2) \
-            + np.sum((om / c_e[:, None]) ** 2 * wg * np.abs(u_ex - u_h) ** 2)
-        return float(np.sqrt(err2))
+    def leaf_sums(lo, n):
+        e0, e1 = lo // n_gauss, -(-(lo + n) // n_gauss)
+        x = nodes[e0:e1 + 1]
+        h = np.diff(x)
+        mid = 0.5 * (x[:-1] + x[1:])
+        wg = h[:, None] * G5_W[None, :]
+        w_deriv = problem.a.values(mid)[:, None] * wg
+        w_mass = (om / problem.c.values(mid)[:, None]) ** 2 * wg
+        u_ex, du_ex = amps.eval_with_deriv(x[:-1, None] + h[:, None] * G5_T[None, :])
+        run = slice(lo - n_gauss * e0, lo - n_gauss * e0 + n)
+        sums = []
+        for nodal_values in (u_fem, u_interp):
+            ul = nodal_values[e0:e1][:, None]
+            ur = nodal_values[e0 + 1:e1 + 1][:, None]
+            u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
+            du_h = (ur - ul) / h[:, None]
+            sums.append(np.sum((w_deriv * np.abs(du_ex - du_h) ** 2).ravel()[run]))
+            sums.append(np.sum((w_mass * np.abs(u_ex - u_h) ** 2).ravel()[run]))
+        return np.array(sums)
 
-    return error(u_fem), error(u_interp)
+    s = _pairwise_tree(leaf_sums, 0, n_gauss * (len(nodes) - 1))
+    return float(np.sqrt(s[0] + s[1])), float(np.sqrt(s[2] + s[3]))
 
 
 def _nodal_l2_error(mesh: fem.Mesh1D, u_exact_nodes: np.ndarray,

@@ -228,6 +228,32 @@ class TestTables:
         assert lines[0].startswith("level,energy_error")
         assert len(lines) == 4
 
+    def test_quasiopt_without_levels_exits_one(self, capsys):
+        assert parse_and_dispatch(["quasiopt", "--m", "2", "--r", "0.4",
+                                   "--levels", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err and "at least one level" in captured.err
+
+    def test_cache_is_a_convergence_option_only(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert parse_and_dispatch(["quasiopt", "--m", "2", "--r", "0.4",
+                                   "--base", "25", "--levels", "2",
+                                   "--cache", str(cache)]) == 1
+        assert "--cache" in capsys.readouterr().err
+        assert not cache.exists()
+        assert parse_and_dispatch(["convergence", "--m", "2", "--r", "0.4",
+                                   "--base", "25", "--levels", "2",
+                                   "--cache", str(cache)]) == 0
+        assert len(list(cache.glob("*.json"))) == 2
+
+    def test_malformed_jobs_variable_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setenv(hl.experiments.JOBS_ENV_VAR, "abc")
+        assert parse_and_dispatch(["table1", "--m", "2", "--r", "0.4",
+                                   "--base", "20", "--levels", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {hl.experiments.JOBS_ENV_VAR}='abc'" in err
+
     def test_bounds_compare_csv(self, tmp_path):
         out = tmp_path / "b.csv"
         assert parse_and_dispatch(["bounds-compare", "--m", "2,4",

@@ -206,6 +206,20 @@ class TestRefinementProtocol:
         assert len(stored) == _LADDER["levels"] - 1
         assert not any(f"_L{_LADDER['levels'] - 1}_" in name for name in stored)
 
+    @pytest.mark.parametrize("value, jobs", [(None, 1), ("", 1), ("3", 3),
+                                             ("0", 1), ("abc", None),
+                                             ("2.5", None)])
+    def test_jobs_variable(self, monkeypatch, value, jobs):
+        if value is None:
+            monkeypatch.delenv(experiments.JOBS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(experiments.JOBS_ENV_VAR, value)
+        if jobs is None:
+            with pytest.raises(ValueError, match=experiments.JOBS_ENV_VAR):
+                experiments._default_jobs()
+        else:
+            assert experiments._default_jobs() == jobs
+
     def test_parallel_matches_serial(self, tmp_path):
         specs = [hl.UnstableFamilySpec(2, r) for r in (0.4, 0.5)]
         serial = hl.run_cells(specs, base=50, levels=2, jobs=1)
@@ -294,39 +308,103 @@ def _energy_error_two_calls(problem, mesh, amps, nodal_values):
     return float(np.sqrt(err2))
 
 
-def _quasiopt_probe_two_calls(problem, levels, base):
-    """Reference probe: each energy error evaluates the oracle on its own."""
+def _energy_errors_one_shot(problem, mesh, amps, u_fem, u_interp):
+    """Reference for `experiments._energy_errors`: the whole Gauss-point
+    grid of the level at once, one `np.sum` per term."""
+    nodes = mesh.nodes
+    h = mesh.widths
+    xl = nodes[:-1]
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    a_e = problem.a.values(mid)
+    c_e = problem.c.values(mid)
+    om = problem.omega
+    wg = h[:, None] * G5_W[None, :]
+    u_ex, du_ex = amps.eval_with_deriv(xl[:, None] + h[:, None] * G5_T[None, :])
+
+    def error(nodal_values):
+        ul = nodal_values[:-1][:, None]
+        ur = nodal_values[1:][:, None]
+        u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
+        du_h = (ur - ul) / h[:, None]
+        err2 = np.sum(a_e[:, None] * wg * np.abs(du_ex - du_h) ** 2) \
+            + np.sum((om / c_e[:, None]) ** 2 * wg * np.abs(u_ex - u_h) ** 2)
+        return float(np.sqrt(err2))
+
+    return error(u_fem), error(u_interp)
+
+
+def _energy_errors_two_calls(problem, mesh, amps, u_fem, u_interp):
+    return (_energy_error_two_calls(problem, mesh, amps, u_fem),
+            _energy_error_two_calls(problem, mesh, amps, u_interp))
+
+
+def _reference_probe(problem, levels, base, energy_errors):
+    """Reference probe, level by level, with the given energy errors."""
     amps = hl.solve_analytic(problem)
     energy_fem, energy_interp, nodal = [], [], []
     for level in range(levels):
         mesh = hl.build_mesh(problem, base * 2**level)
         u_h = hl.solve_problem(problem, mesh)[0].values
         u_nodes = amps.eval(mesh.nodes)
-        energy_fem.append(_energy_error_two_calls(problem, mesh, amps, u_h))
-        energy_interp.append(_energy_error_two_calls(problem, mesh, amps, u_nodes))
+        e_fem, e_interp = energy_errors(problem, mesh, amps, u_h, u_nodes)
+        energy_fem.append(e_fem)
+        energy_interp.append(e_interp)
         nodal.append(experiments._nodal_l2_error(mesh, u_nodes, u_h))
     return hl.QuasiOptimalityProbe(tuple(range(levels)), tuple(energy_fem),
                                    tuple(energy_interp), tuple(nodal))
 
 
+def _probe_case(name):
+    """(problem, base, levels) of the probe tests' three cases."""
+    if name == "family":
+        return hl.family(hl.UnstableFamilySpec(2, 0.4)), 50, 3
+    if name == "homogeneous":
+        return hl.HelmholtzProblem(a=hl.constant(1.0), c=hl.constant(1.0),
+                                   omega=2.0, g_right=1.0), 8, 4
+    bp = [-1.0, -0.3, 0.4, 1.0]
+    return hl.HelmholtzProblem(
+        a=hl.piecewise_constant(bp, [1.0, 2.5, 0.6]),
+        c=hl.piecewise_constant(bp, [1.0, 0.7, 1.4]), omega=6.0,
+        bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j), 8, 4
+
+
 class TestQuasiOpt:
     @pytest.mark.parametrize("name", ["family", "homogeneous", "dirichlet"])
     def test_probe_bit_identical_to_two_call_reference(self, name):
-        base, levels = 8, 4
-        if name == "family":
-            prob = hl.family(hl.UnstableFamilySpec(2, 0.4))
-            base, levels = 50, 3
-        elif name == "homogeneous":
-            prob = hl.HelmholtzProblem(a=hl.constant(1.0), c=hl.constant(1.0),
-                                       omega=2.0, g_right=1.0)
-        else:
-            bp = [-1.0, -0.3, 0.4, 1.0]
-            prob = hl.HelmholtzProblem(
-                a=hl.piecewise_constant(bp, [1.0, 2.5, 0.6]),
-                c=hl.piecewise_constant(bp, [1.0, 0.7, 1.4]), omega=6.0,
-                bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j)
+        prob, base, levels = _probe_case(name)
         assert hl.quasiopt_probe(prob, levels=levels, base=base) == \
-            _quasiopt_probe_two_calls(prob, levels, base)
+            _reference_probe(prob, levels, base, _energy_errors_two_calls)
+
+    @pytest.mark.parametrize("leaf", [128, 136, 1000])
+    @pytest.mark.parametrize("name", ["family", "homogeneous", "dirichlet"])
+    def test_streamed_probe_bit_identical_to_one_shot(self, monkeypatch,
+                                                      name, leaf):
+        # small leaves split every case's finer levels into many leaves;
+        # 136 = 8 * 17 starts most of them inside an element
+        prob, base, levels = _probe_case(name)
+        base *= 8
+        finest = hl.build_mesh(prob, base * 2**(levels - 1))
+        assert 5 * (finest.n_nodes - 1) > 2 * leaf
+        monkeypatch.setattr(experiments, "_SUM_LEAF", leaf)
+        assert hl.quasiopt_probe(prob, levels=levels, base=base) == \
+            _reference_probe(prob, levels, base, _energy_errors_one_shot)
+
+    @pytest.mark.parametrize("leaf", [128, 136, 1000, 2**14])
+    def test_pairwise_tree_matches_numpy_sum(self, monkeypatch, leaf):
+        # if numpy changes how it reduces float64, this fails before any
+        # probe digit moves
+        monkeypatch.setattr(experiments, "_SUM_LEAF", leaf)
+        rng = np.random.default_rng(leaf)
+        for n in (1, 7, 127, 128, 129, 8191, 65537, 1000003):
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
+            tree = experiments._pairwise_tree(
+                lambda lo, k: np.sum(a[lo:lo + k]), 0, n)
+            assert tree == np.sum(a), n
+
+    def test_empty_probe_rejected(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            hl.quasiopt_probe(hl.family(hl.UnstableFamilySpec(2, 0.4)),
+                              levels=0)
 
     def test_easy_problem_ratio_near_one(self):
         prob = hl.HelmholtzProblem(a=hl.constant(1.0), c=hl.constant(1.0),
