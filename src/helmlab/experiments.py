@@ -393,7 +393,8 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     lv = []
     for level in range(levels):
         mesh = fem.build_mesh(problem, base * 2**level)
-        u_h = fem.solve_problem(problem, mesh)[0].values  # system freed here
+        # the system is not kept, so it is freed before the errors are built
+        u_h = fem.solve_problem(problem, mesh)[0].values
         u_nodes = amps.eval(mesh.nodes)
         e_fem, e_interp = _energy_errors(problem, mesh, amps, u_h, u_nodes)
         energy_fem.append(e_fem)
