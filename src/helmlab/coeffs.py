@@ -5,7 +5,8 @@ A coefficient is a strictly positive function with a finite partition
 is one-signed (either > 0 throughout, or <= 0 throughout).  The class tracks
 one-sided limits at partition points, jumps, the total variation, and the
 monotone envelope obtained by freezing every non-increasing piece at its
-left limit.
+left limit.  `segment_of` and `segmentwise` assign points to subintervals
+for every module.
 """
 
 from __future__ import annotations
@@ -100,6 +101,29 @@ def _seg_increasing(seg: Segment) -> bool:
     return seg.sign == "positive"
 
 
+def segment_of(breakpoints: np.ndarray, x, side: str = "right") -> np.ndarray:
+    """Index of the subinterval of `breakpoints` owning each point of x.
+
+    A breakpoint belongs to the subinterval on its right (on its left with
+    side="left"); points beyond either end belong to the end subinterval.
+    """
+    idx = np.searchsorted(breakpoints, x, side=side) - 1
+    return np.clip(idx, 0, len(breakpoints) - 2)
+
+
+def segmentwise(breakpoints: np.ndarray, xs, evaluate) -> np.ndarray:
+    """`evaluate(j, points)` on the points of xs owned by each subinterval j,
+    in the flat order of xs (breakpoints go right); float, shaped like xs."""
+    xs = np.asarray(xs, dtype=float)
+    flat = xs.ravel()
+    idx = segment_of(breakpoints, flat)
+    out = np.empty(idx.shape, dtype=float)
+    for j in np.unique(idx):
+        mask = idx == j
+        out[mask] = evaluate(j, flat[mask])
+    return out.reshape(xs.shape)
+
+
 def _chebyshev(x0: float, x1: float, n: int = _NPROBE) -> np.ndarray:
     theta = (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)
     return 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * np.cos(theta)
@@ -176,9 +200,8 @@ class PiecewiseCoefficient:
         return len(self.segments)
 
     def segment_index(self, x, side: str = "right") -> np.ndarray:
-        """Index of the subinterval owning x; `side` resolves breakpoints."""
-        idx = np.searchsorted(self.breakpoints, x, side=side) - 1
-        return np.clip(idx, 0, self.n_segments - 1)
+        """Index of the subinterval owning x (see `segment_of`)."""
+        return segment_of(self.breakpoints, x, side)
 
     def eval(self, x: float, side: str = "right") -> float:
         """One-sided value g^-(x) (side="left") or g^+(x) (side="right").
@@ -196,25 +219,15 @@ class PiecewiseCoefficient:
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; at breakpoints returns the right limit."""
-        xs = np.asarray(xs, dtype=float)
-        idx = self.segment_index(xs.ravel())
-        out = np.empty(idx.shape, dtype=float)
-        for j in np.unique(idx):
-            mask = idx == j
-            out[mask] = _seg_values(self.segments[j], self.breakpoints[j],
-                                    self.breakpoints[j + 1], xs.ravel()[mask])
-        return out.reshape(xs.shape)
+        bp = self.breakpoints
+        return segmentwise(bp, xs, lambda j, x: _seg_values(
+            self.segments[j], bp[j], bp[j + 1], x))
 
     def derivatives(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized regular part of the derivative (right limit at breaks)."""
-        xs = np.asarray(xs, dtype=float)
-        idx = self.segment_index(xs.ravel())
-        out = np.empty(idx.shape, dtype=float)
-        for j in np.unique(idx):
-            mask = idx == j
-            out[mask] = _seg_deriv(self.segments[j], self.breakpoints[j],
-                                   self.breakpoints[j + 1], xs.ravel()[mask])
-        return out.reshape(xs.shape)
+        bp = self.breakpoints
+        return segmentwise(bp, xs, lambda j, x: _seg_deriv(
+            self.segments[j], bp[j], bp[j + 1], x))
 
     def left_limit(self, j: int) -> float:
         """g^-(z_j), defined for 1 <= j <= N."""
@@ -351,14 +364,17 @@ def common_partition(a: PiecewiseCoefficient,
 
 def refine(coeff: PiecewiseCoefficient,
            breakpoints: np.ndarray) -> PiecewiseCoefficient:
-    """Re-express the coefficient on a refinement of its own partition."""
+    """Re-express the coefficient on a refinement of its own partition;
+    idempotent: on its own partition the coefficient itself is returned."""
     bp = np.asarray(breakpoints, dtype=float)
+    if np.array_equal(bp, coeff.breakpoints):
+        return coeff
     if not set(np.asarray(coeff.breakpoints).tolist()) <= set(bp.tolist()):
         raise CoefficientError("refinement must contain the original breakpoints")
+    owners = coeff.segment_index(0.5 * (bp[:-1] + bp[1:])).tolist()
     segs = []
-    for j in range(len(bp) - 1):
+    for j, k in enumerate(owners):
         x0, x1 = bp[j], bp[j + 1]
-        k = int(coeff.segment_index(0.5 * (x0 + x1)))
         seg = coeff.segments[k]
         if isinstance(seg, Linear):
             y0, y1 = coeff.breakpoints[k], coeff.breakpoints[k + 1]
@@ -373,7 +389,8 @@ def refine(coeff: PiecewiseCoefficient,
 
 
 def on_common_partition(a: PiecewiseCoefficient, c: PiecewiseCoefficient):
-    """Both coefficients re-expressed on the union of their breakpoints."""
+    """Both coefficients re-expressed on the union of their breakpoints; an
+    aligned pair comes back as the same two objects."""
     bp = common_partition(a, c)
     return refine(a, bp), refine(c, bp)
 

@@ -273,29 +273,22 @@ def table3(m_list: Sequence[int] = (6, 8, 10, 12, 14, 16, 18, 20),
            r: float = 0.5, skip_unattempted: bool = True, **kwargs) -> list:
     """Perturbation-sensitivity grid at r = 0.5 with data g = (0, 1).
 
-    Cells with m >= 14 and eps <= 1e-7 are marked "not attempted" by default
-    (they sit beyond double precision); pass skip_unattempted=False to try
-    them anyway.
+    Cells with m >= 14 and eps <= 1e-7 sit beyond double precision and are
+    not attempted by default: their rows have run=None and carry in `value`
+    the analytic ||u'|| with extended-precision refinement.  Pass
+    skip_unattempted=False to run the ladder on them anyway.
     """
-    specs = []
-    for m in m_list:
-        for eps in eps_list:
-            if skip_unattempted and m >= 14 and eps <= 1e-7:
-                specs.append(None)
-            else:
-                specs.append(UnstableFamilySpec(m, r, eps=eps))
-    done = iter(run_cells([s for s in specs if s is not None], **kwargs))
-    rows = []
-    i = 0
-    for m in m_list:
-        for eps in eps_list:
-            if specs[i] is None:
-                rows.append(TableRow(m, r, eps, (0.0, 1.0), math.nan, False,
-                                     math.nan, None))
-            else:
-                rows.append(next(done))
-            i += 1
-    return rows
+    specs = [UnstableFamilySpec(m, r, eps=eps) for m in m_list for eps in eps_list]
+    skipped = [skip_unattempted and s.m >= 14 and s.eps <= 1e-7 for s in specs]
+    done = iter(run_cells([s for s, skip in zip(specs, skipped) if not skip],
+                          **kwargs))
+
+    def analytic(spec):
+        amps = oracle.solve_analytic(family(spec), extended_precision=True)
+        return TableRow(spec.m, spec.r, spec.eps, spec.g,
+                        float(oracle.exact_norms(amps)[0]), False, math.nan, None)
+
+    return [analytic(s) if skip else next(done) for s, skip in zip(specs, skipped)]
 
 
 def slope_fit(m_values: Sequence[float], u_prime_values: Sequence[float]) -> float:
@@ -321,25 +314,20 @@ class BoundComparisonRow:
     satisfied: bool
 
 
-def bound_comparison(m_list: Sequence[int], r: float,
-                     measured: Optional[Sequence[float]] = None) -> list:
+def bound_comparison(m_list: Sequence[int], r: float) -> list:
     """Compare ln ||u'|| with the theoretical bounds for the family.
 
     With f = 0 and unit boundary data the energy bound gives
     ln ||u'|| <= ln(C_II sqrt(Q) ||g|| / sqrt(2)) for any valid Q.  The
     closed-form column is the explicit envelope 2m (1+r)^2 / (1-r)^4 +
     ln(C_II (1+r)/(1-r)); the other columns use the variation bound and the
-    exact Q.  `measured` defaults to the analytic reference values.
+    exact Q.  The measured ||u'|| is the analytic reference value.
     """
     rows = []
     c2 = 2.0 * math.sqrt(1.5 * (1.0 + r) / (1.0 - r) + 1.0)
-    for i, m in enumerate(m_list):
-        spec = UnstableFamilySpec(m, r)
-        problem = family(spec)
-        if measured is not None:
-            du = float(measured[i])
-        else:
-            du = oracle.exact_norms(oracle.solve_analytic(problem))[0]
+    for m in m_list:
+        problem = family(UnstableFamilySpec(m, r))
+        du = oracle.exact_norms(oracle.solve_analytic(problem))[0]
         g_norm = problem.boundary_norm()
         closed = (2.0 * m * (1.0 + r) ** 2 / (1.0 - r) ** 4
                   + math.log(c2 * (1.0 + r) / (1.0 - r)))

@@ -8,7 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import Constant, PiecewiseCoefficient, on_common_partition
+from .coeffs import (Constant, PiecewiseCoefficient, on_common_partition,
+                     segmentwise)
 
 
 class BoundaryConfig(enum.Enum):
@@ -34,20 +35,15 @@ class BoundaryConfig(enum.Enum):
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
-    """Callable piecewise polynomial source, np.polyval coefficients per cell."""
+    """Callable piecewise polynomial source, np.polyval coefficients per cell;
+    a breakpoint takes the cell on its right, like the coefficients."""
 
     breakpoints: np.ndarray
     coefficients: tuple
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.breakpoints, x.ravel()) - 1,
-                      0, len(self.coefficients) - 1)
-        out = np.empty(idx.shape, dtype=float)
-        for j in np.unique(idx):
-            mask = idx == j
-            out[mask] = np.polyval(self.coefficients[j], x.ravel()[mask])
-        return out.reshape(x.shape)
+        return segmentwise(self.breakpoints, x,
+                           lambda j, pts: np.polyval(self.coefficients[j], pts))
 
 
 @dataclass(frozen=True)

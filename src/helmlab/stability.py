@@ -20,7 +20,7 @@ import numpy as np
 
 from .coeffs import (Constant, Linear, PiecewiseCoefficient, CoefficientError,
                      _seg_deriv, _seg_values, on_common_partition,
-                     variation_of_square)
+                     segmentwise, variation_of_square)
 from .problem import BoundaryConfig
 from .quadrature import adaptive_gauss, cumulative_gauss
 
@@ -95,6 +95,15 @@ def _recip_antiderivative(p, q, r, s, x):
     return (q / d**2) * np.log(u / v) + 1.0 / (d * v)
 
 
+def _recip_integrand(a_seg, c_seg, x0: float, x1: float):
+    """x -> 1/(a~ c~^2) on the subinterval (x0, x1)."""
+    def integrand(x):
+        av = _seg_values(a_seg, x0, x1, x)
+        cv = _seg_values(c_seg, x0, x1, x)
+        return 1.0 / (av * cv * cv)
+    return integrand
+
+
 def _recip_integrals(a_seg, c_seg, x0: float, x1: float,
                      xs: np.ndarray) -> np.ndarray:
     """Integral of 1/(a~ c~^2) from x0 to each point of the sorted array xs.
@@ -109,13 +118,8 @@ def _recip_integrals(a_seg, c_seg, x0: float, x1: float,
         if F is not None:
             F0 = _recip_antiderivative(pa[0], pa[1], pc[0], pc[1], x0)
             return np.asarray(F) - F0
-
-    def integrand(x, aa=a_seg, cc=c_seg):
-        av = _seg_values(aa, x0, x1, x)
-        cv = _seg_values(cc, x0, x1, x)
-        return 1.0 / (av * cv * cv)
-
-    return cumulative_gauss(integrand, x0, np.asarray(xs))
+    return cumulative_gauss(_recip_integrand(a_seg, c_seg, x0, x1), x0,
+                            np.asarray(xs))
 
 
 def _recip_segment_integral(a_seg, c_seg, x0: float, x1: float,
@@ -126,13 +130,8 @@ def _recip_segment_integral(a_seg, c_seg, x0: float, x1: float,
     if pa is not None and pc is not None:
         val = _recip_integrals(a_seg, c_seg, x0, x1, np.asarray([x1]))
         return float(val[0])
-
-    def integrand(x, aa=a_seg, cc=c_seg):
-        av = _seg_values(aa, x0, x1, x)
-        cv = _seg_values(cc, x0, x1, x)
-        return 1.0 / (av * cv * cv)
-
-    return adaptive_gauss(integrand, x0, x1, rtol=rtol)
+    return adaptive_gauss(_recip_integrand(a_seg, c_seg, x0, x1), x0, x1,
+                          rtol=rtol)
 
 
 # -- the multiplier -----------------------------------------------------------
@@ -166,19 +165,16 @@ class MultiplierQ:
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Unshifted q at sorted points (right limits at breakpoints)."""
-        xs = np.asarray(xs, dtype=float)
-        idx = self.a.segment_index(xs)
-        out = np.empty(xs.shape, dtype=float)
         bp = self.partition
-        for j in np.unique(idx):
-            mask = idx == j
-            pts = xs[mask]
-            I = _recip_integrals(self.a_tilde.segments[j], self.c_tilde.segments[j],
-                                 bp[j], bp[j + 1], pts)
-            at = _seg_values(self.a_tilde.segments[j], bp[j], bp[j + 1], pts)
-            ct = _seg_values(self.c_tilde.segments[j], bp[j], bp[j + 1], pts)
-            out[mask] = at * ct * ct * (I + self.A[j])
-        return out
+
+        def on_segment(j, pts):
+            a_seg, c_seg = self.a_tilde.segments[j], self.c_tilde.segments[j]
+            I = _recip_integrals(a_seg, c_seg, bp[j], bp[j + 1], pts)
+            at = _seg_values(a_seg, bp[j], bp[j + 1], pts)
+            ct = _seg_values(c_seg, bp[j], bp[j + 1], pts)
+            return at * ct * ct * (I + self.A[j])
+
+        return segmentwise(bp, xs, on_segment)
 
     def one_sided(self, j: int, side: str) -> float:
         """One-sided limit of the unshifted q at breakpoint j."""

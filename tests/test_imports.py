@@ -111,3 +111,41 @@ def test_no_unreferenced_definitions():
     modules = {p.name: p.read_text() for p in MODULES}
     others = [p.read_text() for p in REFERENCING if p not in MODULES]
     assert unreferenced_definitions(modules, others) == []
+
+
+PARTITION_NAMES = ("partition", "breakpoints")
+
+
+def partition_lookups(source: str) -> list:
+    """`searchsorted` calls that look points up in a partition: the first
+    argument is a name or attribute called `partition` or `breakpoints`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func, first = node.func, node.args[0]
+        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        target = first.attr if isinstance(first, ast.Attribute) else getattr(first, "id", None)
+        if callee == "searchsorted" and target in PARTITION_NAMES:
+            found.append(f"line {node.lineno}: searchsorted({target}, ...)")
+    return found
+
+
+def test_scanner_flags_a_partition_lookup():
+    source = ("import numpy as np\n"
+              "from numpy import searchsorted\n"
+              "np.searchsorted(self.partition, x)\n"
+              "np.searchsorted(nodes, self.partition)\n"
+              "searchsorted(breakpoints, x, side='right')\n"
+              "np.searchsorted(bp, x)\n"
+              "np.clip(breakpoints, 0, 1)\n")
+    assert partition_lookups(source) == [
+        "line 3: searchsorted(partition, ...)",
+        "line 5: searchsorted(breakpoints, ...)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "coeffs.py"],
+                         ids=lambda p: p.name)
+def test_partition_lookup_only_in_coeffs(path):
+    """Which subinterval owns a point is decided by `coeffs.segment_of`."""
+    assert partition_lookups(path.read_text()) == []
