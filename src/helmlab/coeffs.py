@@ -365,7 +365,9 @@ def common_partition(a: PiecewiseCoefficient,
 def refine(coeff: PiecewiseCoefficient,
            breakpoints: np.ndarray) -> PiecewiseCoefficient:
     """Re-express the coefficient on a refinement of its own partition;
-    idempotent: on its own partition the coefficient itself is returned."""
+    idempotent: on its own partition the coefficient itself is returned.
+    A Linear piece that starts or ends at an original breakpoint keeps the
+    original end value there bit for bit."""
     bp = np.asarray(breakpoints, dtype=float)
     if np.array_equal(bp, coeff.breakpoints):
         return coeff
@@ -378,10 +380,9 @@ def refine(coeff: PiecewiseCoefficient,
         seg = coeff.segments[k]
         if isinstance(seg, Linear):
             y0, y1 = coeff.breakpoints[k], coeff.breakpoints[k + 1]
-            t0 = (x0 - y0) / (y1 - y0)
-            t1 = (x1 - y0) / (y1 - y0)
-            segs.append(Linear(seg.left + t0 * (seg.right - seg.left),
-                               seg.left + t1 * (seg.right - seg.left)))
+            segs.append(Linear(
+                seg.left if x0 == y0 else _seg_values(seg, y0, y1, x0),
+                seg.right if x1 == y1 else _seg_values(seg, y0, y1, x1)))
         else:
             # constants and smooth segments restrict as they are
             segs.append(seg)

@@ -11,8 +11,8 @@ breakpoint collapses the growth.
 Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
 significant figures; the finest level runs first, and its condition estimate
-runs on one helper thread while the coarser levels run), table grids over
-(m, r, data, perturbation),
+runs on one helper thread while the coarser levels run; an optional cache
+keeps one record per ladder), table grids over (m, r, data, perturbation),
 least-squares growth-rate fits, comparison against the theoretical bound, and
 an empirical quasi-optimality probe against the analytic reference.
 """
@@ -30,14 +30,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fem, oracle, stability
-from .coeffs import constant, piecewise_constant
+from .coeffs import constant, piecewise_constant, segment_of
 from .problem import BoundaryConfig, HelmholtzProblem
 from .quadrature import G5_T, G5_W
 
 JOBS_ENV_VAR = "HELMLAB_JOBS"
-# Part of every cached level's file name and entry; a level stored under
+# Part of every cached ladder's file name and record; a ladder stored under
 # another version is a miss.  Bump it when a change may move a cached value.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -117,58 +117,51 @@ class RefinementRun:
 def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
                           levels: int = 7, sigfigs: int = 4,
                           cache_dir: Optional[str] = None,
-                          cache_key: Optional[str] = None,
-                          with_condition: bool = True) -> RefinementRun:
+                          cache_key: Optional[str] = None) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
 
-    With `with_condition` the finest level runs first, and the condition
-    estimate of its system runs on one helper thread while the calling
-    thread works through the coarser levels; every level still runs the
-    same functions on the same inputs, so the run is the one a serial
-    ladder gives.  Without an estimate to compute (not asked for, or cached)
-    no thread starts and the levels run in order.
+    The finest level runs first, and the condition estimate of its system
+    runs on one helper thread while the calling thread works through the
+    coarser levels; every level still runs the same functions on the same
+    inputs, so the run is the one a serial ladder gives.
 
-    Levels found in the cache directory (keyed by problem and level) are
-    reused, so interrupted table runs resume where they stopped; the finest
-    level is stored once its estimate is done.
+    With a cache directory and key, the ladder is one record keyed by
+    problem, base and level count: it is read before the ladder and written
+    once the estimate is in, so interrupted table runs resume at the first
+    ladder not stored, and a stored ladder runs no level and starts no thread.
     """
     if levels < 1:
         raise ValueError("a refinement ladder needs at least one level")
-    finest = levels - 1
-    entries = {}
-    estimate = None
-    # no thread starts before the first submit; leaving the block joins it
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        if with_condition:
-            entry = _load_cached(cache_dir, cache_key, base, finest, True)
-            if entry is None:
-                entry, system = _run_level(problem, base, finest)
-                system.rhs = None  # the estimate needs the matrix and its LU
-                estimate = pool.submit(fem.condition_estimate, system)
-                del system  # so the system is freed when its estimate is done
-            entries[finest] = entry
-        for level in range(levels):
-            if level in entries:
-                continue
-            entry = _load_cached(cache_dir, cache_key, base, level, False)
-            if entry is None:
-                entry = _run_level(problem, base, level)[0]
-                _store_cached(cache_dir, cache_key, base, level, entry)
-            entries[level] = entry
-        if estimate is not None:
-            entries[finest]["cond"] = estimate.result()
-            _store_cached(cache_dir, cache_key, base, finest, entries[finest])
-    values = [entries[level]["du"] for level in range(levels)]
-    last = entries[finest]
+    path = _cache_path(cache_dir, cache_key, base, levels)
+    record = _load_cached(path)
+    if record is None:
+        record = _run_ladder(problem, base, levels)
+        _store_cached(path, record)
+    values = record["du"]
     tail = [_sig_repr(v, sigfigs) for v in values[-3:]]
     converged = len(values) >= 3 and tail[0] == tail[1] == tail[2]
     return RefinementRun(tuple(values), converged, round_sig(values[-1], sigfigs),
-                         last.get("cond", math.nan), last["res"], last["wu"],
-                         sigfigs)
+                         record["cond"], record["res"], record["wu"], sigfigs)
+
+
+def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
+    """The ladder's cache record: ||u_h'|| per level, and the finest level's
+    weighted norm, residual and condition estimate."""
+    # no thread starts before the submit; leaving the block joins it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        finest, system = _run_level(problem, base, levels - 1)
+        system.rhs = None  # the estimate needs the matrix and its LU
+        estimate = pool.submit(fem.condition_estimate, system)
+        del system  # so the system is freed when its estimate is done
+        du = [_run_level(problem, base, level)[0]["du"]
+              for level in range(levels - 1)]
+        cond = estimate.result()
+    return {"du": du + [finest["du"]], "wu": finest["wu"],
+            "res": finest["res"], "cond": cond}
 
 
 def _run_level(problem: HelmholtzProblem, base: int, level: int) -> tuple:
-    """One ladder level: its cache entry (du, wu, residual) and its
+    """One ladder level: its norms and residual (du, wu, res) and its
     factored system."""
     mesh = fem.build_mesh(problem, base * 2**level)
     solution, system = fem.solve_problem(problem, mesh)
@@ -176,34 +169,30 @@ def _run_level(problem: HelmholtzProblem, base: int, level: int) -> tuple:
     return {"du": float(du), "wu": float(wu), "res": solution.residual}, system
 
 
-def _cache_path(cache_dir, cache_key, base, level) -> Optional[Path]:
+def _cache_path(cache_dir, cache_key, base, levels) -> Optional[Path]:
     if cache_dir is None or cache_key is None:
         return None
-    return Path(cache_dir) / f"{cache_key}_base{base}_L{level}_v{CACHE_VERSION}.json"
+    return Path(cache_dir) / f"{cache_key}_base{base}_levels{levels}_v{CACHE_VERSION}.json"
 
 
-def _load_cached(cache_dir, cache_key, base, level, need_condition):
-    path = _cache_path(cache_dir, cache_key, base, level)
+def _load_cached(path: Optional[Path]) -> Optional[dict]:
     if path is None or not path.is_file():
         return None
     try:
-        entry = json.loads(path.read_text())
+        record = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if entry.get("version") != CACHE_VERSION:
+    if record.get("version") != CACHE_VERSION:
         return None
-    if need_condition and "cond" not in entry:
-        return None
-    return entry
+    return record
 
 
-def _store_cached(cache_dir, cache_key, base, level, entry):
-    path = _cache_path(cache_dir, cache_key, base, level)
+def _store_cached(path: Optional[Path], record: dict) -> None:
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps({**entry, "version": CACHE_VERSION}))
+    tmp.write_text(json.dumps({**record, "version": CACHE_VERSION}))
     os.replace(tmp, path)
 
 
@@ -324,9 +313,10 @@ def bound_comparison(m_list: Sequence[int], r: float) -> list:
     exact Q.  The measured ||u'|| is the analytic reference value.
     """
     rows = []
-    c2 = 2.0 * math.sqrt(1.5 * (1.0 + r) / (1.0 - r) + 1.0)
     for m in m_list:
         problem = family(UnstableFamilySpec(m, r))
+        c2 = stability.stability_constants(problem.a.g_min, problem.c.g_min,
+                                           problem.c.g_max)[1]
         du = oracle.exact_norms(oracle.solve_analytic(problem))[0]
         g_norm = problem.boundary_norm()
         closed = (2.0 * m * (1.0 + r) ** 2 / (1.0 - r) ** 4
@@ -427,10 +417,11 @@ def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
     wavelength, so the quadrature error is negligible against the error
     being measured.  The squared error is a sum over the flat element-major
     grid of Gauss points, taken by `_pairwise_tree`: each leaf builds the
-    Gauss data (weights, element coefficients, and the exact u and u' from
-    one oracle pass) for the elements covering its points only, shared by
-    both distances, and returns the four partial sums (derivative and mass
-    term of each function).  A leaf may start or end inside an element.
+    Gauss data (weights, the element coefficients from one layer lookup of
+    the midpoints, and the exact u and u' from one oracle pass) for the
+    elements covering its points only, shared by both distances, and
+    returns the four partial sums (derivative and mass term of each
+    function).  A leaf may start or end inside an element.
     Memory is bounded by the leaf, not by the mesh, and the results are the
     bits of one `np.sum` per term over the whole grid.
     """
@@ -442,10 +433,10 @@ def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
         e0, e1 = lo // n_gauss, -(-(lo + n) // n_gauss)
         x = nodes[e0:e1 + 1]
         h = np.diff(x)
-        mid = 0.5 * (x[:-1] + x[1:])
+        layer = segment_of(amps.partition, 0.5 * (x[:-1] + x[1:]))
         wg = h[:, None] * G5_W[None, :]
-        w_deriv = problem.a.values(mid)[:, None] * wg
-        w_mass = (om / problem.c.values(mid)[:, None]) ** 2 * wg
+        w_deriv = amps.a[layer][:, None] * wg
+        w_mass = (om / amps.c[layer][:, None]) ** 2 * wg
         u_ex, du_ex = amps.eval_with_deriv(x[:-1, None] + h[:, None] * G5_T[None, :])
         run = slice(lo - n_gauss * e0, lo - n_gauss * e0 + n)
         sums = []

@@ -42,7 +42,6 @@ class Mesh1D:
     """Nodes on [-L, L] including every coefficient breakpoint."""
 
     nodes: np.ndarray
-    partition: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -67,7 +66,7 @@ def build_mesh(problem: HelmholtzProblem, elems_per_subinterval: int) -> Mesh1D:
     pieces = [np.linspace(part[i], part[i + 1], elems_per_subinterval + 1)[:-1]
               for i in range(len(part) - 1)]
     nodes = np.concatenate(pieces + [part[-1:]])
-    return Mesh1D(nodes, part)
+    return Mesh1D(nodes)
 
 
 @dataclass

@@ -157,14 +157,14 @@ def test_criterion_04_table3():
     detail = []
     for (m, eps), (reported, sig) in TABLE3_SPOTS.items():
         run = hl.refine_to_convergence(
-            hl.family(hl.UnstableFamilySpec(m, 0.5, eps=eps)), with_condition=False)
+            hl.family(hl.UnstableFamilySpec(m, 0.5, eps=eps)))
         if not _matches_reported(run.values[-1], reported, sig):
             ok = False
             detail.append(f"(m={m}, eps={eps}): {run.values[-1]:.6g} vs {reported}")
     row_vals = {}
     for eps, (reported, sig, erratum) in TABLE3_ROW8.items():
         spec = hl.UnstableFamilySpec(8, 0.5, eps=eps)
-        run = hl.refine_to_convergence(hl.family(spec), with_condition=False)
+        run = hl.refine_to_convergence(hl.family(spec))
         row_vals[eps] = run.values[-1]
         if erratum:
             exact = hl.exact_norms(hl.solve_analytic(hl.family(spec)))[0]

@@ -245,7 +245,9 @@ class TestTables:
         assert parse_and_dispatch(["convergence", "--m", "2", "--r", "0.4",
                                    "--base", "25", "--levels", "2",
                                    "--cache", str(cache)]) == 0
-        assert len(list(cache.glob("*.json"))) == 2
+        # one record per ladder
+        assert [p.name for p in cache.iterdir()] == \
+            [f"{hl.UnstableFamilySpec(2, 0.4).cache_key()}_base25_levels2_v2.json"]
 
     def test_malformed_jobs_variable_exits_one(self, monkeypatch, capsys):
         monkeypatch.setenv(hl.experiments.JOBS_ENV_VAR, "abc")

@@ -56,8 +56,7 @@ class TestRefinementProtocol:
     def test_constant_coefficient_quick_convergence(self):
         prob = hl.HelmholtzProblem(a=hl.constant(1.0), c=hl.constant(1.0),
                                    omega=np.pi / 2, g_right=1.0)
-        run = hl.refine_to_convergence(prob, base=200, levels=3,
-                                       with_condition=False)
+        run = hl.refine_to_convergence(prob, base=200, levels=3)
         assert run.converged
         assert run.reported == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-3)
 
@@ -70,97 +69,82 @@ class TestRefinementProtocol:
     def test_cache_roundtrip(self, tmp_path):
         spec = hl.UnstableFamilySpec(2, 0.4)
         prob = hl.family(spec)
-        run1 = hl.refine_to_convergence(prob, base=50, levels=2,
-                                        cache_dir=str(tmp_path),
-                                        cache_key=spec.cache_key(),
-                                        with_condition=False)
-        files = sorted(tmp_path.glob("*.json"))
-        assert len(files) == 2
+        kwargs = dict(base=50, levels=2, cache_dir=str(tmp_path),
+                      cache_key=spec.cache_key())
+        run1 = hl.refine_to_convergence(prob, **kwargs)
+        files = list(tmp_path.glob("*.json"))
+        assert len(files) == 1
+        assert json.loads(files[0].read_text()) == {
+            "du": list(run1.values), "wu": run1.wu_finest,
+            "res": run1.residual, "cond": run1.condition_estimate,
+            "version": experiments.CACHE_VERSION}
+        # a hit gives back the run it stored
+        assert hl.refine_to_convergence(prob, **kwargs) == run1
         # poison one level; a rerun must read the poisoned value (cache hit)
         data = json.loads(files[0].read_text())
-        data["du"] = 123.0
+        data["du"][0] = 123.0
         files[0].write_text(json.dumps(data))
-        run2 = hl.refine_to_convergence(prob, base=50, levels=2,
-                                        cache_dir=str(tmp_path),
-                                        cache_key=spec.cache_key(),
-                                        with_condition=False)
+        run2 = hl.refine_to_convergence(prob, **kwargs)
         assert 123.0 in run2.values
         assert run1.values != run2.values
 
     @pytest.mark.parametrize("stale", [
-        lambda entry: entry.pop("version"),
-        lambda entry: entry.update(version=experiments.CACHE_VERSION - 1)],
-        ids=["missing", "older"])
+        lambda path: _edit_record(path, lambda record: record.pop("version")),
+        lambda path: _edit_record(path, lambda record: record.update(
+            version=experiments.CACHE_VERSION - 1)),
+        lambda path: path.write_text(path.read_text()[:-5])],
+        ids=["missing", "older", "corrupt"])
     def test_cache_entry_of_another_version_is_recomputed(self, tmp_path, stale):
         spec = hl.UnstableFamilySpec(2, 0.4)
         prob = hl.family(spec)
         kwargs = dict(base=50, levels=2, cache_dir=str(tmp_path),
-                      cache_key=spec.cache_key(), with_condition=False)
+                      cache_key=spec.cache_key())
         run1 = hl.refine_to_convergence(prob, **kwargs)
-        files = sorted(tmp_path.glob("*.json"))
-        assert all(f"_v{experiments.CACHE_VERSION}." in f.name for f in files)
-        data = json.loads(files[0].read_text())
-        assert data["version"] == experiments.CACHE_VERSION
-        data["du"] = 123.0
-        stale(data)
-        files[0].write_text(json.dumps(data))
-        run2 = hl.refine_to_convergence(prob, **kwargs)
-        assert run2.values == run1.values
-        assert json.loads(files[0].read_text())["version"] == experiments.CACHE_VERSION
+        (path,) = tmp_path.glob("*.json")
+        assert path.name.endswith(f"_v{experiments.CACHE_VERSION}.json")
+        assert json.loads(path.read_text())["version"] == experiments.CACHE_VERSION
+        stale(path)
+        assert hl.refine_to_convergence(prob, **kwargs) == run1
+        # rewritten in place under the current version
+        assert list(tmp_path.glob("*.json")) == [path]
+        assert json.loads(path.read_text())["version"] == experiments.CACHE_VERSION
+        assert json.loads(path.read_text())["du"] == list(run1.values)
 
-    @pytest.mark.parametrize("with_condition", [True, False])
-    @pytest.mark.parametrize("cache", ["none", "fresh", "warm"])
-    def test_ladder_bit_identical_to_serial_reference(self, tmp_path,
-                                                      with_condition, cache):
+    @pytest.mark.parametrize("other", [dict(base=21), dict(levels=3)],
+                             ids=["base", "levels"])
+    def test_cache_of_another_ladder_is_a_miss(self, tmp_path, other):
         prob = hl.family(_LADDER_SPEC)
-        expected = _refine_serial_reference(prob, with_condition)
-        kwargs = dict(_LADDER, with_condition=with_condition)
+        kwargs = dict(_LADDER, cache_dir=str(tmp_path),
+                      cache_key=_LADDER_SPEC.cache_key())
+        hl.refine_to_convergence(prob, **kwargs)
+        (stored,) = tmp_path.glob("*.json")
+        _edit_record(stored, lambda record: record.update(cond=123.0))
+        kwargs.update(other)
+        assert hl.refine_to_convergence(prob, **kwargs) == \
+            _refine_serial_reference(prob, **other)
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
+    @pytest.mark.parametrize("cache", ["none", "fresh", "warm"])
+    def test_ladder_bit_identical_to_serial_reference(self, tmp_path, cache):
+        prob = hl.family(_LADDER_SPEC)
+        expected = _refine_serial_reference(prob)
+        kwargs = dict(_LADDER)
         if cache != "none":
             kwargs.update(cache_dir=str(tmp_path),
                           cache_key=_LADDER_SPEC.cache_key())
         if cache == "warm":
             assert hl.refine_to_convergence(prob, **kwargs) == expected
-            assert len(list(tmp_path.glob("*.json"))) == _LADDER["levels"]
+            assert len(list(tmp_path.glob("*.json"))) == 1
         assert hl.refine_to_convergence(prob, **kwargs) == expected
 
-    @pytest.mark.parametrize("dropped", [[0], [1, 3], [3], [0, 1, 2]])
-    def test_partial_cache_resumes_to_the_same_run(self, tmp_path, dropped):
-        prob = hl.family(_LADDER_SPEC)
-        kwargs = dict(_LADDER, cache_dir=str(tmp_path),
-                      cache_key=_LADDER_SPEC.cache_key())
-        hl.refine_to_convergence(prob, **kwargs)
-        for level in dropped:
-            next(tmp_path.glob(f"*_L{level}_*.json")).unlink()
-        assert hl.refine_to_convergence(prob, **kwargs) == \
-            _refine_serial_reference(prob, True)
-        assert len(list(tmp_path.glob("*.json"))) == _LADDER["levels"]
-
-    def test_finest_entry_without_condition_is_recomputed(self, tmp_path):
-        prob = hl.family(_LADDER_SPEC)
-        kwargs = dict(_LADDER, cache_dir=str(tmp_path),
-                      cache_key=_LADDER_SPEC.cache_key())
-        hl.refine_to_convergence(prob, with_condition=False, **kwargs)
-        finest = next(tmp_path.glob(f"*_L{_LADDER['levels'] - 1}_*.json"))
-        data = json.loads(finest.read_text())
-        assert "cond" not in data
-        data["du"] = 123.0
-        finest.write_text(json.dumps(data))
-        assert hl.refine_to_convergence(prob, **kwargs) == \
-            _refine_serial_reference(prob, True)
-        assert "cond" in json.loads(finest.read_text())
-
-    @pytest.mark.parametrize("case", ["estimate", "no-condition",
-                                      "finest-cached"])
+    @pytest.mark.parametrize("case", ["estimate", "warm"])
     def test_level_order_and_threads(self, tmp_path, monkeypatch, case):
         prob = hl.family(_LADDER_SPEC)
         levels = _LADDER["levels"]
-        kwargs = dict(_LADDER, with_condition=case != "no-condition")
-        if case == "finest-cached":
-            # every level but the first cached, the finest with its estimate
-            kwargs.update(cache_dir=str(tmp_path),
-                          cache_key=_LADDER_SPEC.cache_key())
+        kwargs = dict(_LADDER, cache_dir=str(tmp_path),
+                      cache_key=_LADDER_SPEC.cache_key())
+        if case == "warm":
             hl.refine_to_convergence(prob, **kwargs)
-            next(tmp_path.glob("*_L0_*.json")).unlink()
         run_level = experiments._run_level
         order, threads = [], []
 
@@ -172,17 +156,15 @@ class TestRefinementProtocol:
         monkeypatch.setattr(experiments, "_run_level", recording)
         before = threading.active_count()
         assert hl.refine_to_convergence(prob, **kwargs) == \
-            _refine_serial_reference(prob, kwargs["with_condition"])
+            _refine_serial_reference(prob)
         if case == "estimate":
             # finest first; one helper thread runs its estimate beside the
             # coarser levels and stays until the ladder is done
             assert order == [levels - 1] + list(range(levels - 1))
             assert threads == [before] + [before + 1] * (levels - 1)
-        elif case == "no-condition":
-            assert order == list(range(levels))
-            assert threads == [before] * levels
         else:
-            assert order == [0] and threads == [before]
+            # a stored ladder runs no level and starts no thread
+            assert order == [] and threads == []
         assert threading.active_count() == before
 
     def test_empty_ladder_rejected(self):
@@ -201,10 +183,8 @@ class TestRefinementProtocol:
                                      cache_dir=str(tmp_path),
                                      cache_key=_LADDER_SPEC.cache_key())
         assert threading.active_count() == before
-        # the coarse levels were stored, the finest (no estimate) was not
-        stored = sorted(p.name for p in tmp_path.glob("*.json"))
-        assert len(stored) == _LADDER["levels"] - 1
-        assert not any(f"_L{_LADDER['levels'] - 1}_" in name for name in stored)
+        # a ladder without its estimate is not stored
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value, jobs", [(None, 1), ("", 1), ("3", 3),
                                              ("0", 1), ("abc", None),
@@ -232,7 +212,7 @@ _LADDER_SPEC = hl.UnstableFamilySpec(2, 0.4)
 _LADDER = dict(base=20, levels=4)
 
 
-def _refine_serial_reference(problem, with_condition, base=_LADDER["base"],
+def _refine_serial_reference(problem, base=_LADDER["base"],
                              levels=_LADDER["levels"], sigfigs=4):
     """The ladder run level by level, coarsest first, with the condition
     estimate of the finest system computed last on the calling thread."""
@@ -242,13 +222,19 @@ def _refine_serial_reference(problem, with_condition, base=_LADDER["base"],
         solution, system = hl.solve_problem(problem, mesh)
         du, wu, _energy = hl.norms(solution, problem, mesh)
         values.append(float(du))
-    # the ladder reports the math.nan object itself, so == on runs holds
-    cond = hl.condition_estimate(system) if with_condition else math.nan
+    cond = hl.condition_estimate(system)
     tail = [f"%.{sigfigs - 1}e" % v for v in values[-3:]]
     converged = len(values) >= 3 and tail[0] == tail[1] == tail[2]
     return hl.RefinementRun(tuple(values), converged,
                             hl.round_sig(values[-1], sigfigs), cond,
                             solution.residual, float(wu), sigfigs)
+
+
+def _edit_record(path, edit):
+    """Apply `edit` to the JSON record stored at path."""
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
 
 
 class TestSlopeFit:

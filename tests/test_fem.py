@@ -99,7 +99,7 @@ class TestAssembly:
         prob = hl.family(hl.UnstableFamilySpec(2, 0.5))
         # every interior breakpoint lies at least 2e-3 from this mesh's
         # nodes; with 101 nodes they would be nodes to within round-off
-        bad = hl.Mesh1D(np.linspace(-1.0, 1.0, 100), prob.partition)
+        bad = hl.Mesh1D(np.linspace(-1.0, 1.0, 100))
         with pytest.raises(MeshAlignmentError):
             hl.assemble(prob, bad)
 
@@ -196,7 +196,7 @@ class TestElementData:
         k = int(np.searchsorted(nodes, prob.partition[2]))
         assert nodes[k] == prob.partition[2]
         nodes[k] += shift
-        mesh = hl.Mesh1D(nodes, prob.partition)
+        mesh = hl.Mesh1D(nodes)
         _assert_element_data_identical(prob, mesh)
         a_mean, p00, _, _ = fem._element_data(prob, mesh)
         c_left = prob.c.segments[1].value

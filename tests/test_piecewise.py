@@ -89,7 +89,8 @@ def poly_ref(f, x):
 
 
 def refine_ref(coeff, breakpoints):
-    """`refine` with one lookup per subinterval and no shortcut."""
+    """`refine` with one lookup per subinterval and no shortcut; a Linear
+    end at an original breakpoint keeps its value."""
     bp = np.asarray(breakpoints, dtype=float)
     segs = []
     for j in range(len(bp) - 1):
@@ -100,8 +101,10 @@ def refine_ref(coeff, breakpoints):
             y0, y1 = coeff.breakpoints[k], coeff.breakpoints[k + 1]
             t0 = (x0 - y0) / (y1 - y0)
             t1 = (x1 - y0) / (y1 - y0)
-            segs.append(hl.Linear(seg.left + t0 * (seg.right - seg.left),
-                                  seg.left + t1 * (seg.right - seg.left)))
+            left = seg.left + t0 * (seg.right - seg.left)
+            right = seg.left + t1 * (seg.right - seg.left)
+            segs.append(hl.Linear(seg.left if x0 == y0 else left,
+                                  seg.right if x1 == y1 else right))
         else:
             segs.append(seg)
     return hl.PiecewiseCoefficient(bp, tuple(segs), coeff.g_min, coeff.g_max)
@@ -225,12 +228,33 @@ def test_aligned_pair_is_returned_as_is():
 
 
 def test_realignment_keeps_linear_ends():
-    # left + 1.0 * (right - left) is not always right: the per-subinterval
-    # rebuild moved this end by one ulp on every re-alignment
-    a = hl.from_segments([-1.0, 1.0], [hl.Linear(4.707825907044957,
-                                                 1.0061848270307963)])
-    assert refine_ref(a, a.breakpoints).segments[0].right != a.segments[0].right
+    # left + 1.0 * (right - left) is not always right: interpolating the
+    # end of a piece at the original breakpoint moved it by one ulp
+    left, right = 4.707825907044957, 1.0061848270307963
+    assert left + 1.0 * (right - left) != right
+    a = hl.from_segments([-1.0, 1.0], [hl.Linear(left, right)])
     assert hl.refine(a, a.breakpoints).segments[0] == a.segments[0]
+    split = hl.refine(a, np.array([-1.0, 0.3, 1.0])).segments
+    assert split[0].left == left and split[1].right == right
+
+
+def test_refinement_keeps_limits_at_original_breakpoints(rng):
+    a, c = mixed_pair()
+    ends = rng.uniform(0.5, 5.0, 41)
+    bp = np.linspace(-1.0, 1.0, 41)
+    linear = hl.from_segments(bp, [hl.Linear(*ends[j:j + 2])
+                                   for j in range(40)])
+    target = np.unique(np.concatenate([bp, hl.common_partition(a, c),
+                                       rng.uniform(-1.0, 1.0, 60)]))
+    for coeff in (a, c, linear):
+        new = hl.refine(coeff, target)
+        at = np.searchsorted(target, coeff.breakpoints)
+        assert np.array_equal(target[at], coeff.breakpoints)
+        for j, k in enumerate(at):
+            if j > 0:
+                assert same_bits(new.left_limit(k), coeff.left_limit(j))
+            if j < coeff.n_segments:
+                assert same_bits(new.right_limit(k), coeff.right_limit(j))
 
 
 # -- one exponential per point ------------------------------------------------
