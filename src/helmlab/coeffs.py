@@ -5,12 +5,16 @@ A coefficient is a strictly positive function with a finite partition
 is one-signed (either > 0 throughout, or <= 0 throughout).  The class tracks
 one-sided limits at partition points, jumps, the total variation, and the
 monotone envelope obtained by freezing every non-increasing piece at its
-left limit.  `segment_of` and `segmentwise` assign points to subintervals
-for every module.
+left limit.  One probe list per segment (its ends, plus Chebyshev points on
+a smooth segment) gives both the bounds `from_segments` derives and the
+check of the bounds at construction; one loop gives the variation of g and
+of g^2.  `segment_of` and `segmentwise` assign points to subintervals for
+every module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -129,6 +133,17 @@ def _chebyshev(x0: float, x1: float, n: int = _NPROBE) -> np.ndarray:
     return 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * np.cos(theta)
 
 
+def _probe_values(j: int, seg: Segment, x0: float, x1: float) -> list:
+    """Segment j's values as floats at both ends and, on a smooth segment,
+    at the Chebyshev points; a non-finite value is a CoefficientError."""
+    vals = [_seg_left(seg, x0, x1), _seg_right(seg, x0, x1)]
+    if isinstance(seg, Smooth):
+        vals.extend(_seg_values(seg, x0, x1, _chebyshev(x0, x1)).tolist())
+    if not all(map(math.isfinite, vals)):
+        raise CoefficientError(f"segment {j}: non-finite value")
+    return vals
+
+
 @dataclass(frozen=True)
 class PiecewiseCoefficient:
     """Strictly positive piecewise-C1 function with certified bounds.
@@ -152,6 +167,8 @@ class PiecewiseCoefficient:
         object.__setattr__(self, "segments", tuple(self.segments))
         if bp.ndim != 1 or len(bp) < 2:
             raise CoefficientError("need at least two breakpoints")
+        if not np.all(np.isfinite(bp)):
+            raise CoefficientError("breakpoints must be finite")
         if not np.all(np.diff(bp) > 0.0):
             raise CoefficientError("breakpoints must be strictly increasing")
         if len(self.segments) != len(bp) - 1:
@@ -166,13 +183,11 @@ class PiecewiseCoefficient:
         lo, hi = self.g_min - slack, self.g_max + slack
         for j, seg in enumerate(self.segments):
             x0, x1 = self.breakpoints[j], self.breakpoints[j + 1]
-            ends = np.array([_seg_left(seg, x0, x1), _seg_right(seg, x0, x1)])
-            probes = ends
+            probes = _probe_values(j, seg, x0, x1)
             if isinstance(seg, Smooth):
                 if seg.sign not in _SIGN_TAGS:
                     raise CoefficientError(f"unknown sign tag {seg.sign!r}")
-                xs = _chebyshev(x0, x1)
-                d = _seg_deriv(seg, x0, x1, xs)
+                d = _seg_deriv(seg, x0, x1, _chebyshev(x0, x1))
                 dtol = 1e-12 * (1.0 + np.max(np.abs(d)))
                 if seg.sign == "positive" and np.any(d <= 0.0):
                     raise CoefficientError(
@@ -183,8 +198,7 @@ class PiecewiseCoefficient:
                 if seg.sign == "zero" and np.any(np.abs(d) > dtol):
                     raise CoefficientError(
                         f"segment {j}: tagged zero but derivative probe is not")
-                probes = np.concatenate([ends, _seg_values(seg, x0, x1, xs)])
-            if np.any(probes < lo) or np.any(probes > hi):
+            if min(probes) < lo or max(probes) > hi:
                 raise CoefficientError(
                     f"segment {j}: values escape the certified bounds "
                     f"[{self.g_min}, {self.g_max}]")
@@ -255,23 +269,9 @@ class PiecewiseCoefficient:
             return self.left_limit(n)
         return self.left_limit(j) - self.right_limit(j)
 
-    def variation(self, smooth_rtol: float = 1e-10) -> float:
-        """Total variation: sum of interior |jumps| plus the integral of |g'|.
-
-        The derivative integral is exact for constant and linear segments and
-        uses adaptive Gauss-Legendre panels for smooth ones.
-        """
-        var = sum(abs(self.jump(j)) for j in range(1, self.n_segments))
-        for j, seg in enumerate(self.segments):
-            x0, x1 = self.breakpoints[j], self.breakpoints[j + 1]
-            if isinstance(seg, Constant):
-                continue
-            if isinstance(seg, Linear):
-                var += abs(seg.right - seg.left)
-            else:
-                var += adaptive_gauss(
-                    lambda x, s=seg: np.abs(s.deriv(x)), x0, x1, rtol=smooth_rtol)
-        return var
+    def variation(self) -> float:
+        """Total variation: sum of interior |jumps| plus the integral of |g'|."""
+        return _variation(self, 1)
 
     # -- monotone envelope --------------------------------------------------
 
@@ -283,14 +283,9 @@ class PiecewiseCoefficient:
         right continuous at each interior breakpoint and left continuous at
         z_N, stays within [g_min, g_max], and is nondecreasing per segment.
         """
-        out = []
-        for j, seg in enumerate(self.segments):
-            if _seg_increasing(seg):
-                out.append(seg)
-            else:
-                out.append(Constant(self.right_limit(j)))
-        return PiecewiseCoefficient(self.breakpoints, tuple(out),
-                                    self.g_min, self.g_max)
+        segs = tuple(seg if _seg_increasing(seg) else Constant(self.right_limit(j))
+                     for j, seg in enumerate(self.segments))
+        return PiecewiseCoefficient(self.breakpoints, segs, self.g_min, self.g_max)
 
     def reversed(self) -> "PiecewiseCoefficient":
         """The coefficient reflected about x = 0 (for symmetry checks)."""
@@ -337,18 +332,12 @@ def from_segments(breakpoints: Sequence[float], segments: Sequence[Segment],
     should be passed explicitly when available.
     """
     bp = np.asarray(breakpoints, dtype=float)
-    lo, hi = np.inf, -np.inf
-    for j, seg in enumerate(segments):
-        x0, x1 = bp[j], bp[j + 1]
-        vals = [_seg_left(seg, x0, x1), _seg_right(seg, x0, x1)]
-        if isinstance(seg, Smooth):
-            vals.extend(_seg_values(seg, x0, x1, _chebyshev(x0, x1)))
-        lo = min(lo, min(vals))
-        hi = max(hi, max(vals))
+    probes = [v for j, seg in enumerate(segments)
+              for v in _probe_values(j, seg, bp[j], bp[j + 1])]
     if g_min is None:
-        g_min = lo
+        g_min = min(probes, default=math.inf)
     if g_max is None:
-        g_max = hi
+        g_max = max(probes, default=-math.inf)
     return PiecewiseCoefficient(bp, tuple(segments), float(g_min), float(g_max))
 
 
@@ -398,24 +387,31 @@ def on_common_partition(a: PiecewiseCoefficient, c: PiecewiseCoefficient):
 
 # -- derived variations ------------------------------------------------------
 
-def variation_of_square(coeff: PiecewiseCoefficient,
-                        smooth_rtol: float = 1e-10) -> float:
-    """Total variation of g^2 for a positive coefficient g.
+def _variation(coeff: PiecewiseCoefficient, p: int) -> float:
+    """Total variation of g^p (p = 1 or 2): the interior |jumps| of g^p plus
+    the integral of |(g^p)'|.
 
-    Exact for constant/linear segments (g^2 is monotone there since g > 0 and
-    g' is one-signed); adaptive quadrature of |2 g g'| for smooth segments.
+    Exact for constant/linear segments (g^p is monotone there since g > 0
+    and g' is one-signed); adaptive Gauss-Legendre panels for smooth ones.
     """
+    def power(v):
+        return v ** 2 if p == 2 else v
+
+    def slope(s, x):
+        return 2.0 * s.func(x) * s.deriv(x) if p == 2 else s.deriv(x)
+
     var = 0.0
     for j in range(1, coeff.n_segments):
-        var += abs(coeff.left_limit(j) ** 2 - coeff.right_limit(j) ** 2)
+        var += abs(power(coeff.left_limit(j)) - power(coeff.right_limit(j)))
     for j, seg in enumerate(coeff.segments):
-        x0, x1 = coeff.breakpoints[j], coeff.breakpoints[j + 1]
-        if isinstance(seg, Constant):
-            continue
         if isinstance(seg, Linear):
-            var += abs(seg.right ** 2 - seg.left ** 2)
-        else:
-            var += adaptive_gauss(
-                lambda x, s=seg: np.abs(2.0 * s.func(x) * s.deriv(x)),
-                x0, x1, rtol=smooth_rtol)
+            var += abs(power(seg.right) - power(seg.left))
+        elif isinstance(seg, Smooth):
+            var += adaptive_gauss(lambda x, s=seg: np.abs(slope(s, x)),
+                                  coeff.breakpoints[j], coeff.breakpoints[j + 1])
     return var
+
+
+def variation_of_square(coeff: PiecewiseCoefficient) -> float:
+    """Total variation of g^2 for a positive coefficient g."""
+    return _variation(coeff, 2)

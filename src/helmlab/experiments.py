@@ -133,7 +133,7 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
     if levels < 1:
         raise ValueError("a refinement ladder needs at least one level")
     path = _cache_path(cache_dir, cache_key, base, levels)
-    record = _load_cached(path)
+    record = _load_cached(path, levels)
     if record is None:
         record = _run_ladder(problem, base, levels)
         _store_cached(path, record)
@@ -175,16 +175,28 @@ def _cache_path(cache_dir, cache_key, base, levels) -> Optional[Path]:
     return Path(cache_dir) / f"{cache_key}_base{base}_levels{levels}_v{CACHE_VERSION}.json"
 
 
-def _load_cached(path: Optional[Path]) -> Optional[dict]:
+def _load_cached(path: Optional[Path], levels: int) -> Optional[dict]:
+    """The stored record, or None (a miss) unless the file holds a dict with
+    the current version, `levels` numbers under "du" and numeric "wu",
+    "res" and "cond"."""
     if path is None or not path.is_file():
         return None
     try:
         record = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if record.get("version") != CACHE_VERSION:
+    if not isinstance(record, dict) or record.get("version") != CACHE_VERSION:
         return None
-    return record
+    du = record.get("du")
+    if not isinstance(du, list) or len(du) != levels:
+        return None
+    scalars = [record.get(key) for key in ("wu", "res", "cond")]
+    return record if all(map(_is_number, du + scalars)) else None
+
+
+def _is_number(value) -> bool:
+    # json gives int or float for numbers; bool is an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _store_cached(path: Optional[Path], record: dict) -> None:

@@ -316,14 +316,15 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
     return np.sqrt(du2), np.sqrt(wu2), np.sqrt(energy2)
 
 
-def condition_estimate(system: BandedComplexSystem, itmax: int = 5) -> float:
+def condition_estimate(system: BandedComplexSystem) -> float:
     """1-norm condition estimate from the LU factors (Hager-style iteration).
 
-    Hager (1984) as refined by Higham (1988).  The buffers are allocated
-    once and reused by every step: each solve runs in place in one complex
-    vector (`solve_vector(..., overwrite_b=True)`), and the magnitudes, the
-    zero mask and the current vector x have one array each.  The iteration,
-    its expressions and so its result are those of the textbook loop.
+    Hager (1984) as refined by Higham (1988), at most five steps.  The
+    buffers are allocated once and reused by every step: each solve runs in
+    place in one complex vector (`solve_vector(..., overwrite_b=True)`), and
+    the magnitudes, the zero mask and the current vector x have one array
+    each.  The iteration, its expressions and so its result are those of
+    the textbook loop.
     """
     n = system.dimension
     if n == 1:
@@ -333,7 +334,7 @@ def condition_estimate(system: BandedComplexSystem, itmax: int = 5) -> float:
     mags = np.empty(n)
     zero = np.empty(n, dtype=bool)
     est = 0.0
-    for _ in range(itmax):
+    for _ in range(5):
         v[...] = x
         y = system.solve_vector(v, overwrite_b=True)
         np.abs(y, out=mags)

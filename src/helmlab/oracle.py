@@ -168,12 +168,12 @@ def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
             + terms[1, 3:n + 3] + terms[0, 4:])
 
 
-def _refine(ab: np.ndarray, rhs: np.ndarray, x: np.ndarray,
-            iters: int = 3) -> np.ndarray:
-    """Iterative refinement with an extended-precision residual."""
+def _refine(ab: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Three steps of iterative refinement with an extended-precision
+    residual."""
     abx = ab.astype(np.clongdouble)
     bx = rhs.astype(np.clongdouble)
-    for _ in range(iters):
+    for _ in range(3):
         r = bx - _band_matvec(abx, x.astype(np.clongdouble))
         x = x + solve_banded((2, 2), ab, r.astype(complex))
     return x

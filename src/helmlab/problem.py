@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,8 +66,11 @@ class HelmholtzProblem:
     f: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        for name in ("g_left", "g_right"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         a, c = on_common_partition(self.a, self.c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)

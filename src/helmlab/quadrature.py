@@ -6,6 +6,7 @@ import numpy as np
 
 # 15-point rule on [-1, 1]; adaptive panels bisect until the tolerance is met.
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+_MAX_DEPTH = 40
 
 # 5-point rule on the unit element [0, 1]: per-element integrals in the finite
 # element code and in the energy-error measurements.
@@ -22,15 +23,15 @@ def gauss_panel(f, a: float, b: float) -> float:
 
 
 def adaptive_gauss(f, a: float, b: float, rtol: float = 1e-10,
-                   atol: float = 1e-15, max_depth: int = 40) -> float:
+                   atol: float = 1e-15) -> float:
     """Adaptive 15-point Gauss-Legendre integral of a vectorized callable.
 
     Panels are bisected until the two-half estimate agrees with the whole-panel
-    estimate to the requested tolerance.
+    estimate to the requested tolerance, at most `_MAX_DEPTH` times.
     """
     if b <= a:
         return 0.0
-    return _adapt(f, a, b, gauss_panel(f, a, b), rtol, atol, max_depth)
+    return _adapt(f, a, b, gauss_panel(f, a, b), rtol, atol, _MAX_DEPTH)
 
 
 def _adapt(f, a, b, whole, rtol, atol, depth):

@@ -8,7 +8,9 @@ Its supremum Q enters the energy bound
 
 and admits an a priori bound growing exponentially in the total variation of
 a and c^2.  This module builds q, evaluates both the exact Q and its bounds,
-and verifies the defining differential/jump inequalities numerically.
+and verifies the defining differential/jump inequalities numerically.  A
+report builds the envelopes and jump factors once, for q and the product
+bound alike; the bounds share one log-prefactor and one capped exp.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .problem import BoundaryConfig
 from .quadrature import adaptive_gauss, cumulative_gauss
 
 _LOG_MAX = math.log(np.finfo(float).max)
+_VERIFY_SAMPLES = 128  # verification points per subinterval
 
 
 class PartitionMismatchError(CoefficientError):
@@ -122,16 +125,14 @@ def _recip_integrals(a_seg, c_seg, x0: float, x1: float,
                             np.asarray(xs))
 
 
-def _recip_segment_integral(a_seg, c_seg, x0: float, x1: float,
-                            rtol: float = 1e-10) -> float:
+def _recip_segment_integral(a_seg, c_seg, x0: float, x1: float) -> float:
     """Full-segment integral of 1/(a~ c~^2), adaptive for smooth data."""
     pa = _affine_params(a_seg, x0, x1)
     pc = _affine_params(c_seg, x0, x1)
     if pa is not None and pc is not None:
         val = _recip_integrals(a_seg, c_seg, x0, x1, np.asarray([x1]))
         return float(val[0])
-    return adaptive_gauss(_recip_integrand(a_seg, c_seg, x0, x1), x0, x1,
-                          rtol=rtol)
+    return adaptive_gauss(_recip_integrand(a_seg, c_seg, x0, x1), x0, x1)
 
 
 # -- the multiplier -----------------------------------------------------------
@@ -225,10 +226,19 @@ def q_sup(q: MultiplierQ, bc: BoundaryConfig) -> float:
 
 # -- a priori bounds ----------------------------------------------------------
 
-def _bc_length_factor(half_length: float, bc: BoundaryConfig) -> float:
-    if BoundaryConfig(bc) is BoundaryConfig.PURE_IMPEDANCE:
-        return half_length
-    return 2.0 * half_length
+def _log_prefactor(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
+                   bc: BoundaryConfig) -> float:
+    """log of (2L, or L for pure impedance) * (a_max c_max^2)/(a_min c_min^2)."""
+    length = a.half_length
+    if BoundaryConfig(bc) is not BoundaryConfig.PURE_IMPEDANCE:
+        length = 2.0 * length
+    return (math.log(length) + math.log(a.g_max / a.g_min)
+            + 2.0 * math.log(c.g_max / c.g_min))
+
+
+def _capped_exp(log_value: float) -> float:
+    """exp(log_value), or +inf where that overflows."""
+    return math.inf if log_value > _LOG_MAX else math.exp(log_value)
 
 
 def q_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
@@ -238,14 +248,17 @@ def q_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
     (2L or L per boundary layout) * (a_max c_max^2)/(a_min c_min^2)
     * exp(2 Var(a)/a_min + 2 Var(c^2)/c_min^2).  Returns +inf on overflow.
     """
-    log_bound = (math.log(_bc_length_factor(a.half_length, bc))
-                 + math.log(a.g_max / a.g_min)
-                 + 2.0 * math.log(c.g_max / c.g_min)
-                 + 2.0 * a.variation() / a.g_min
-                 + 2.0 * variation_of_square(c) / c.g_min ** 2)
-    if log_bound > _LOG_MAX:
-        return math.inf
-    return math.exp(log_bound)
+    return _capped_exp(_log_prefactor(a, c, bc)
+                       + 2.0 * a.variation() / a.g_min
+                       + 2.0 * variation_of_square(c) / c.g_min ** 2)
+
+
+def _product_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
+                   fac: JumpFactors, bc: BoundaryConfig) -> float:
+    """The product-form bound on Q from given jump factors."""
+    log_prod = float(np.sum(np.log(fac.alpha)) + np.sum(np.log(fac.sigma))
+                     + np.sum(np.log(fac.gamma)))
+    return _capped_exp(_log_prefactor(a, c, bc) + log_prod)
 
 
 def q_product_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
@@ -257,15 +270,7 @@ def q_product_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
     Returns +inf on overflow.
     """
     a2, c2 = on_common_partition(a, c)
-    fac = jump_factors(a2, c2, a2.tilde(), c2.tilde())
-    log_prod = float(np.sum(np.log(fac.alpha)) + np.sum(np.log(fac.sigma))
-                     + np.sum(np.log(fac.gamma)))
-    log_bound = (math.log(_bc_length_factor(a.half_length, bc))
-                 + math.log(a.g_max / a.g_min)
-                 + 2.0 * math.log(c.g_max / c.g_min) + log_prod)
-    if log_bound > _LOG_MAX:
-        return math.inf
-    return math.exp(log_bound)
+    return _product_bound(a, c, jump_factors(a2, c2, a2.tilde(), c2.tilde()), bc)
 
 
 def stability_constants(a_min: float, c_min: float, c_max: float):
@@ -296,14 +301,15 @@ class StabilityReport:
 
 def stability_report(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
                      bc: BoundaryConfig = BoundaryConfig.PURE_IMPEDANCE) -> StabilityReport:
-    """Build the multiplier and collect Q, its bounds, and C_I/C_II."""
+    """Build the multiplier and collect Q, its bounds, and C_I/C_II; the
+    product bound takes the multiplier's own jump factors."""
     q = build_q(a, c)
     qb = q_bound(a, c, bc)
     c1, c2 = stability_constants(a.g_min, c.g_min, c.g_max)
     return StabilityReport(
         Q_exact=q_sup(q, bc),
         Q_bound=qb,
-        Q_product_bound=q_product_bound(a, c, bc),
+        Q_product_bound=_product_bound(a, c, q.factors, bc),
         C_I=c1, C_II=c2,
         factors=q.factors,
         bc=BoundaryConfig(bc),
@@ -338,11 +344,10 @@ class QDiagnostics:
 
 
 def verify_q_properties(q: MultiplierQ, a: PiecewiseCoefficient,
-                        c: PiecewiseCoefficient, samples_per_segment: int = 128,
-                        rtol: float = 1e-9) -> QDiagnostics:
+                        c: PiecewiseCoefficient, rtol: float = 1e-9) -> QDiagnostics:
     """Check d(q/a) >= 1/a, d(q/c^2) >= 1/c^2 and nonpositive interior jumps.
 
-    Derivatives are evaluated analytically at `samples_per_segment` interior
+    Derivatives are evaluated analytically at `_VERIFY_SAMPLES` interior
     points per subinterval; jumps use exact one-sided limits.
     """
     a, c = on_common_partition(a, c)
@@ -350,9 +355,9 @@ def verify_q_properties(q: MultiplierQ, a: PiecewiseCoefficient,
     bp = q.partition
     worst_da = math.inf
     worst_dc = math.inf
+    t = (np.arange(_VERIFY_SAMPLES) + 0.5) / _VERIFY_SAMPLES
     for j in range(a.n_segments):
         x0, x1 = bp[j], bp[j + 1]
-        t = (np.arange(samples_per_segment) + 0.5) / samples_per_segment
         xs = x0 + t * (x1 - x0)
         I = _recip_integrals(q.a_tilde.segments[j], q.c_tilde.segments[j],
                              x0, x1, xs) + q.A[j]
@@ -403,6 +408,4 @@ def tech_product_check(f: PiecewiseCoefficient):
         up *= max(rm / lm, 1.0)
         down *= max(lm / rm, 1.0)
     product = max(up, down)
-    log_bound = f.variation() / f.g_min
-    bound = math.inf if log_bound > _LOG_MAX else math.exp(log_bound)
-    return product, bound
+    return product, _capped_exp(f.variation() / f.g_min)

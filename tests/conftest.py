@@ -54,3 +54,27 @@ def sine_coefficient(m, half_length=1.0, offset=2.0):
             deriv=lambda x, L=L, m=m: (m * np.pi / L) * np.cos(m * np.pi * x / L),
             sign=sign))
     return hl.from_segments(bp, segs, g_min=offset - 1.0, g_max=offset + 1.0)
+
+
+def random_mixed_coefficient(rng, max_segments=6):
+    """Random Constant, Linear and Smooth segments on random breakpoints;
+    each smooth piece is off + s amp tanh(w (x - mid)), s = +-1, with the
+    sign tag that matches s.  Bounds are derived by `from_segments`."""
+    n = int(rng.integers(1, max_segments + 1))
+    bp = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, n - 1)), [1.0]])
+    segs = []
+    for j in range(n):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            segs.append(hl.Constant(float(rng.uniform(0.5, 5.0))))
+        elif kind == 1:
+            segs.append(hl.Linear(float(rng.uniform(0.5, 5.0)),
+                                  float(rng.uniform(0.5, 5.0))))
+        else:
+            off, amp, w = rng.uniform(2.0, 5.0), rng.uniform(0.1, 1.0), rng.uniform(0.2, 1.0)
+            mid, s = 0.5 * (bp[j] + bp[j + 1]), (1.0 if rng.uniform() < 0.5 else -1.0)
+            segs.append(hl.Smooth(
+                lambda x, o=off, a=amp, w=w, m=mid, s=s: o + s * a * np.tanh(w * (x - m)),
+                lambda x, a=amp, w=w, m=mid, s=s: s * a * w / np.cosh(w * (x - m)) ** 2,
+                "positive" if s > 0 else "nonpositive"))
+    return hl.from_segments(bp, segs)

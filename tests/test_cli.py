@@ -103,6 +103,27 @@ class TestDispatch:
         with pytest.raises(ConfigError, match=where):
             load_problem(str(path))
 
+    @pytest.mark.parametrize("command", [["solve", "--elements", "40"],
+                                         ["stability"], ["oracle"]])
+    @pytest.mark.parametrize("old, new", [
+        ("segment4 = constant 1.4", "segment4 = constant nan"),
+        ("segment2 = constant 1.4", "segment2 = linear 1.4 inf"),
+        ("omega = 3.9269908169872414", "omega = nan"),
+        ("omega = 3.9269908169872414", "omega = inf"),
+        ("g_right = 1", "g_right = nan"),
+        ("g_left = 0", "g_left = 1+infj"),
+        ("breakpoints = -1, -0.76", "breakpoints = -inf, -0.76")],
+        ids=["segment-nan", "linear-inf", "omega-nan", "omega-inf",
+             "g_right-nan", "g_left-inf", "breakpoint-inf"])
+    def test_non_finite_value_is_an_error(self, tmp_path, capsys, command, old, new):
+        path = tmp_path / "bad.cfg"
+        path.write_text(LAYERED_CFG.replace(old, new))
+        assert parse_and_dispatch([command[0], "--config", str(path),
+                                   *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_documented_problem_file_loads(self, tmp_path, capsys):
         # the [problem] example in docs/formats.md, inline comments included
         block = re.search(r"```ini\n(.*?)```", FORMATS_DOC.read_text(), re.S)

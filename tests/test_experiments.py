@@ -92,8 +92,15 @@ class TestRefinementProtocol:
         lambda path: _edit_record(path, lambda record: record.pop("version")),
         lambda path: _edit_record(path, lambda record: record.update(
             version=experiments.CACHE_VERSION - 1)),
-        lambda path: path.write_text(path.read_text()[:-5])],
-        ids=["missing", "older", "corrupt"])
+        lambda path: path.write_text(path.read_text()[:-5]),
+        lambda path: path.write_text("[]"),
+        lambda path: path.write_text(json.dumps({"version": experiments.CACHE_VERSION})),
+        lambda path: _edit_record(path, lambda record: record.update(
+            du=record["du"][:-1])),
+        lambda path: _edit_record(path, lambda record: record.update(du="du")),
+        lambda path: _edit_record(path, lambda record: record.update(cond="1e3"))],
+        ids=["missing", "older", "corrupt", "list", "version-only",
+             "du-short", "du-string", "cond-string"])
     def test_cache_entry_of_another_version_is_recomputed(self, tmp_path, stale):
         spec = hl.UnstableFamilySpec(2, 0.4)
         prob = hl.family(spec)

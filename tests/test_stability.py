@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import helmlab as hl
+from helmlab import stability
 from helmlab.stability import PartitionMismatchError
 
-from conftest import random_coefficient, sine_coefficient
+from conftest import random_coefficient, random_mixed_coefficient, sine_coefficient
 
 BC = hl.BoundaryConfig
 
@@ -295,3 +296,43 @@ class TestTechProduct:
             f = random_coefficient(rng)
             product, bound = hl.tech_product_check(f)
             assert product <= bound * (1.0 + 1e-12)
+
+
+class TestReportSharesTheMultiplier:
+    """The report's product bound comes from the multiplier's own envelopes
+    and jump factors; it equals the standalone bound bit for bit."""
+
+    def test_product_bound_equals_standalone_on_family_grid(self):
+        for m in range(2, 21, 2):
+            for r in (0.4, 0.5, 0.6):
+                prob = hl.family(hl.UnstableFamilySpec(m, r))
+                for bc in BC:
+                    report = hl.stability_report(prob.a, prob.c, bc)
+                    assert report.Q_product_bound == \
+                        hl.q_product_bound(prob.a, prob.c, bc)
+
+    def test_product_bound_equals_standalone_on_mixed_problems(self, rng):
+        for i in range(100):
+            a = random_mixed_coefficient(rng)
+            c = random_mixed_coefficient(rng) if i % 2 else random_coefficient(rng)
+            for bc in BC:
+                report = hl.stability_report(a, c, bc)
+                assert report.Q_product_bound == hl.q_product_bound(a, c, bc)
+
+    def test_one_envelope_pair_and_one_factor_pass(self, monkeypatch):
+        calls = {"tilde": 0, "jump_factors": 0}
+        tilde, factors = hl.PiecewiseCoefficient.tilde, stability.jump_factors
+
+        def counted_tilde(self):
+            calls["tilde"] += 1
+            return tilde(self)
+
+        def counted_factors(*args):
+            calls["jump_factors"] += 1
+            return factors(*args)
+
+        monkeypatch.setattr(hl.PiecewiseCoefficient, "tilde", counted_tilde)
+        monkeypatch.setattr(stability, "jump_factors", counted_factors)
+        prob = hl.family(hl.UnstableFamilySpec(4, 0.5))
+        hl.stability_report(prob.a, prob.c, BC.PURE_IMPEDANCE)
+        assert calls == {"tilde": 2, "jump_factors": 1}
