@@ -1,15 +1,15 @@
-"""Piecewise-C1 coefficient functions on a symmetric interval [-L, L].
+"""Piecewise-C1 coefficient functions on an interval [z_0, z_N].
 
 A coefficient is a strictly positive function with a finite partition
--L = z_0 < ... < z_N = L such that on every open subinterval the derivative
-is one-signed (either > 0 throughout, or <= 0 throughout).  The class tracks
-one-sided limits at partition points, jumps, the total variation, and the
-monotone envelope obtained by freezing every non-increasing piece at its
-left limit.  One probe list per segment (its ends, plus Chebyshev points on
-a smooth segment) gives both the bounds `from_segments` derives and the
-check of the bounds at construction; one loop gives the variation of g and
-of g^2.  `segment_of` and `segmentwise` assign points to subintervals for
-every module.
+z_0 < ... < z_N of its interval such that on every open subinterval the
+derivative is one-signed (either > 0 throughout, or <= 0 throughout).  The
+class tracks one-sided limits at partition points, jumps, the total
+variation, and the monotone envelope obtained by freezing every
+non-increasing piece at its left limit.  One probe list per segment (its
+ends, plus Chebyshev points on a smooth segment) gives both the bounds
+`from_segments` derives and the check of the bounds at construction; one
+loop gives the variation of g and of g^2.  `segment_of` and `segmentwise`
+assign points to subintervals for every module.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class PiecewiseCoefficient:
 
     Parameters
     ----------
-    breakpoints : array, z_0 < ... < z_N with z_0 = -L and z_N = L.
+    breakpoints : array, z_0 < ... < z_N; the interval is [z_0, z_N].
     segments : one Segment per subinterval (z_{j-1}, z_j).
     g_min, g_max : certified pointwise bounds, 0 < g_min <= g <= g_max.
     """
@@ -206,10 +206,6 @@ class PiecewiseCoefficient:
     # -- basic queries ----------------------------------------------------
 
     @property
-    def half_length(self) -> float:
-        return float(self.breakpoints[-1])
-
-    @property
     def n_segments(self) -> int:
         return len(self.segments)
 
@@ -258,7 +254,7 @@ class PiecewiseCoefficient:
     def jump(self, j: int) -> float:
         """Left-to-right jump at breakpoint j.
 
-        Interior j: g^-(z_j) - g^+(z_j); j=0 gives -g^+(-L); j=N gives g^-(L).
+        Interior j: g^-(z_j) - g^+(z_j); j=0 gives -g^+(z_0); j=N gives g^-(z_N).
         """
         n = self.n_segments
         if not (0 <= j <= n):
@@ -343,11 +339,18 @@ def from_segments(breakpoints: Sequence[float], segments: Sequence[Segment],
 
 # -- partitions --------------------------------------------------------------
 
+def shared_interval(a: PiecewiseCoefficient, c: PiecewiseCoefficient) -> tuple:
+    """The ends (z_0, z_N) of the interval both coefficients live on."""
+    z0, zn = a.breakpoints[0], a.breakpoints[-1]
+    if c.breakpoints[0] != z0 or c.breakpoints[-1] != zn:
+        raise CoefficientError("coefficients live on different intervals")
+    return z0, zn
+
+
 def common_partition(a: PiecewiseCoefficient,
                      c: PiecewiseCoefficient) -> np.ndarray:
     """Union of the two breakpoint sets (a refinement of either partition)."""
-    if a.breakpoints[0] != c.breakpoints[0] or a.breakpoints[-1] != c.breakpoints[-1]:
-        raise CoefficientError("coefficients live on different intervals")
+    shared_interval(a, c)
     return np.unique(np.concatenate([a.breakpoints, c.breakpoints]))
 
 

@@ -38,6 +38,9 @@ JOBS_ENV_VAR = "HELMLAB_JOBS"
 # Part of every cached ladder's file name and record; a ladder stored under
 # another version is a miss.  Bump it when a change may move a cached value.
 CACHE_VERSION = 2
+# A ladder converges when its last three levels agree in this many leading
+# significant figures; the reported value is the finest level so rounded.
+_SIGFIGS = 4
 
 
 @dataclass(frozen=True)
@@ -93,15 +96,11 @@ def round_sig(value: float, sigfigs: int = 4) -> float:
     return float(f"%.{sigfigs - 1}e" % value)
 
 
-def _sig_repr(value: float, sigfigs: int) -> str:
-    return f"%.{sigfigs - 1}e" % value
-
-
 @dataclass(frozen=True)
 class RefinementRun:
     """Per-level ||u_h'|| values plus the convergence verdict.
 
-    `converged` means the last three levels agree in their first `sigfigs`
+    `converged` means the last three levels agree in their first four
     significant figures; `reported` is the finest value rounded accordingly.
     """
 
@@ -111,11 +110,10 @@ class RefinementRun:
     condition_estimate: float
     residual: float
     wu_finest: float
-    sigfigs: int = 4
 
 
 def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
-                          levels: int = 7, sigfigs: int = 4,
+                          levels: int = 7,
                           cache_dir: Optional[str] = None,
                           cache_key: Optional[str] = None) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
@@ -138,10 +136,10 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
         record = _run_ladder(problem, base, levels)
         _store_cached(path, record)
     values = record["du"]
-    tail = [_sig_repr(v, sigfigs) for v in values[-3:]]
+    tail = [f"%.{_SIGFIGS - 1}e" % v for v in values[-3:]]
     converged = len(values) >= 3 and tail[0] == tail[1] == tail[2]
-    return RefinementRun(tuple(values), converged, round_sig(values[-1], sigfigs),
-                         record["cond"], record["res"], record["wu"], sigfigs)
+    return RefinementRun(tuple(values), converged, round_sig(values[-1], _SIGFIGS),
+                         record["cond"], record["res"], record["wu"])
 
 
 def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
@@ -233,21 +231,19 @@ def _default_jobs() -> int:
 
 
 def _run_cell(args) -> TableRow:
-    spec, base, levels, sigfigs, cache_dir = args
+    spec, base, levels, cache_dir = args
     run = refine_to_convergence(family(spec), base=base, levels=levels,
-                                sigfigs=sigfigs, cache_dir=cache_dir,
-                                cache_key=spec.cache_key())
+                                cache_dir=cache_dir, cache_key=spec.cache_key())
     return TableRow(spec.m, spec.r, spec.eps, spec.g, run.reported,
                     not run.converged, run.condition_estimate, run)
 
 
 def run_cells(specs: Sequence[UnstableFamilySpec], base: int = 800,
-              levels: int = 7, sigfigs: int = 4,
-              cache_dir: Optional[str] = None,
+              levels: int = 7, cache_dir: Optional[str] = None,
               jobs: Optional[int] = None) -> list:
     """Execute family cells (a work pool when jobs > 1); order follows specs."""
     jobs = _default_jobs() if jobs is None else max(1, jobs)
-    payload = [(s, base, levels, sigfigs, cache_dir) for s in specs]
+    payload = [(s, base, levels, cache_dir) for s in specs]
     if jobs == 1 or len(specs) <= 1:
         return [_run_cell(p) for p in payload]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

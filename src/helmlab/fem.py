@@ -39,7 +39,7 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Nodes on [-L, L] including every coefficient breakpoint."""
+    """Nodes on [z_0, z_N] including every coefficient breakpoint."""
 
     nodes: np.ndarray
 

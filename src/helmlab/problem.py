@@ -50,7 +50,8 @@ class PiecewisePolynomial:
 
 @dataclass(frozen=True)
 class HelmholtzProblem:
-    """-(a u')' - (omega/c)^2 u = f on (-L, L) with impedance/Dirichlet ends.
+    """-(a u')' - (omega/c)^2 u = f on (z_0, z_N), the interval a and c
+    share, with impedance/Dirichlet ends.
 
     The impedance parameter is fixed to beta = sqrt(a)/c with one-sided trace
     values at the endpoints.  `a` and `c` are re-expressed on their common
@@ -79,10 +80,6 @@ class HelmholtzProblem:
             raise ValueError("g_left given but -L is a Dirichlet endpoint")
         if not self.bc.impedance_right and self.g_right != 0.0:
             raise ValueError("g_right given but L is a Dirichlet endpoint")
-
-    @property
-    def half_length(self) -> float:
-        return self.a.half_length
 
     @property
     def partition(self) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 # 15-point rule on [-1, 1]; adaptive panels bisect until the tolerance is met.
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _MAX_DEPTH = 40
+_RTOL, _ATOL = 1e-10, 1e-15  # a panel is accepted within max(_ATOL, _RTOL |I|)
 
 # 5-point rule on the unit element [0, 1]: per-element integrals in the finite
 # element code and in the energy-error measurements.
@@ -22,26 +23,25 @@ def gauss_panel(f, a: float, b: float) -> float:
     return half * float(np.sum(_GL15_W * f(mid + half * _GL15_X)))
 
 
-def adaptive_gauss(f, a: float, b: float, rtol: float = 1e-10,
-                   atol: float = 1e-15) -> float:
+def adaptive_gauss(f, a: float, b: float) -> float:
     """Adaptive 15-point Gauss-Legendre integral of a vectorized callable.
 
     Panels are bisected until the two-half estimate agrees with the whole-panel
-    estimate to the requested tolerance, at most `_MAX_DEPTH` times.
+    estimate to `_RTOL` (or `_ATOL`), at most `_MAX_DEPTH` times.
     """
     if b <= a:
         return 0.0
-    return _adapt(f, a, b, gauss_panel(f, a, b), rtol, atol, _MAX_DEPTH)
+    return _adapt(f, a, b, gauss_panel(f, a, b), _MAX_DEPTH)
 
 
-def _adapt(f, a, b, whole, rtol, atol, depth):
+def _adapt(f, a, b, whole, depth):
     mid = 0.5 * (a + b)
     left = gauss_panel(f, a, mid)
     right = gauss_panel(f, mid, b)
-    if abs(left + right - whole) <= max(atol, rtol * abs(left + right)) or depth <= 0:
+    if abs(left + right - whole) <= max(_ATOL, _RTOL * abs(left + right)) or depth <= 0:
         return left + right
-    return (_adapt(f, a, mid, left, rtol, atol, depth - 1)
-            + _adapt(f, mid, b, right, rtol, atol, depth - 1))
+    return (_adapt(f, a, mid, left, depth - 1)
+            + _adapt(f, mid, b, right, depth - 1))
 
 
 def cumulative_gauss(f, x0: float, xs: np.ndarray) -> np.ndarray:

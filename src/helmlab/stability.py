@@ -22,12 +22,13 @@ import numpy as np
 
 from .coeffs import (Constant, Linear, PiecewiseCoefficient, CoefficientError,
                      _seg_deriv, _seg_values, on_common_partition,
-                     segmentwise, variation_of_square)
+                     segmentwise, shared_interval, variation_of_square)
 from .problem import BoundaryConfig
 from .quadrature import adaptive_gauss, cumulative_gauss
 
 _LOG_MAX = math.log(np.finfo(float).max)
 _VERIFY_SAMPLES = 128  # verification points per subinterval
+_VERIFY_RTOL = 1e-9  # tolerance on the relative derivative margins
 
 
 class PartitionMismatchError(CoefficientError):
@@ -143,7 +144,7 @@ class MultiplierQ:
 
     `A[j]` is the accumulated factor entering subinterval j (A[0] = 0 and the
     sequence is nondecreasing); `seg_integrals[j]` is the subinterval integral
-    of 1/(a~ c~^2).  The unshifted multiplier vanishes at -L and increases.
+    of 1/(a~ c~^2).  The unshifted multiplier vanishes at z_0 and increases.
     """
 
     a: PiecewiseCoefficient
@@ -159,23 +160,26 @@ class MultiplierQ:
         return self.a.breakpoints
 
     def end_value(self) -> float:
-        """q(L) of the unshifted multiplier."""
+        """q(z_N) of the unshifted multiplier."""
         n = len(self.A) - 1
         return (self.a_tilde.left_limit(n + 1) * self.c_tilde.left_limit(n + 1) ** 2
                 * (self.seg_integrals[n] + self.A[n]))
 
+    def segment_terms(self, j: int, xs: np.ndarray) -> tuple:
+        """(a~, c~, I + A_j) at points xs of subinterval j, where I is the
+        integral of 1/(a~ c~^2) from z_j; there q = a~ c~^2 (I + A_j)."""
+        x0, x1 = self.partition[j], self.partition[j + 1]
+        a_seg, c_seg = self.a_tilde.segments[j], self.c_tilde.segments[j]
+        return (_seg_values(a_seg, x0, x1, xs), _seg_values(c_seg, x0, x1, xs),
+                _recip_integrals(a_seg, c_seg, x0, x1, xs) + self.A[j])
+
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Unshifted q at sorted points (right limits at breakpoints)."""
-        bp = self.partition
-
         def on_segment(j, pts):
-            a_seg, c_seg = self.a_tilde.segments[j], self.c_tilde.segments[j]
-            I = _recip_integrals(a_seg, c_seg, bp[j], bp[j + 1], pts)
-            at = _seg_values(a_seg, bp[j], bp[j + 1], pts)
-            ct = _seg_values(c_seg, bp[j], bp[j + 1], pts)
-            return at * ct * ct * (I + self.A[j])
+            at, ct, I = self.segment_terms(j, pts)
+            return at * ct * ct * I
 
-        return segmentwise(bp, xs, on_segment)
+        return segmentwise(self.partition, xs, on_segment)
 
     def one_sided(self, j: int, side: str) -> float:
         """One-sided limit of the unshifted q at breakpoint j."""
@@ -215,8 +219,8 @@ def build_q(a: PiecewiseCoefficient, c: PiecewiseCoefficient) -> MultiplierQ:
 def q_sup(q: MultiplierQ, bc: BoundaryConfig) -> float:
     """Stability factor Q: the sup of the boundary-shifted multiplier.
 
-    Q = q(L) when one endpoint is Dirichlet; Q = q(L)/2 for pure impedance
-    (the multiplier is re-centred to q - q(L)/2).
+    Q = q(z_N) when one endpoint is Dirichlet; Q = q(z_N)/2 for pure
+    impedance (the multiplier is re-centred to q - q(z_N)/2).
     """
     qL = q.end_value()
     if BoundaryConfig(bc) is BoundaryConfig.PURE_IMPEDANCE:
@@ -228,10 +232,12 @@ def q_sup(q: MultiplierQ, bc: BoundaryConfig) -> float:
 
 def _log_prefactor(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
                    bc: BoundaryConfig) -> float:
-    """log of (2L, or L for pure impedance) * (a_max c_max^2)/(a_min c_min^2)."""
-    length = a.half_length
-    if BoundaryConfig(bc) is not BoundaryConfig.PURE_IMPEDANCE:
-        length = 2.0 * length
+    """log of length * (a_max c_max^2)/(a_min c_min^2): the length z_N - z_0
+    of the interval a and c share, halved for pure impedance."""
+    z0, zn = shared_interval(a, c)
+    length = float(zn - z0)
+    if BoundaryConfig(bc) is BoundaryConfig.PURE_IMPEDANCE:
+        length = 0.5 * length
     return (math.log(length) + math.log(a.g_max / a.g_min)
             + 2.0 * math.log(c.g_max / c.g_min))
 
@@ -245,7 +251,7 @@ def q_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
             bc: BoundaryConfig = BoundaryConfig.PURE_IMPEDANCE) -> float:
     """Variation-exponential a priori bound on Q.
 
-    (2L or L per boundary layout) * (a_max c_max^2)/(a_min c_min^2)
+    (z_N - z_0, halved for pure impedance) * (a_max c_max^2)/(a_min c_min^2)
     * exp(2 Var(a)/a_min + 2 Var(c^2)/c_min^2).  Returns +inf on overflow.
     """
     return _capped_exp(_log_prefactor(a, c, bc)
@@ -266,8 +272,8 @@ def q_product_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
     """Product-form bound on Q: sharper than the exponential form when the
     coefficients are not oscillatory.
 
-    (2L or L) * (a_max c_max^2)/(a_min c_min^2) * prod(alpha sigma gamma).
-    Returns +inf on overflow.
+    (z_N - z_0, halved for pure impedance) * (a_max c_max^2)/(a_min c_min^2)
+    * prod(alpha sigma gamma).  Returns +inf on overflow.
     """
     a2, c2 = on_common_partition(a, c)
     return _product_bound(a, c, jump_factors(a2, c2, a2.tilde(), c2.tilde()), bc)
@@ -344,7 +350,7 @@ class QDiagnostics:
 
 
 def verify_q_properties(q: MultiplierQ, a: PiecewiseCoefficient,
-                        c: PiecewiseCoefficient, rtol: float = 1e-9) -> QDiagnostics:
+                        c: PiecewiseCoefficient) -> QDiagnostics:
     """Check d(q/a) >= 1/a, d(q/c^2) >= 1/c^2 and nonpositive interior jumps.
 
     Derivatives are evaluated analytically at `_VERIFY_SAMPLES` interior
@@ -359,10 +365,7 @@ def verify_q_properties(q: MultiplierQ, a: PiecewiseCoefficient,
     for j in range(a.n_segments):
         x0, x1 = bp[j], bp[j + 1]
         xs = x0 + t * (x1 - x0)
-        I = _recip_integrals(q.a_tilde.segments[j], q.c_tilde.segments[j],
-                             x0, x1, xs) + q.A[j]
-        at = _seg_values(q.a_tilde.segments[j], x0, x1, xs)
-        ct = _seg_values(q.c_tilde.segments[j], x0, x1, xs)
+        at, ct, I = q.segment_terms(j, xs)
         dat = _seg_deriv(q.a_tilde.segments[j], x0, x1, xs)
         dct = _seg_deriv(q.c_tilde.segments[j], x0, x1, xs)
         av = _seg_values(a.segments[j], x0, x1, xs)
@@ -389,7 +392,7 @@ def verify_q_properties(q: MultiplierQ, a: PiecewiseCoefficient,
         worst_jc = min(worst_jc, -(qc_m - qc_p) / max(abs(qc_m), abs(qc_p), 1.0))
     if a.n_segments == 1:
         worst_ja = worst_jc = 0.0
-    passed = bool(worst_da >= -rtol and worst_dc >= -rtol
+    passed = bool(worst_da >= -_VERIFY_RTOL and worst_dc >= -_VERIFY_RTOL
                   and worst_ja >= -1e-12 and worst_jc >= -1e-12)
     return QDiagnostics(passed, float(worst_da), float(worst_dc),
                         float(worst_ja), float(worst_jc))

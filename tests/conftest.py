@@ -30,12 +30,14 @@ def random_layered_problem(rng, max_jumps=10, value_range=(0.5, 10.0),
         bc=bc, g_left=g_left, g_right=g_right)
 
 
-def random_coefficient(rng, max_jumps=10, value_range=(0.5, 10.0)):
+def random_coefficient(rng, max_jumps=10, value_range=(0.5, 10.0),
+                       interval=(-1.0, 1.0)):
+    z0, zn = interval
     n = int(rng.integers(1, max_jumps + 1))
-    interior = np.sort(rng.uniform(-1.0, 1.0, n - 1))
-    while n > 1 and np.min(np.diff(np.concatenate([[-1.0], interior, [1.0]]))) < 1e-6:
-        interior = np.sort(rng.uniform(-1.0, 1.0, n - 1))
-    bp = np.concatenate([[-1.0], interior, [1.0]])
+    interior = np.sort(rng.uniform(z0, zn, n - 1))
+    while n > 1 and np.min(np.diff(np.concatenate([[z0], interior, [zn]]))) < 1e-6:
+        interior = np.sort(rng.uniform(z0, zn, n - 1))
+    bp = np.concatenate([[z0], interior, [zn]])
     return hl.piecewise_constant(bp, rng.uniform(*value_range, n))
 
 

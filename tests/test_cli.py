@@ -166,6 +166,18 @@ class TestDispatch:
         assert "Q_exact" in out and "C_II" in out
         assert "breakpoint,alpha,sigma,gamma" in out
 
+    @pytest.mark.parametrize("breakpoints, q", [("-2, 1", "1.5"), ("-3, -1", "1")])
+    def test_stability_bounds_on_any_interval(self, tmp_path, capsys,
+                                              breakpoints, q):
+        # a = c = 1 under pure impedance: Q and both bounds are (z_N - z_0)/2
+        path = tmp_path / "shifted.cfg"
+        path.write_text(UNIT_CFG.replace("breakpoints = -1, 1",
+                                         f"breakpoints = {breakpoints}"))
+        assert parse_and_dispatch(["stability", "--config", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for name in ("Q_exact", "Q_bound", "Q_product_bound"):
+            assert f"{name} = {q}" in out
+
     def test_bounds_report(self, capsys):
         assert parse_and_dispatch(["bounds", "--h", "0.01"]) == 0
         out = capsys.readouterr().out
@@ -186,6 +198,29 @@ class TestTables:
         assert lines[0] == "m,||u'|| (r=0.4),kappa (r=0.4)"
         assert lines[1].startswith("2,0.77")
         assert lines[-1].startswith("grad")
+
+    @pytest.mark.parametrize("base, grad", [(200, "grad,0.26,,0.39,"),
+                                            (80, "grad,0.26,,,"),
+                                            (2, "grad,,,,")])
+    def test_table1_grad_row(self, tmp_path, base, grad):
+        # each column's slope over the finest values of its cells without an
+        # asterisk, blank with fewer than two such cells: at base 80 only
+        # (4, 0.5) is unsettled, at base 2 every cell is
+        out = tmp_path / "t1.csv"
+        assert parse_and_dispatch(["table1", "--m", "2,4", "--r", "0.4,0.5",
+                                   "--base", str(base), "--levels", "3",
+                                   "-o", str(out)]) == 0
+        printed = out.read_text().splitlines()[-1]
+        assert printed == grad
+        rows = hl.table1((0.4, 0.5), (2, 4), base=base, levels=3)
+        expected = ["grad"]
+        for r in (0.4, 0.5):
+            settled = [row for row in rows if row.r == r and not row.asterisk]
+            slope = hl.slope_fit([row.m for row in settled],
+                                 [row.run.values[-1] for row in settled]) \
+                if len(settled) >= 2 else None
+            expected += ["" if slope is None else f"{slope:.2f}", ""]
+        assert printed == ",".join(expected)
 
     def test_parallel_output_byte_identical(self, tmp_path):
         args = ["table1", "--m", "2,4", "--r", "0.4", "--base", "25",

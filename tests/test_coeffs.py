@@ -281,7 +281,7 @@ def _variation_reference(coeff):
             var += abs(seg.right - seg.left)
         else:
             var += adaptive_gauss(
-                lambda x, s=seg: np.abs(s.deriv(x)), x0, x1, rtol=1e-10)
+                lambda x, s=seg: np.abs(s.deriv(x)), x0, x1)
     return var
 
 
@@ -299,7 +299,7 @@ def _variation_of_square_reference(coeff):
         else:
             var += adaptive_gauss(
                 lambda x, s=seg: np.abs(2.0 * s.func(x) * s.deriv(x)),
-                x0, x1, rtol=1e-10)
+                x0, x1)
     return var
 
 

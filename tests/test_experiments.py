@@ -234,7 +234,7 @@ def _refine_serial_reference(problem, base=_LADDER["base"],
     converged = len(values) >= 3 and tail[0] == tail[1] == tail[2]
     return hl.RefinementRun(tuple(values), converged,
                             hl.round_sig(values[-1], sigfigs), cond,
-                            solution.residual, float(wu), sigfigs)
+                            solution.residual, float(wu))
 
 
 def _edit_record(path, edit):

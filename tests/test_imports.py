@@ -68,29 +68,56 @@ REFERENCING = ALL_MODULES + sorted((ROOT / "tests").glob("*.py")) \
     + sorted((ROOT / "perfbench").glob("*.py"))
 
 
+def _names(node, skip=()) -> set:
+    """Names, attributes, imported names and string constants in node, not
+    looking inside the nodes of `skip`."""
+    names = set()
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if any(sub is s for s in skip):
+            continue
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+        stack.extend(ast.iter_child_nodes(sub))
+    return names
+
+
 def unreferenced_definitions(modules: dict, others: list) -> list:
-    """Module-level functions and classes of `modules` (name -> source) that
-    no source names: not as a name, an attribute, an imported or re-exported
-    name, or a string holding exactly the name (getattr and patching).  Uses
-    inside a definition's own body do not count for it."""
+    """Module-level functions and classes of `modules` (name -> source), and
+    the methods and properties of those classes, that no source names: not
+    as a name, an attribute, an imported or re-exported name, or a string
+    holding exactly the name (getattr and patching).  Uses inside a
+    definition's own body do not count for it.  Dunder methods are not
+    checked, nor the methods of a class with a base from outside `modules`,
+    which may be called by that base (such as `error` on a parser)."""
+    trees = [(module, ast.parse(source)) for module, source in modules.items()]
+    trees += [(None, ast.parse(source)) for source in others]
+    package = {node.name for module, tree in trees if module
+               for node in tree.body if isinstance(node, ast.ClassDef)}
     defs = []
     used = set()
-    for module, source in list(modules.items()) + [(None, s) for s in others]:
-        for node in ast.parse(source).body:
-            names = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    names.add(sub.attr)
-                elif isinstance(sub, ast.alias):
-                    names.add(sub.name)
-                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                    names.add(sub.value)
-            if module and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((node.name, f"{module}: {node.name}"))
-                names.discard(node.name)
-            used |= names
+    for module, tree in trees:
+        for node in tree.body:
+            if not (module and isinstance(node, (ast.FunctionDef, ast.ClassDef))):
+                used |= _names(node)
+                continue
+            defs.append((node.name, f"{module}: {node.name}"))
+            methods = []
+            if isinstance(node, ast.ClassDef) and all(
+                    isinstance(b, ast.Name) and b.id in package for b in node.bases):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                           and not m.name.startswith("__")]
+            for m in methods:
+                defs.append((m.name, f"{module}: {node.name}.{m.name}"))
+                used |= _names(m) - {node.name, m.name}
+            used |= _names(node, skip=methods) - {node.name}
     return sorted(where for name, where in defs if name not in used)
 
 
@@ -105,6 +132,22 @@ def test_scanner_flags_an_unreferenced_definition():
     others = ["from m import Exported\n", "setattr(m, 'Patched', None)\n"]
     assert unreferenced_definitions({"m.py": module}, others) == [
         "m.py: Dead", "m.py: dead", "m.py: recursive"]
+
+
+def test_scanner_flags_an_unreferenced_method():
+    module = ("import argparse\n"
+              "class Base:\n"
+              "    def __init__(self):\n        self.kept()\n"
+              "    def kept(self):\n        return self.helper\n"
+              "    @property\n    def helper(self):\n        return 1\n"
+              "    def recursive(self):\n        return self.recursive()\n"
+              "class Child(Base):\n"
+              "    def dead(self):\n        return Child\n"
+              "class Parser(argparse.ArgumentParser):\n"
+              "    def error(self, message):\n        pass\n")
+    others = ["from m import Child, Parser\n"]
+    assert unreferenced_definitions({"m.py": module}, others) == [
+        "m.py: Base.recursive", "m.py: Child.dead"]
 
 
 def test_no_unreferenced_definitions():

@@ -174,13 +174,25 @@ class TestQBound:
         assert bound == pytest.approx(2.0 * 3.0 * 4.0, rel=1e-12)
 
     def test_exact_below_bound(self, rng):
-        for _ in range(100):
-            a = random_coefficient(rng)
-            c = random_coefficient(rng)
+        # [-1, 1], then random intervals [z_0, z_N]: anywhere, and left of 0
+        ends = np.random.default_rng(7)
+        intervals = [(-1.0, 1.0)] * 100
+        for lo, hi in ((-4.0, 4.0), (-8.0, -4.0)):
+            starts = ends.uniform(lo, hi, 50)
+            intervals += list(zip(starts, starts + ends.uniform(0.1, 3.9, 50)))
+        for interval in intervals:
+            a = random_coefficient(rng, interval=interval)
+            c = random_coefficient(rng, interval=interval)
             for bc in BC:
                 q_exact = hl.q_sup(hl.build_q(a, c), bc)
                 assert q_exact <= hl.q_product_bound(a, c, bc) * (1.0 + 1e-12)
                 assert q_exact <= hl.q_bound(a, c, bc) * (1.0 + 1e-12)
+
+    def test_bounds_reject_different_intervals(self):
+        a, c = hl.constant(1.0, 1.0), hl.constant(1.0, 2.0)
+        for bound in (hl.q_bound, hl.q_product_bound):
+            with pytest.raises(hl.CoefficientError):
+                bound(a, c)
 
     def test_overflow_reports_infinity(self):
         # enormous variation: alternating layers with huge ratio
