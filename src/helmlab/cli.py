@@ -16,11 +16,9 @@ import sys
 import numpy as np
 
 from . import experiments, fem, oracle, stability, theory
-from .coeffs import CoefficientError
-from .config import ConfigError, load_problem
+from .config import load_problem
 from .experiments import UnstableFamilySpec
 from .fem import SingularSystemError
-from .oracle import UnsupportedProblemError
 
 
 class UsageError(Exception):
@@ -41,7 +39,7 @@ def fmt_sig(value: float, sigfigs: int = 4) -> str:
         return ""
     if value == 0.0:
         return "0"
-    rounded = float(f"%.{sigfigs - 1}e" % value)
+    rounded = experiments.round_sig(value, sigfigs)
     mag = math.floor(math.log10(abs(rounded)))
     decimals = max(0, sigfigs - 1 - mag)
     if -4 <= mag < sigfigs + 2:
@@ -300,8 +298,7 @@ def _add_table_opts(p):
     p.add_argument("--base", type=int, default=800,
                    help="elements per subinterval at the first level")
     p.add_argument("--levels", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"parallel cells (default ${experiments.JOBS_ENV_VAR} or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel cells")
     p.add_argument("--cache", default=None, help="directory for resumable runs")
     p.add_argument("--paper-format", action="store_true",
                    help="d.ddd(+e) cells for diffing against the reference tables")
@@ -402,11 +399,8 @@ def parse_and_dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, CoefficientError, UnsupportedProblemError,
-            ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # config, coefficient and unsupported-problem errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularSystemError as exc:

@@ -19,9 +19,10 @@ Format (configparser syntax; see docs/formats.md for the full schema):
     segment3 = constant 0.5
     segment4 = constant 1.5
 
-Segment kinds: `constant <value>` and `linear <left> <right>`.  Smooth
-segments need Python callables and are library-only.  Only f = 0 problems
-can be described in a file; sources are library-only as well.
+Segment kinds: `constant <value>` and `linear <left> <right>`.  Any other
+section or key is an error.  Smooth segments need Python callables and are
+library-only.  Only f = 0 problems can be described in a file; sources are
+library-only as well.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def _parse_coefficient(section: configparser.SectionProxy,
     if "breakpoints" not in section:
         raise ConfigError(f"[{name}] needs a 'breakpoints' entry")
     bp = _parse_floats(section["breakpoints"])
+    _reject_unknown_keys(section, ["breakpoints"]
+                         + [f"segment{i}" for i in range(1, len(bp))])
     segs = []
     for i in range(1, len(bp)):
         key = f"segment{i}"
@@ -84,16 +87,31 @@ def _parse_coefficient(section: configparser.SectionProxy,
     return from_segments(bp, segs)
 
 
+def _reject_unknown_keys(section: configparser.SectionProxy, known) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"[{section.name}] has unknown key {key!r}")
+
+
 def load_problem(path: str) -> HelmholtzProblem:
-    """Read a problem description file (`;` and `#` start inline comments)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    """Read a problem description file (`;` and `#` start inline comments;
+    `%` is an ordinary character, not configparser interpolation)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    for sec in parser.sections():
+        if sec not in ("problem", "a", "c"):
+            raise ConfigError(f"config has unknown section [{sec}]")
     for sec in ("problem", "a", "c"):
         if sec not in parser:
             raise ConfigError(f"config is missing the [{sec}] section")
     prob = parser["problem"]
+    _reject_unknown_keys(prob, ("omega", "bc", "g_left", "g_right"))
     if "omega" not in prob:
         raise ConfigError("[problem] needs 'omega'")
     omega = _parse_float(prob["omega"], "[problem] omega")

@@ -30,11 +30,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fem, oracle, stability
-from .coeffs import constant, piecewise_constant, segment_of
+from .coeffs import constant, piecewise_constant
 from .problem import BoundaryConfig, HelmholtzProblem
 from .quadrature import G5_T, G5_W
 
-JOBS_ENV_VAR = "HELMLAB_JOBS"
 # Part of every cached ladder's file name and record; a ladder stored under
 # another version is a miss.  Bump it when a change may move a cached value.
 CACHE_VERSION = 2
@@ -220,16 +219,6 @@ class TableRow:
     run: RefinementRun
 
 
-def _default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV_VAR)
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV_VAR}={env!r} is not an integer") from None
-
-
 def _run_cell(args) -> TableRow:
     spec, base, levels, cache_dir = args
     run = refine_to_convergence(family(spec), base=base, levels=levels,
@@ -240,11 +229,10 @@ def _run_cell(args) -> TableRow:
 
 def run_cells(specs: Sequence[UnstableFamilySpec], base: int = 800,
               levels: int = 7, cache_dir: Optional[str] = None,
-              jobs: Optional[int] = None) -> list:
+              jobs: int = 1) -> list:
     """Execute family cells (a work pool when jobs > 1); order follows specs."""
-    jobs = _default_jobs() if jobs is None else max(1, jobs)
     payload = [(s, base, levels, cache_dir) for s in specs]
-    if jobs == 1 or len(specs) <= 1:
+    if jobs <= 1 or len(specs) <= 1:
         return [_run_cell(p) for p in payload]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_cell, payload))
@@ -425,11 +413,11 @@ def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
     wavelength, so the quadrature error is negligible against the error
     being measured.  The squared error is a sum over the flat element-major
     grid of Gauss points, taken by `_pairwise_tree`: each leaf builds the
-    Gauss data (weights, the element coefficients from one layer lookup of
-    the midpoints, and the exact u and u' from one oracle pass) for the
-    elements covering its points only, shared by both distances, and
-    returns the four partial sums (derivative and mass term of each
-    function).  A leaf may start or end inside an element.
+    Gauss data (weights, the coefficients of the layer that owns each
+    element, element // `per_segment` on the mesh, and the exact u and u'
+    from one oracle pass) for the elements covering its points only, shared
+    by both distances, and returns the four partial sums (derivative and
+    mass term of each function).  A leaf may start or end inside an element.
     Memory is bounded by the leaf, not by the mesh, and the results are the
     bits of one `np.sum` per term over the whole grid.
     """
@@ -441,7 +429,7 @@ def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
         e0, e1 = lo // n_gauss, -(-(lo + n) // n_gauss)
         x = nodes[e0:e1 + 1]
         h = np.diff(x)
-        layer = segment_of(amps.partition, 0.5 * (x[:-1] + x[1:]))
+        layer = np.arange(e0, e1) // mesh.per_segment
         wg = h[:, None] * G5_W[None, :]
         w_deriv = amps.a[layer][:, None] * wg
         w_mass = (om / amps.c[layer][:, None]) ** 2 * wg

@@ -1,15 +1,17 @@
 """Conforming P1 finite elements for the 1D heterogeneous problem.
 
-Element integrals are exact for piecewise-constant and piecewise-linear
-coefficients (5-point Gauss for smooth data and sources) and are computed one
-coefficient segment at a time, on the contiguous run of elements that the
-segment owns.  The complex symmetric tridiagonal system stores its diagonal
-and a single off-diagonal; it is solved by banded LU with partial pivoting,
-and conditioning is estimated by a Hager-style 1-norm iteration on the
-factors.  Condition numbers in the instability studies reach 1e17, which is
-why plain pivot-free recursions are not used here.  At that conditioning the
-finest ladder levels depend on the last bit of the assembled entries, so
-reordering the element or assembly arithmetic changes printed table cells.
+A mesh is a partition plus one element count per subinterval, so subinterval
+j owns a known run of elements.  Element integrals are exact for
+piecewise-constant and piecewise-linear coefficients (5-point Gauss for smooth
+data and sources) and are computed one coefficient segment at a time, on the
+run of elements that the segment owns.  The complex symmetric tridiagonal
+system stores its diagonal and a single off-diagonal; it is solved by banded
+LU with partial pivoting, and conditioning is estimated by a Hager-style
+1-norm iteration on the factors.  Condition numbers in the instability
+studies reach 1e17, which is why plain pivot-free recursions are not used
+here.  At that conditioning the finest ladder levels depend on the last bit
+of the assembled entries, so reordering the element or assembly arithmetic
+changes printed table cells.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .quadrature import G5_T, G5_W
 
 
 class MeshAlignmentError(ValueError):
-    """Mesh nodes do not contain every coefficient breakpoint."""
+    """The mesh was built on another partition than the problem's."""
 
 
 class SingularSystemError(RuntimeError):
@@ -39,15 +41,26 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Nodes on [z_0, z_N] including every coefficient breakpoint."""
+    """`per_segment` = n uniform elements on every subinterval of a partition:
+    one `linspace` per subinterval, then the last breakpoint, so every
+    breakpoint is a node and subinterval j owns elements j*n .. (j+1)*n - 1.
+    Gaps too small for n elements give colliding nodes and are rejected."""
 
-    nodes: np.ndarray
+    partition: np.ndarray
+    per_segment: int
+    nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
+        if self.per_segment < 1:
+            raise ValueError("element count per subinterval must be >= 1")
+        part = np.asarray(self.partition, dtype=float)
+        pieces = [np.linspace(part[i], part[i + 1], self.per_segment + 1)[:-1]
+                  for i in range(len(part) - 1)]
+        nodes = np.concatenate(pieces + [part[-1:]])
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("mesh nodes must be strictly increasing")
+        object.__setattr__(self, "partition", part)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def n_nodes(self) -> int:
@@ -57,16 +70,14 @@ class Mesh1D:
     def widths(self) -> np.ndarray:
         return np.diff(self.nodes)
 
+    def elements_of(self, j: int) -> slice:
+        """The elements of subinterval j."""
+        return slice(j * self.per_segment, (j + 1) * self.per_segment)
+
 
 def build_mesh(problem: HelmholtzProblem, elems_per_subinterval: int) -> Mesh1D:
     """Uniform subdivision of every coefficient subinterval."""
-    if elems_per_subinterval < 1:
-        raise ValueError("element count per subinterval must be >= 1")
-    part = problem.partition
-    pieces = [np.linspace(part[i], part[i + 1], elems_per_subinterval + 1)[:-1]
-              for i in range(len(part) - 1)]
-    nodes = np.concatenate(pieces + [part[-1:]])
-    return Mesh1D(nodes)
+    return Mesh1D(problem.partition, elems_per_subinterval)
 
 
 @dataclass
@@ -166,27 +177,15 @@ def _element_data(problem: HelmholtzProblem, mesh: Mesh1D):
     on the unit element.  Exact for constant/linear segments, 5-point Gauss
     otherwise.
     """
-    nodes = mesh.nodes
     part = problem.partition
-    # every breakpoint must be a mesh node, to within tol on either side
-    tol = 1e-12 * (abs(nodes[-1] - nodes[0]) + 1.0)
-    pos = np.searchsorted(nodes, part - tol)
-    if np.any(pos >= len(nodes)) or np.any(np.abs(nodes[np.clip(pos, 0, len(nodes) - 1)] - part) > tol):
-        raise MeshAlignmentError("mesh must contain every coefficient breakpoint")
-
-    xl, xr = nodes[:-1], nodes[1:]
+    if not np.array_equal(mesh.partition, part):
+        raise MeshAlignmentError("mesh was built on another partition")
+    xl, xr = mesh.nodes[:-1], mesh.nodes[1:]
     h = xr - xl
-    # segment j owns the contiguous elements pos[j]:pos[j+1]; elements of a
-    # mesh that overhangs the partition belong to the end segments
-    bounds = pos.copy()
-    bounds[0], bounds[-1] = 0, len(h)
 
-    a_mean = np.empty(len(h))
-    p00 = np.empty(len(h))
-    p01 = np.empty(len(h))
-    p11 = np.empty(len(h))
+    a_mean, p00, p01, p11 = (np.empty(len(h)) for _ in range(4))
     for j, (aseg, cseg) in enumerate(zip(problem.a.segments, problem.c.segments)):
-        sl = slice(bounds[j], bounds[j + 1])
+        sl = mesh.elements_of(j)
         x0, x1 = part[j], part[j + 1]
 
         if isinstance(aseg, Constant):

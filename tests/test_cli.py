@@ -124,6 +124,40 @@ class TestDispatch:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("text, named", [
+        (UNIT_CFG.replace("g_right = 1", "g_right = 1\nomega = 2"), "'omega'"),
+        (UNIT_CFG.replace("[problem]\n", ""), "section header"),
+        (UNIT_CFG.replace("g_left = 0", "g_left = 0%"), "'0%'")],
+        ids=["duplicate-key", "no-section-header", "percent-sign"])
+    def test_configparser_error_exits_one(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert parse_and_dispatch(["oracle", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+
+    @pytest.mark.parametrize("text, named", [
+        (UNIT_CFG.replace("g_right = 1", "g_rigth = 1"),
+         "[problem] has unknown key 'g_rigth'"),
+        (UNIT_CFG + "segment2 = constant 2\n", "[c] has unknown key 'segment2'"),
+        (UNIT_CFG.replace("[a]\n", "[a]\nomega = 2\n"),
+         "[a] has unknown key 'omega'"),
+        (UNIT_CFG + "\n[f]\nsegment1 = constant 1\n",
+         "config has unknown section [f]")],
+        ids=["misspelt-key", "extra-segment", "key-of-another-section",
+             "extra-section"])
+    def test_unknown_section_or_key_exits_one(self, tmp_path, capsys, text, named):
+        # each of these used to load, with the entry silently dropped
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_problem(str(path))
+        assert parse_and_dispatch(["oracle", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {named}\n"
+
     def test_documented_problem_file_loads(self, tmp_path, capsys):
         # the [problem] example in docs/formats.md, inline comments included
         block = re.search(r"```ini\n(.*?)```", FORMATS_DOC.read_text(), re.S)
@@ -256,6 +290,19 @@ class TestTables:
         assert cells[1] == ""          # not attempted
         assert cells[2] != ""
 
+    def test_table3_attempt_blank_runs_the_ladder(self, tmp_path):
+        # m >= 14, eps <= 1e-7 cells are left blank unless asked for; then
+        # the ladder runs and the cells come out unsettled
+        args = ["table3", "--m", "14", "--eps", "0,1e-7", "--base", "50",
+                "--levels", "3"]
+        blank = tmp_path / "blank.csv"
+        attempted = tmp_path / "attempted.csv"
+        assert parse_and_dispatch(args + ["-o", str(blank)]) == 0
+        assert parse_and_dispatch(args + ["--attempt-blank",
+                                          "-o", str(attempted)]) == 0
+        assert blank.read_text().splitlines()[1] == "14,,"
+        assert attempted.read_text().splitlines()[1] == "14,2.866*,3.225*"
+
     def test_table3_beyond_paper_cells(self, tmp_path):
         out = tmp_path / "t3.csv"
         assert parse_and_dispatch(["table3", "--m", "14", "--eps", "0,1e-3",
@@ -304,13 +351,6 @@ class TestTables:
         # one record per ladder
         assert [p.name for p in cache.iterdir()] == \
             [f"{hl.UnstableFamilySpec(2, 0.4).cache_key()}_base25_levels2_v2.json"]
-
-    def test_malformed_jobs_variable_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setenv(hl.experiments.JOBS_ENV_VAR, "abc")
-        assert parse_and_dispatch(["table1", "--m", "2", "--r", "0.4",
-                                   "--base", "20", "--levels", "2"]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {hl.experiments.JOBS_ENV_VAR}='abc'" in err
 
     def test_bounds_compare_csv(self, tmp_path):
         out = tmp_path / "b.csv"

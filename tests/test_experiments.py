@@ -193,20 +193,6 @@ class TestRefinementProtocol:
         # a ladder without its estimate is not stored
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value, jobs", [(None, 1), ("", 1), ("3", 3),
-                                             ("0", 1), ("abc", None),
-                                             ("2.5", None)])
-    def test_jobs_variable(self, monkeypatch, value, jobs):
-        if value is None:
-            monkeypatch.delenv(experiments.JOBS_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(experiments.JOBS_ENV_VAR, value)
-        if jobs is None:
-            with pytest.raises(ValueError, match=experiments.JOBS_ENV_VAR):
-                experiments._default_jobs()
-        else:
-            assert experiments._default_jobs() == jobs
-
     def test_parallel_matches_serial(self, tmp_path):
         specs = [hl.UnstableFamilySpec(2, r) for r in (0.4, 0.5)]
         serial = hl.run_cells(specs, base=50, levels=2, jobs=1)

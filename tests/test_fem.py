@@ -43,6 +43,22 @@ class TestMesh:
         for z in prob.partition:
             assert np.min(np.abs(mesh.nodes - z)) == 0.0
 
+    def test_subinterval_owns_its_elements(self):
+        prob = hl.family(hl.UnstableFamilySpec(4, 0.4, eps=1e-6))
+        mesh = hl.build_mesh(prob, 7)
+        for j in range(len(prob.partition) - 1):
+            sl = mesh.elements_of(j)
+            assert sl.stop - sl.start == 7
+            assert mesh.nodes[sl.start] == prob.partition[j]
+            assert mesh.nodes[sl.stop] == prob.partition[j + 1]
+
+    def test_colliding_nodes_rejected(self):
+        # a gap of one ulp cannot hold two elements
+        part = np.array([-1.0, 0.0, np.nextafter(0.0, 1.0), 1.0])
+        hl.Mesh1D(part, 1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hl.Mesh1D(part, 2)
+
 
 class TestAssembly:
     def test_hand_stencil(self):
@@ -96,12 +112,13 @@ class TestAssembly:
         assert system.rhs[0] == pytest.approx(h / 2.0)
 
     def test_misaligned_mesh_rejected(self):
+        # meshes of other family members, with as many subintervals as the
+        # (2, 0.5) problem and with more: their nodes miss its breakpoints
         prob = hl.family(hl.UnstableFamilySpec(2, 0.5))
-        # every interior breakpoint lies at least 2e-3 from this mesh's
-        # nodes; with 101 nodes they would be nodes to within round-off
-        bad = hl.Mesh1D(np.linspace(-1.0, 1.0, 100))
-        with pytest.raises(MeshAlignmentError):
-            hl.assemble(prob, bad)
+        for other in (hl.UnstableFamilySpec(2, 0.4), hl.UnstableFamilySpec(4, 0.5)):
+            bad = hl.build_mesh(hl.family(other), 20)
+            with pytest.raises(MeshAlignmentError):
+                hl.assemble(prob, bad)
 
 
 def _element_data_masked(problem, mesh):
@@ -185,28 +202,6 @@ class TestElementData:
             assert {type(s) for s in coef.segments} == {
                 hl.Constant, hl.Linear, hl.Smooth}
         _assert_element_data_identical(prob, hl.build_mesh(prob, 37))
-
-    @staticmethod
-    def _check_node_moved_off_breakpoint(shift):
-        # the alignment check accepts a node within 1e-13 of the breakpoint
-        # on either side; the element ending there still belongs to the left
-        # segment
-        prob = hl.family(hl.UnstableFamilySpec(2, 0.5))
-        nodes = hl.build_mesh(prob, 8).nodes.copy()
-        k = int(np.searchsorted(nodes, prob.partition[2]))
-        assert nodes[k] == prob.partition[2]
-        nodes[k] += shift
-        mesh = hl.Mesh1D(nodes)
-        _assert_element_data_identical(prob, mesh)
-        a_mean, p00, _, _ = fem._element_data(prob, mesh)
-        c_left = prob.c.segments[1].value
-        assert p00[k - 1] == 1.0 / c_left**2 / 3.0
-
-    def test_node_just_above_breakpoint(self):
-        self._check_node_moved_off_breakpoint(1e-13)
-
-    def test_node_just_below_breakpoint(self):
-        self._check_node_moved_off_breakpoint(-1e-13)
 
 
 class TestSolve:

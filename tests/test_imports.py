@@ -157,11 +157,14 @@ def test_no_unreferenced_definitions():
 
 
 PARTITION_NAMES = ("partition", "breakpoints")
+# a mesh states which subinterval owns each of its elements
+NODE_NAMES = ("nodes",)
 
 
-def partition_lookups(source: str) -> list:
+def partition_lookups(source: str, names=PARTITION_NAMES) -> list:
     """`searchsorted` calls that look points up in a partition: the first
-    argument is a name or attribute called `partition` or `breakpoints`."""
+    argument is a name or attribute called `partition` or `breakpoints`, or
+    one of `names` if given (`NODE_NAMES` for lookups over mesh nodes)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and node.args):
@@ -169,7 +172,7 @@ def partition_lookups(source: str) -> list:
         func, first = node.func, node.args[0]
         callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         target = first.attr if isinstance(first, ast.Attribute) else getattr(first, "id", None)
-        if callee == "searchsorted" and target in PARTITION_NAMES:
+        if callee == "searchsorted" and target in names:
             found.append(f"line {node.lineno}: searchsorted({target}, ...)")
     return found
 
@@ -185,6 +188,23 @@ def test_scanner_flags_a_partition_lookup():
     assert partition_lookups(source) == [
         "line 3: searchsorted(partition, ...)",
         "line 5: searchsorted(breakpoints, ...)"]
+
+
+def test_scanner_flags_a_mesh_node_lookup():
+    source = ("import numpy as np\n"
+              "np.searchsorted(nodes, part - tol)\n"
+              "np.searchsorted(mesh.nodes, x, side='right')\n"
+              "np.searchsorted(self.partition, x)\n"
+              "np.searchsorted(node_list, x)\n")
+    assert partition_lookups(source, NODE_NAMES) == [
+        "line 2: searchsorted(nodes, ...)",
+        "line 3: searchsorted(nodes, ...)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_mesh_node_lookup(path):
+    """Which subinterval owns an element is stated by `fem.Mesh1D`."""
+    assert partition_lookups(path.read_text(), NODE_NAMES) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "coeffs.py"],
