@@ -39,6 +39,8 @@ def fmt_sig(value: float, sigfigs: int = 4) -> str:
         return ""
     if value == 0.0:
         return "0"
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
     rounded = experiments.round_sig(value, sigfigs)
     mag = math.floor(math.log10(abs(rounded)))
     decimals = max(0, sigfigs - 1 - mag)
@@ -53,6 +55,8 @@ def fmt_paper(value: float, sigfigs: int = 4) -> str:
         return ""
     if value == 0.0:
         return "0"
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
     s = f"%.{sigfigs - 1}e" % value
     mantissa, exponent = s.split("e")
     return f"{mantissa}({int(exponent):+d})"

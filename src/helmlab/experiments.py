@@ -10,11 +10,12 @@ breakpoint collapses the growth.
 
 Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
-significant figures; the finest level runs first, and its condition estimate
-runs on one helper thread while the coarser levels run; an optional cache
-keeps one record per ladder), table grids over (m, r, data, perturbation),
-least-squares growth-rate fits, comparison against the theoretical bound, and
-an empirical quasi-optimality probe against the analytic reference.
+significant figures; the finest level is factorized first, and its
+condition estimate runs on one helper thread while that level is solved and
+the coarser levels run; an optional cache keeps one record per ladder),
+table grids over (m, r, data, perturbation), least-squares growth-rate fits,
+comparison against the theoretical bound, and an empirical quasi-optimality
+probe against the analytic reference.
 """
 
 from __future__ import annotations
@@ -117,10 +118,11 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
                           cache_key: Optional[str] = None) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
 
-    The finest level runs first, and the condition estimate of its system
-    runs on one helper thread while the calling thread works through the
-    coarser levels; every level still runs the same functions on the same
-    inputs, so the run is the one a serial ladder gives.
+    The finest level is built and factorized first, and the condition
+    estimate of its system runs on one helper thread while the calling
+    thread solves and norms that level and then works through the coarser
+    levels; every level still runs the same functions on the same inputs,
+    so the run is the one a serial ladder gives.
 
     With a cache directory and key, the ladder is one record keyed by
     problem, base and level count: it is read before the ladder and written
@@ -143,27 +145,45 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
 
 def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     """The ladder's cache record: ||u_h'|| per level, and the finest level's
-    weighted norm, residual and condition estimate."""
+    weighted norm, residual and condition estimate.
+
+    The finest level is built and factorized first, and its estimate is
+    submitted to one helper thread before that level is solved and normed;
+    the coarser levels follow, each built, factorized, solved and normed.
+    """
     # no thread starts before the submit; leaving the block joins it
     with ThreadPoolExecutor(max_workers=1) as pool:
-        finest, system = _run_level(problem, base, levels - 1)
-        system.rhs = None  # the estimate needs the matrix and its LU
+        mesh, system = _factorized_level(problem, base, levels - 1)
+        # scipy's zgttrf/zgttrs wrappers hold the GIL (8 in-place zgttrs
+        # calls at 1,280,001 nodes beside 25 numpy multiplies took 292 ms on
+        # two threads and 287 ms serially), so the estimate overlaps only
+        # the calling thread's numpy work
         estimate = pool.submit(fem.condition_estimate, system)
-        del system  # so the system is freed when its estimate is done
-        du = [_run_level(problem, base, level)[0]["du"]
+        finest = _solved_level(problem, mesh, system)
+        del mesh, system  # so the system is freed when its estimate is done
+        du = [_solved_level(problem, *_factorized_level(problem, base, level))["du"]
               for level in range(levels - 1)]
         cond = estimate.result()
     return {"du": du + [finest["du"]], "wu": finest["wu"],
             "res": finest["res"], "cond": cond}
 
 
-def _run_level(problem: HelmholtzProblem, base: int, level: int) -> tuple:
-    """One ladder level: its norms and residual (du, wu, res) and its
-    factored system."""
+def _factorized_level(problem: HelmholtzProblem, base: int, level: int) -> tuple:
+    """One ladder level's mesh and its assembled, factorized system."""
     mesh = fem.build_mesh(problem, base * 2**level)
-    solution, system = fem.solve_problem(problem, mesh)
+    system = fem.assemble(problem, mesh)
+    system.factorize()
+    return mesh, system
+
+
+def _solved_level(problem: HelmholtzProblem, mesh: fem.Mesh1D,
+                  system: fem.BandedComplexSystem) -> dict:
+    """A factorized level's norms and residual (du, wu, res).  The right-hand
+    side is dropped once solved: an estimate needs the matrix and its LU."""
+    solution = fem.solve(system)
+    system.rhs = None
     du, wu, _energy = fem.norms(solution, problem, mesh)
-    return {"du": float(du), "wu": float(wu), "res": solution.residual}, system
+    return {"du": float(du), "wu": float(wu), "res": solution.residual}
 
 
 def _cache_path(cache_dir, cache_key, base, levels) -> Optional[Path]:

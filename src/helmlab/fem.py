@@ -147,10 +147,12 @@ class BandedComplexSystem:
         return x.ravel()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x; both off-diagonal products go through one buffer."""
         y = self.diag * x
         if self.dimension > 1:
-            y[:-1] += self.offdiag * x[1:]
-            y[1:] += self.offdiag * x[:-1]
+            off = np.multiply(self.offdiag, x[1:])
+            y[:-1] += off
+            y[1:] += np.multiply(self.offdiag, x[:-1], out=off)
         return y
 
     def norm1(self) -> float:
@@ -251,9 +253,12 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
     n = mesh.n_nodes
 
     kdiag = a_mean / h
-    diag = np.zeros(n, dtype=complex)
+    # summed in float64: adding complex numbers with zero imaginary parts
+    # gives the same bits, so one cast at the end replaces complex temporaries
+    diag = np.zeros(n)
     diag[:-1] += kdiag - om**2 * h * p00
     diag[1:] += kdiag - om**2 * h * p11
+    diag = diag.astype(complex)
     offdiag = (-kdiag - om**2 * h * p01).astype(complex)
 
     rhs = np.zeros(n, dtype=complex)
@@ -279,14 +284,20 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
 
 
 def solve(system: BandedComplexSystem) -> FemSolution:
-    """Banded LU solve; the relative max-norm residual is always reported."""
+    """Banded LU solve; the relative max-norm residual is always reported.
+
+    The max norms reuse one array of magnitudes, and A x - b is formed in
+    the array that `matvec` returns.
+    """
     x = system.solve_vector(system.rhs)
-    b_inf = np.linalg.norm(system.rhs, np.inf)
+    mags = np.abs(system.rhs)
+    b_inf = mags.max()
     if b_inf == 0.0:
         residual = 0.0
     else:
-        residual = float(np.linalg.norm(system.matvec(x) - system.rhs, np.inf)
-                         / b_inf)
+        r = system.matvec(x)
+        np.subtract(r, system.rhs, out=r)
+        residual = float(np.abs(r, out=mags).max() / b_inf)
     if system.dirichlet_left or system.dirichlet_right:
         pad_l = [0.0] if system.dirichlet_left else []
         pad_r = [0.0] if system.dirichlet_right else []
@@ -300,18 +311,36 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
     The P1 derivative is piecewise constant, so ||u_h'|| is exact; the
     weighted L2 term reuses the exact (or Gauss) element mass integrals; the
     energy combines the a-weighted derivative with the weighted L2 part.
+    The element terms |ur - ul|^2 / h and
+    h (|ul|^2 p00 + 2 Re(ul conj(ur)) p01 + |ur|^2 p11) are evaluated in
+    this order, one operation at a time, into one complex and three real
+    arrays.
     """
     u = solution.values
     h = mesh.widths
     ul, ur = u[:-1], u[1:]
     a_mean, p00, p01, p11 = _element_data(problem, mesh)
     om = problem.omega
-    slope2 = np.abs(ur - ul) ** 2 / h
+    cx = np.subtract(ur, ul)
+    slope2 = np.abs(cx)
+    np.square(slope2, out=slope2)
+    np.divide(slope2, h, out=slope2)
     du2 = float(np.sum(slope2))
-    wu2 = float(om**2 * np.sum(h * (np.abs(ul) ** 2 * p00
-                                    + 2.0 * (ul * np.conj(ur)).real * p01
-                                    + np.abs(ur) ** 2 * p11)))
-    energy2 = float(np.sum(a_mean * slope2)) + wu2
+    mass = np.abs(ul)
+    np.square(mass, out=mass)
+    np.multiply(mass, p00, out=mass)
+    np.multiply(ul, np.conjugate(ur, out=cx), out=cx)
+    term = np.multiply(2.0, cx.real)
+    del cx
+    np.multiply(term, p01, out=term)
+    np.add(mass, term, out=mass)
+    np.abs(ur, out=term)
+    np.square(term, out=term)
+    np.multiply(term, p11, out=term)
+    np.add(mass, term, out=mass)
+    np.multiply(h, mass, out=mass)
+    wu2 = float(om**2 * np.sum(mass))
+    energy2 = float(np.sum(np.multiply(a_mean, slope2, out=term))) + wu2
     return np.sqrt(du2), np.sqrt(wu2), np.sqrt(energy2)
 
 

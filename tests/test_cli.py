@@ -75,6 +75,12 @@ class TestFormatting:
         assert fmt_paper(5.46e10, 3) == "5.46(+10)"
         assert fmt_paper(1.313) == "1.313(+0)"
 
+    @pytest.mark.parametrize("fmt", [fmt_sig, fmt_paper])
+    def test_infinities_print(self, fmt):
+        assert fmt(float("inf")) == "inf"
+        assert fmt(float("-inf")) == "-inf"
+        assert fmt(np.float64("inf"), 3) == "inf"
+
 
 class TestDispatch:
     def test_unknown_flag_exits_one(self, capsys):
@@ -271,6 +277,17 @@ class TestTables:
                                    "--base", "50", "--levels", "3",
                                    "--paper-format", "-o", str(out)]) == 0
         assert "7.74" in out.read_text()
+
+    @pytest.mark.parametrize("paper", [False, True], ids=["plain", "paper"])
+    def test_table1_infinite_kappa_prints(self, tmp_path, monkeypatch, paper):
+        # an overflowing condition estimate is printed, not a crash
+        monkeypatch.setattr(hl.fem, "condition_estimate",
+                            lambda system: float("inf"))
+        out = tmp_path / "t1.csv"
+        args = ["table1", "--m", "2", "--r", "0.4", "--base", "20",
+                "--levels", "2", "-o", str(out)]
+        assert parse_and_dispatch(args + (["--paper-format"] if paper else [])) == 0
+        assert out.read_text().splitlines()[1].split(",")[2] == "inf"
 
     def test_table2_header(self, tmp_path):
         out = tmp_path / "t2.csv"

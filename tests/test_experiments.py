@@ -152,26 +152,49 @@ class TestRefinementProtocol:
                       cache_key=_LADDER_SPEC.cache_key())
         if case == "warm":
             hl.refine_to_convergence(prob, **kwargs)
-        run_level = experiments._run_level
-        order, threads = [], []
+        reference = _refine_serial_reference(prob)
+        factorized_level, solve, estimate = \
+            experiments._factorized_level, fem.solve, fem.condition_estimate
+        events, estimated = [], []
 
-        def recording(problem, base, level):
-            order.append(level)
-            threads.append(threading.active_count())
-            return run_level(problem, base, level)
+        def recording_level(problem, base, level):
+            events.append(("factorize", level, threading.active_count()))
+            mesh, system = factorized_level(problem, base, level)
+            assert system._factors is not None
+            return mesh, system
 
-        monkeypatch.setattr(experiments, "_run_level", recording)
+        def recording_solve(system):
+            events.append(("solve", system.dimension, threading.active_count()))
+            return solve(system)
+
+        def recording_estimate(system):
+            estimated.append((system.dimension, threading.current_thread()))
+            return estimate(system)
+
+        monkeypatch.setattr(experiments, "_factorized_level", recording_level)
+        monkeypatch.setattr(fem, "solve", recording_solve)
+        monkeypatch.setattr(fem, "condition_estimate", recording_estimate)
         before = threading.active_count()
-        assert hl.refine_to_convergence(prob, **kwargs) == \
-            _refine_serial_reference(prob)
+        assert hl.refine_to_convergence(prob, **kwargs) == reference
         if case == "estimate":
-            # finest first; one helper thread runs its estimate beside the
-            # coarser levels and stays until the ladder is done
-            assert order == [levels - 1] + list(range(levels - 1))
-            assert threads == [before] + [before + 1] * (levels - 1)
+            # finest first, then 0 .. L-2, each solved right after it is
+            # factorized; the helper thread starts with the finest level's
+            # estimate, so it is alive when that level's solve starts, and
+            # it stays until the ladder is done
+            order = [levels - 1] + list(range(levels - 1))
+            dims = [hl.build_mesh(prob, _LADDER["base"] * 2**level).n_nodes
+                    for level in order]
+            expected = []
+            for i, (level, dim) in enumerate(zip(order, dims)):
+                expected += [("factorize", level, before + (i > 0)),
+                             ("solve", dim, before + 1)]
+            assert events == expected
+            (est_dim, est_thread), = estimated
+            assert est_dim == dims[0]
+            assert est_thread is not threading.main_thread()
         else:
             # a stored ladder runs no level and starts no thread
-            assert order == [] and threads == []
+            assert events == [] and estimated == []
         assert threading.active_count() == before
 
     def test_empty_ladder_rejected(self):

@@ -329,6 +329,134 @@ class TestNorms:
         assert wu == pytest.approx(oracle, rel=1e-9)
 
 
+def _assemble_reference(problem, mesh):
+    """`assemble` with a complex diagonal summed in place, on the masked
+    reference element data."""
+    a_mean, p00, p01, p11 = _element_data_masked(problem, mesh)
+    h = mesh.widths
+    om = problem.omega
+    n = mesh.n_nodes
+    kdiag = a_mean / h
+    diag = np.zeros(n, dtype=complex)
+    diag[:-1] += kdiag - om**2 * h * p00
+    diag[1:] += kdiag - om**2 * h * p11
+    offdiag = (-kdiag - om**2 * h * p01).astype(complex)
+    rhs = np.zeros(n, dtype=complex)
+    if problem.f is not None:
+        xg = mesh.nodes[:-1, None] + h[:, None] * G5_T[None, :]
+        fg = np.asarray(problem.f(xg.ravel()), dtype=complex).reshape(xg.shape)
+        rhs[:-1] += h * ((fg * (1.0 - G5_T)) @ G5_W)
+        rhs[1:] += h * ((fg * G5_T) @ G5_W)
+    if problem.bc.impedance_left:
+        diag[0] -= 1j * om * problem.beta_left
+        rhs[0] += problem.g_left
+    if problem.bc.impedance_right:
+        diag[-1] -= 1j * om * problem.beta_right
+        rhs[-1] += problem.g_right
+    lo = 0 if problem.bc.impedance_left else 1
+    hi = n if problem.bc.impedance_right else n - 1
+    return hl.BandedComplexSystem(
+        diag=diag[lo:hi], offdiag=offdiag[lo:hi - 1], rhs=rhs[lo:hi],
+        dirichlet_left=not problem.bc.impedance_left,
+        dirichlet_right=not problem.bc.impedance_right)
+
+
+def _residual_reference(system, x):
+    """The relative max-norm residual of x through fresh arrays."""
+    b_inf = np.linalg.norm(system.rhs, np.inf)
+    if b_inf == 0.0:
+        return 0.0
+    y = system.diag * x
+    if system.dimension > 1:
+        y[:-1] += system.offdiag * x[1:]
+        y[1:] += system.offdiag * x[:-1]
+    return float(np.linalg.norm(y - system.rhs, np.inf) / b_inf)
+
+
+def _norms_reference(u, problem, mesh):
+    """`norms` as whole-array expressions with fresh temporaries."""
+    h = mesh.widths
+    ul, ur = u[:-1], u[1:]
+    a_mean, p00, p01, p11 = _element_data_masked(problem, mesh)
+    om = problem.omega
+    slope2 = np.abs(ur - ul) ** 2 / h
+    du2 = float(np.sum(slope2))
+    wu2 = float(om**2 * np.sum(h * (np.abs(ul) ** 2 * p00
+                                    + 2.0 * (ul * np.conj(ur)).real * p01
+                                    + np.abs(ur) ** 2 * p11)))
+    energy2 = float(np.sum(a_mean * slope2)) + wu2
+    return np.sqrt(du2), np.sqrt(wu2), np.sqrt(energy2)
+
+
+def _mixed_problem_with_source():
+    """Constant, Linear and Smooth segments in a and c, and a complex source."""
+    a = hl.from_segments([-1.0, -0.3, 0.2, 1.0], [
+        hl.Constant(2.0), hl.Linear(1.0, 3.0),
+        hl.Smooth(func=lambda x: 2.0 + x**2, deriv=lambda x: 2.0 * x,
+                  sign="positive")])
+    c = hl.from_segments([-1.0, -0.5, 0.5, 1.0], [
+        hl.Linear(1.0, 3.0),
+        hl.Smooth(func=lambda x: 2.0 + np.sin(x), deriv=np.cos,
+                  sign="positive"),
+        hl.Constant(0.5)])
+    return hl.HelmholtzProblem(a=a, c=c, omega=7.0, g_right=1.0,
+                               f=lambda x: np.cos(3.0 * x) + 0.5j * x)
+
+
+def _two_layer_problem(bc):
+    bp = [-1.0, 0.2, 1.0]
+    return hl.HelmholtzProblem(
+        a=hl.piecewise_constant(bp, [1.0, 2.0]),
+        c=hl.piecewise_constant(bp, [1.0, 0.5]), omega=5.0, bc=bc,
+        g_left=1.0 if bc.impedance_left else 0.0,
+        g_right=0.5j if bc.impedance_right else 0.0)
+
+
+class TestLevelMatchesFreshArrayReferences:
+    """assemble, the solve residual and norms give the bits of their
+    whole-array forms with fresh temporaries."""
+
+    @staticmethod
+    def _assert_level_identical(problem, mesh):
+        system = hl.assemble(problem, mesh)
+        ref = _assemble_reference(problem, mesh)
+        for name in ("diag", "offdiag", "rhs"):
+            got, want = getattr(system, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        solution = hl.solve(system)
+        x = ref.solve_vector(ref.rhs)
+        assert np.array_equal(solution.residual, _residual_reference(ref, x))
+        assert np.array_equal(hl.norms(solution, problem, mesh),
+                              _norms_reference(solution.values, problem, mesh))
+
+    @pytest.mark.parametrize("m, r", [(10, 0.6), (12, 0.5), (12, 0.6)])
+    def test_paper_asterisk_cells_mid_ladder(self, m, r):
+        # level 3 of the default 800-element, 7-level ladder
+        prob = hl.family(hl.UnstableFamilySpec(m, r))
+        self._assert_level_identical(prob, hl.build_mesh(prob, 800 * 2**3))
+
+    def test_mixed_segment_kinds_with_source(self):
+        prob = _mixed_problem_with_source()
+        self._assert_level_identical(prob, hl.build_mesh(prob, 37))
+
+    @pytest.mark.parametrize("bc", list(BC), ids=lambda bc: bc.name)
+    def test_boundary_configs(self, bc):
+        prob = _two_layer_problem(bc)
+        self._assert_level_identical(prob, hl.build_mesh(prob, 16))
+
+    @pytest.mark.parametrize("bc, elements", [(BC.PURE_IMPEDANCE, 1),
+                                              (BC.DIRICHLET_IMPEDANCE, 1),
+                                              (BC.IMPEDANCE_DIRICHLET, 2)],
+                             ids=["n2", "n1", "n2-dirichlet-right"])
+    def test_dense_fallback(self, bc, elements):
+        prob = unit_problem(omega=1.0, bc=bc,
+                            g=(0.5 if bc.impedance_left else 0.0,
+                               1.0 - 1j if bc.impedance_right else 0.0))
+        mesh = hl.build_mesh(prob, elements)
+        assert hl.assemble(prob, mesh).dimension <= 2
+        self._assert_level_identical(prob, mesh)
+
+
 def _condition_estimate_reference(system, itmax=5):
     """The Hager loop with fresh arrays at every step."""
     n = system.dimension
