@@ -191,7 +191,7 @@ class TestRefinementProtocol:
             assert events == expected
             (est_dim, est_thread), = estimated
             assert est_dim == dims[0]
-            assert est_thread is not threading.main_thread()
+            assert est_thread is not threading.current_thread()
         else:
             # a stored ladder runs no level and starts no thread
             assert events == [] and estimated == []

@@ -17,6 +17,30 @@ def unit_problem(omega=np.pi / 2, bc=BC.PURE_IMPEDANCE, g=(0.0, 1.0)):
                                omega=omega, bc=bc, g_left=g[0], g_right=g[1])
 
 
+def _mixed_problem_with_source():
+    """Constant, Linear and Smooth segments in a and c, and a complex source."""
+    a = hl.from_segments([-1.0, -0.3, 0.2, 1.0], [
+        hl.Constant(2.0), hl.Linear(1.0, 3.0),
+        hl.Smooth(func=lambda x: 2.0 + x**2, deriv=lambda x: 2.0 * x,
+                  sign="positive")])
+    c = hl.from_segments([-1.0, -0.5, 0.5, 1.0], [
+        hl.Linear(1.0, 3.0),
+        hl.Smooth(func=lambda x: 2.0 + np.sin(x), deriv=np.cos,
+                  sign="positive"),
+        hl.Constant(0.5)])
+    return hl.HelmholtzProblem(a=a, c=c, omega=7.0, g_right=1.0,
+                               f=lambda x: np.cos(3.0 * x) + 0.5j * x)
+
+
+def _two_layer_problem(bc):
+    bp = [-1.0, 0.2, 1.0]
+    return hl.HelmholtzProblem(
+        a=hl.piecewise_constant(bp, [1.0, 2.0]),
+        c=hl.piecewise_constant(bp, [1.0, 0.5]), omega=5.0, bc=bc,
+        g_left=1.0 if bc.impedance_left else 0.0,
+        g_right=0.5j if bc.impedance_right else 0.0)
+
+
 class TestMesh:
     def test_single_segment(self):
         mesh = hl.build_mesh(unit_problem(), 2)
@@ -188,16 +212,7 @@ class TestElementData:
     def test_mixed_segment_kinds_match_masked_reference(self):
         # Constant, Linear and Smooth segments in both a and c, on
         # partitions that differ until the problem merges them
-        a = hl.from_segments([-1.0, -0.3, 0.2, 1.0], [
-            hl.Constant(2.0), hl.Linear(1.0, 3.0),
-            hl.Smooth(func=lambda x: 2.0 + x**2, deriv=lambda x: 2.0 * x,
-                      sign="positive")])
-        c = hl.from_segments([-1.0, -0.5, 0.5, 1.0], [
-            hl.Linear(1.0, 3.0),
-            hl.Smooth(func=lambda x: 2.0 + np.sin(x), deriv=np.cos,
-                      sign="positive"),
-            hl.Constant(0.5)])
-        prob = hl.HelmholtzProblem(a=a, c=c, omega=7.0, g_right=1.0)
+        prob = _mixed_problem_with_source()
         for coef in (prob.a, prob.c):
             assert {type(s) for s in coef.segments} == {
                 hl.Constant, hl.Linear, hl.Smooth}
@@ -248,11 +263,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("bc", list(BC), ids=lambda bc: bc.name)
     def test_values_match_padded_path(self, bc):
-        prob = hl.HelmholtzProblem(
-            a=hl.piecewise_constant([-1.0, 0.2, 1.0], [1.0, 2.0]),
-            c=hl.piecewise_constant([-1.0, 0.2, 1.0], [1.0, 0.5]), omega=5.0,
-            bc=bc, g_left=1.0 if bc.impedance_left else 0.0,
-            g_right=0.5j if bc.impedance_right else 0.0)
+        prob = _two_layer_problem(bc)
         system = hl.assemble(prob, hl.build_mesh(prob, 16))
         x = system.solve_vector(system.rhs)
         padded = np.concatenate([[0.0] if system.dirichlet_left else [], x,
@@ -386,30 +397,6 @@ def _norms_reference(u, problem, mesh):
                                     + np.abs(ur) ** 2 * p11)))
     energy2 = float(np.sum(a_mean * slope2)) + wu2
     return np.sqrt(du2), np.sqrt(wu2), np.sqrt(energy2)
-
-
-def _mixed_problem_with_source():
-    """Constant, Linear and Smooth segments in a and c, and a complex source."""
-    a = hl.from_segments([-1.0, -0.3, 0.2, 1.0], [
-        hl.Constant(2.0), hl.Linear(1.0, 3.0),
-        hl.Smooth(func=lambda x: 2.0 + x**2, deriv=lambda x: 2.0 * x,
-                  sign="positive")])
-    c = hl.from_segments([-1.0, -0.5, 0.5, 1.0], [
-        hl.Linear(1.0, 3.0),
-        hl.Smooth(func=lambda x: 2.0 + np.sin(x), deriv=np.cos,
-                  sign="positive"),
-        hl.Constant(0.5)])
-    return hl.HelmholtzProblem(a=a, c=c, omega=7.0, g_right=1.0,
-                               f=lambda x: np.cos(3.0 * x) + 0.5j * x)
-
-
-def _two_layer_problem(bc):
-    bp = [-1.0, 0.2, 1.0]
-    return hl.HelmholtzProblem(
-        a=hl.piecewise_constant(bp, [1.0, 2.0]),
-        c=hl.piecewise_constant(bp, [1.0, 0.5]), omega=5.0, bc=bc,
-        g_left=1.0 if bc.impedance_left else 0.0,
-        g_right=0.5j if bc.impedance_right else 0.0)
 
 
 class TestLevelMatchesFreshArrayReferences:
