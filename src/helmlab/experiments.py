@@ -15,7 +15,9 @@ condition estimate runs on one helper thread while that level is solved and
 the coarser levels run; an optional cache keeps one record per ladder),
 table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
-probe against the analytic reference.
+probe against the analytic reference (its Gauss-point error leaves run on
+two worker threads and are added along one fixed tree, so the errors do not
+depend on which thread finished first).
 """
 
 from __future__ import annotations
@@ -374,9 +376,11 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     zero source.  The ratio ladder stabilises below the quasi-optimality
     factor once the resolution condition holds, and approaches 1 for easy
     problems.  The Gauss-point errors of each level are streamed in leaves
-    of at most `_SUM_LEAF` points (see `_energy_errors`), so memory beyond
-    the level's FEM system is bounded by the leaf, not the mesh, and the
-    errors are the bits one `np.sum` over the whole grid gives.
+    of at most `_SUM_LEAF` points (see `_energy_errors`), two leaves at a
+    time on two worker threads, so memory beyond the level's FEM system is
+    bounded by two leaves, not the mesh, and the errors are the bits one
+    `np.sum` over the whole grid gives.  The threads are joined before each
+    level's errors return, also when a leaf raises.
     """
     if levels < 1:
         raise ValueError("a quasi-optimality probe needs at least one level")
@@ -401,7 +405,9 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
 
 # Flat Gauss points per leaf of the summation tree in `_energy_errors`.  At
 # least numpy's pairwise block of 128, below which the split can stall at 0.
-_SUM_LEAF = 2**14
+# On the quasiopt benchmark 2^16 ran faster than 2^15 and 2^14 (less Python
+# work per point under the GIL) at a few MB more peak memory.
+_SUM_LEAF = 2**16
 
 
 def _pairwise_tree(leaf_sums, lo: int, n: int):
@@ -423,6 +429,26 @@ def _pairwise_tree(leaf_sums, lo: int, n: int):
         _pairwise_tree(leaf_sums, lo + n2, n - n2)
 
 
+def _pooled_pairwise_sum(leaf_sums, n: int):
+    """`_pairwise_tree(leaf_sums, 0, n)` with the leaves computed on two
+    worker threads.
+
+    The leaf runs are listed first, their sums computed by the pool, and the
+    sums then added up the same tree, each looked up by its run; so neither
+    the tree's shape nor the order of its additions depends on which thread
+    finished first, and the result has the bits of the serial tree.  A
+    leaf's error is raised here once the pool is joined, and leaves not yet
+    started are cancelled.
+    """
+    # the tree's own leaf runs, left to right: on lists its `+` concatenates
+    runs = _pairwise_tree(lambda lo, k: [(lo, k)], 0, n)
+    # two workers: the same two-thread budget a ladder uses; leaving the
+    # block joins them on every exit path
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        sums = dict(zip(runs, pool.map(lambda run: leaf_sums(*run), runs)))
+    return _pairwise_tree(lambda lo, k: sums[lo, k], 0, n)
+
+
 def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
                    amps: oracle.WaveAmplitudes, u_fem: np.ndarray,
                    u_interp: np.ndarray) -> tuple:
@@ -432,14 +458,16 @@ def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
     5-point Gauss per element; the meshes resolve the waves far below a
     wavelength, so the quadrature error is negligible against the error
     being measured.  The squared error is a sum over the flat element-major
-    grid of Gauss points, taken by `_pairwise_tree`: each leaf builds the
-    Gauss data (weights, the coefficients of the layer that owns each
+    grid of Gauss points, taken by `_pooled_pairwise_sum`: each leaf builds
+    the Gauss data (weights, the coefficients of the layer that owns each
     element, element // `per_segment` on the mesh, and the exact u and u'
     from one oracle pass) for the elements covering its points only, shared
     by both distances, and returns the four partial sums (derivative and
     mass term of each function).  A leaf may start or end inside an element.
-    Memory is bounded by the leaf, not by the mesh, and the results are the
-    bits of one `np.sum` per term over the whole grid.
+    The leaves run on two worker threads, and their sums are added in
+    `_pairwise_tree`'s order whatever order they finish in.  Memory is
+    bounded by two leaves, not by the mesh, and the results are the bits of
+    one `np.sum` per term over the whole grid.
     """
     nodes = mesh.nodes
     om = problem.omega
@@ -465,14 +493,15 @@ def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
             sums.append(np.sum((w_mass * np.abs(u_ex - u_h) ** 2).ravel()[run]))
         return np.array(sums)
 
-    s = _pairwise_tree(leaf_sums, 0, n_gauss * (len(nodes) - 1))
+    s = _pooled_pairwise_sum(leaf_sums, n_gauss * (len(nodes) - 1))
     return float(np.sqrt(s[0] + s[1])), float(np.sqrt(s[2] + s[3]))
 
 
 def _nodal_l2_error(mesh: fem.Mesh1D, u_exact_nodes: np.ndarray,
                     u_h: np.ndarray) -> float:
     """Trapezoid-weighted l2 distance between nodal values."""
+    half = 0.5 * mesh.widths
     w = np.zeros(mesh.n_nodes)
-    w[:-1] += 0.5 * mesh.widths
-    w[1:] += 0.5 * mesh.widths
+    w[:-1] += half
+    w[1:] += half
     return float(np.sqrt(np.sum(w * np.abs(u_exact_nodes - u_h) ** 2)))

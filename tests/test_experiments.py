@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -391,7 +392,7 @@ class TestQuasiOpt:
         assert hl.quasiopt_probe(prob, levels=levels, base=base) == \
             _reference_probe(prob, levels, base, _energy_errors_one_shot)
 
-    @pytest.mark.parametrize("leaf", [128, 136, 1000, 2**14])
+    @pytest.mark.parametrize("leaf", [128, 136, 1000, 2**14, 2**16])
     def test_pairwise_tree_matches_numpy_sum(self, monkeypatch, leaf):
         # if numpy changes how it reduces float64, this fails before any
         # probe digit moves
@@ -402,6 +403,54 @@ class TestQuasiOpt:
             tree = experiments._pairwise_tree(
                 lambda lo, k: np.sum(a[lo:lo + k]), 0, n)
             assert tree == np.sum(a), n
+
+    @pytest.mark.parametrize("leaf", [128, 136, 1000])
+    def test_pooled_sum_ignores_completion_order(self, monkeypatch, leaf):
+        # seeded sleeps make the two workers finish the leaves out of order
+        monkeypatch.setattr(experiments, "_SUM_LEAF", leaf)
+        rng = np.random.default_rng(leaf)
+        n = 40 * leaf + 13
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
+        finished = []
+
+        def leaf_sums(lo, k):
+            time.sleep(np.random.default_rng(lo).uniform(0.0, 2e-3))
+            finished.append(lo)
+            return np.array([np.sum(a[lo:lo + k]), np.sum(a[lo:lo + k] ** 2)])
+
+        pooled = experiments._pooled_pairwise_sum(leaf_sums, n)
+        assert finished != sorted(finished)
+        assert pooled[0] == np.sum(a) and pooled[1] == np.sum(a ** 2)
+
+    def test_repeated_small_leaf_probe_bit_identical_to_one_shot(self,
+                                                                 monkeypatch):
+        prob, base, levels = _probe_case("dirichlet")
+        base *= 8
+        monkeypatch.setattr(experiments, "_SUM_LEAF", 128)
+        reference = _reference_probe(prob, levels, base, _energy_errors_one_shot)
+        for _ in range(5):
+            assert hl.quasiopt_probe(prob, levels=levels, base=base) == reference
+
+    def test_leaf_error_surfaces_and_pool_is_joined(self, monkeypatch):
+        # many leaves per level, and the third leaf's oracle call fails
+        monkeypatch.setattr(experiments, "_SUM_LEAF", 128)
+        eval_with_deriv = hl.WaveAmplitudes.eval_with_deriv
+        calls = []
+        lock = threading.Lock()
+
+        def failing(amps, x):
+            with lock:
+                calls.append(x.shape)
+                if len(calls) == 3:
+                    raise FloatingPointError("leaf failed")
+            return eval_with_deriv(amps, x)
+
+        monkeypatch.setattr(hl.WaveAmplitudes, "eval_with_deriv", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="leaf failed"):
+            hl.quasiopt_probe(hl.family(hl.UnstableFamilySpec(2, 0.4)),
+                              levels=2, base=50)
+        assert threading.active_count() == before
 
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError, match="at least one level"):

@@ -212,3 +212,50 @@ def test_no_mesh_node_lookup(path):
 def test_partition_lookup_only_in_coeffs(path):
     """Which subinterval owns a point is decided by `coeffs.segment_of`."""
     assert partition_lookups(path.read_text()) == []
+
+
+POOL_NAMES = ("ThreadPoolExecutor", "ProcessPoolExecutor")
+
+
+def pools_outside_with(source: str, names=POOL_NAMES) -> list:
+    """Calls that build a worker pool (a name or attribute in `names`) and
+    are not themselves the context expression of a `with` item, so the pool
+    could outlive its call: leaving a `with` block joins the pool."""
+    tree = ast.parse(source)
+    managed = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, (ast.With, ast.AsyncWith))
+               for item in node.items}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in managed:
+            continue
+        func = node.func
+        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if callee in names:
+            found.append((node.lineno, f"line {node.lineno}: {callee}(...)"))
+    return [line for _lineno, line in sorted(found)]
+
+
+def test_scanner_flags_a_pool_outside_with():
+    source = ("import contextlib\n"
+              "import concurrent.futures as cf\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "with ThreadPoolExecutor(max_workers=2) as pool:\n"
+              "    pass\n"
+              "pool = ThreadPoolExecutor(2)\n"
+              "with open('f') as fh, cf.ProcessPoolExecutor() as pool:\n"
+              "    pass\n"
+              "def run():\n"
+              "    return cf.ProcessPoolExecutor(4).map(abs, [1])\n"
+              "with contextlib.closing(ThreadPoolExecutor()) as pool:\n"
+              "    pass\n")
+    assert pools_outside_with(source) == [
+        "line 6: ThreadPoolExecutor(...)",
+        "line 10: ProcessPoolExecutor(...)",
+        "line 11: ThreadPoolExecutor(...)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_pools_are_with_items(path):
+    """No worker pool outlives the call that builds it."""
+    assert pools_outside_with(path.read_text()) == []
