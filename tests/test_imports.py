@@ -217,10 +217,10 @@ def test_partition_lookup_only_in_coeffs(path):
 POOL_NAMES = ("ThreadPoolExecutor", "ProcessPoolExecutor")
 
 
-def pools_outside_with(source: str, names=POOL_NAMES) -> list:
-    """Calls that build a worker pool (a name or attribute in `names`) and
-    are not themselves the context expression of a `with` item, so the pool
-    could outlive its call: leaving a `with` block joins the pool."""
+def pools_outside_with(source: str) -> list:
+    """Calls that build a worker pool (a name or attribute in `POOL_NAMES`)
+    and are not themselves the context expression of a `with` item, so the
+    pool could outlive its call: leaving a `with` block joins the pool."""
     tree = ast.parse(source)
     managed = {id(item.context_expr) for node in ast.walk(tree)
                if isinstance(node, (ast.With, ast.AsyncWith))
@@ -231,7 +231,7 @@ def pools_outside_with(source: str, names=POOL_NAMES) -> list:
             continue
         func = node.func
         callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if callee in names:
+        if callee in POOL_NAMES:
             found.append((node.lineno, f"line {node.lineno}: {callee}(...)"))
     return [line for _lineno, line in sorted(found)]
 
