@@ -35,7 +35,7 @@ import numpy as np
 from . import fem, oracle, stability
 from .coeffs import constant, piecewise_constant
 from .problem import BoundaryConfig, HelmholtzProblem
-from .quadrature import G5_T, G5_W
+from .quadrature import G5_T, G5_W, _leaf_runs, _pairwise_tree
 
 # Part of every cached ladder's file name and record; a ladder stored under
 # another version is a miss.  Bump it when a change may move a cached value.
@@ -403,32 +403,6 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
                                 tuple(energy_interp), tuple(nodal))
 
 
-# Flat Gauss points per leaf of the summation tree in `_energy_errors`.  At
-# least numpy's pairwise block of 128, below which the split can stall at 0.
-# On the quasiopt benchmark 2^16 ran faster than 2^15 and 2^14 (less Python
-# work per point under the GIL) at a few MB more peak memory.
-_SUM_LEAF = 2**16
-
-
-def _pairwise_tree(leaf_sums, lo: int, n: int):
-    """numpy's pairwise sum of the flat float64 run [lo, lo + n), with
-    every run of at most `_SUM_LEAF` values summed by `leaf_sums(lo, n)`.
-
-    numpy reduces a contiguous float64 array by halving it (the left half
-    rounded down to a multiple of 8) until a block has at most 128 values;
-    this follows the same splits down to the leaves and adds the halves in
-    the same order, so a leaf that returns `np.sum` of its run makes the
-    result bit-identical to `np.sum` of the whole run.  Leaves may return
-    arrays of several sums, which are added elementwise.
-    """
-    if n <= _SUM_LEAF:
-        return leaf_sums(lo, n)
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_tree(leaf_sums, lo, n2) + \
-        _pairwise_tree(leaf_sums, lo + n2, n - n2)
-
-
 def _pooled_pairwise_sum(leaf_sums, n: int):
     """`_pairwise_tree(leaf_sums, 0, n)` with the leaves computed on two
     worker threads.
@@ -440,8 +414,7 @@ def _pooled_pairwise_sum(leaf_sums, n: int):
     leaf's error is raised here once the pool is joined, and leaves not yet
     started are cancelled.
     """
-    # the tree's own leaf runs, left to right: on lists its `+` concatenates
-    runs = _pairwise_tree(lambda lo, k: [(lo, k)], 0, n)
+    runs = _leaf_runs(n)
     # two workers: the same two-thread budget a ladder uses; leaving the
     # block joins them on every exit path
     with ThreadPoolExecutor(max_workers=2) as pool:

@@ -4,14 +4,17 @@ A mesh is a partition plus one element count per subinterval, so subinterval
 j owns a known run of elements.  Element integrals are exact for
 piecewise-constant and piecewise-linear coefficients (5-point Gauss for smooth
 data and sources) and are computed one coefficient segment at a time, on the
-run of elements that the segment owns.  The complex symmetric tridiagonal
-system stores its diagonal and a single off-diagonal; it is solved by banded
-LU with partial pivoting, and conditioning is estimated by a Hager-style
-1-norm iteration on the factors.  Condition numbers in the instability
-studies reach 1e17, which is why plain pivot-free recursions are not used
-here.  At that conditioning the finest ladder levels depend on the last bit
-of the assembled entries, so reordering the element or assembly arithmetic
-changes printed table cells.
+elements of a run that the segment owns.  Assembly, the solve's residual and
+the norms pass over the mesh in the leaf runs of `quadrature._pairwise_tree`
+(at most `_SUM_LEAF` elements or rows each), so their temporaries are
+run-sized, not mesh-sized, and every entry, maximum and sum has the bits of
+the whole-mesh computation.  The complex symmetric tridiagonal system stores
+its diagonal and a single off-diagonal; it is solved by banded LU with partial
+pivoting, and conditioning is estimated by a Hager-style 1-norm iteration on
+the factors.  Condition numbers in the instability studies reach 1e17, which
+is why plain pivot-free recursions are not used here.  At that conditioning
+the finest ladder levels depend on the last bit of the assembled entries, so
+reordering the element or assembly arithmetic changes printed table cells.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy.linalg import lapack
 
 from .coeffs import Constant, Linear, _seg_values
 from .problem import HelmholtzProblem
-from .quadrature import G5_T, G5_W
+from .quadrature import G5_T, G5_W, _leaf_runs, _pairwise_tree
 
 
 class MeshAlignmentError(ValueError):
@@ -57,7 +60,7 @@ class Mesh1D:
         pieces = [np.linspace(part[i], part[i + 1], self.per_segment + 1)[:-1]
                   for i in range(len(part) - 1)]
         nodes = np.concatenate(pieces + [part[-1:]])
-        if not np.all(np.diff(nodes) > 0.0):
+        if not np.all(nodes[1:] > nodes[:-1]):
             raise ValueError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "partition", part)
         object.__setattr__(self, "nodes", nodes)
@@ -146,13 +149,16 @@ class BandedComplexSystem:
             raise SingularSystemError(f"banded solve failed (info={info})", info)
         return x.ravel()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x; both off-diagonal products go through one buffer."""
-        y = self.diag * x
-        if self.dimension > 1:
-            off = np.multiply(self.offdiag, x[1:])
-            y[:-1] += off
-            y[1:] += np.multiply(self.offdiag, x[:-1], out=off)
+    def matvec(self, x: np.ndarray, lo: int = 0,
+               hi: Optional[int] = None) -> np.ndarray:
+        """Rows [lo, hi) of A x (default: all rows).  Each row adds its
+        super-diagonal term before its sub-diagonal one."""
+        hi = self.dimension if hi is None else hi
+        y = self.diag[lo:hi] * x[lo:hi]
+        top = min(hi, self.dimension - 1)  # the rows that have a super-diagonal
+        y[:top - lo] += self.offdiag[lo:top] * x[lo + 1:top + 1]
+        bottom = max(lo, 1)  # the first row that has a sub-diagonal
+        y[bottom - lo:] += self.offdiag[bottom - 1:hi - 1] * x[bottom - 1:hi - 1]
         return y
 
     def norm1(self) -> float:
@@ -172,22 +178,31 @@ class FemSolution:
     residual: float
 
 
-def _element_data(problem: HelmholtzProblem, mesh: Mesh1D):
-    """Per-element averaged a and the three 1/c^2 mass integrals.
+def _element_data(problem: HelmholtzProblem, mesh: Mesh1D, lo: int = 0,
+                  hi: Optional[int] = None):
+    """Per-element averaged a and the three 1/c^2 mass integrals of the
+    element run [lo, hi) (default: every element).
 
     Returns (a_mean, p00, p01, p11) with p_ij = int_0^1 phi_i phi_j / c^2 dt
     on the unit element.  Exact for constant/linear segments, 5-point Gauss
-    otherwise.
+    otherwise.  By the mesh's ownership rule the run covers subintervals
+    lo // n through ceil(hi / n) - 1 (n elements each); each element's
+    values are those of the whole-mesh call.
     """
     part = problem.partition
     if not np.array_equal(mesh.partition, part):
         raise MeshAlignmentError("mesh was built on another partition")
-    xl, xr = mesh.nodes[:-1], mesh.nodes[1:]
+    hi = mesh.n_nodes - 1 if hi is None else hi
+    n = mesh.per_segment
+    x = mesh.nodes[lo:hi + 1]
+    xl, xr = x[:-1], x[1:]
     h = xr - xl
 
     a_mean, p00, p01, p11 = (np.empty(len(h)) for _ in range(4))
-    for j, (aseg, cseg) in enumerate(zip(problem.a.segments, problem.c.segments)):
-        sl = mesh.elements_of(j)
+    for j in range(lo // n, -(-hi // n)):
+        aseg, cseg = problem.a.segments[j], problem.c.segments[j]
+        own = mesh.elements_of(j)
+        sl = slice(max(own.start, lo) - lo, min(own.stop, hi) - lo)
         x0, x1 = part[j], part[j + 1]
 
         if isinstance(aseg, Constant):
@@ -246,27 +261,36 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
     The matrix realizes  int a u' v' - omega^2 int u v / c^2
     - i omega (sqrt(a)/c) u v  at impedance endpoints; a Dirichlet endpoint
     is eliminated symmetrically (homogeneous data, so the load is untouched).
+    The elements are taken in the leaf runs of `_pairwise_tree` (at most
+    `_SUM_LEAF` each), each with its own widths and element data, so no
+    temporary is mesh-sized.  A node shared
+    by two runs gets its right element's term from one run and its left
+    element's from the next; IEEE addition commutes, so every entry has the
+    bits of the whole-mesh sums.
     """
-    a_mean, p00, p01, p11 = _element_data(problem, mesh)
-    h = mesh.widths
     om = problem.omega
     n = mesh.n_nodes
-
-    kdiag = a_mean / h
-    # summed in float64: adding complex numbers with zero imaginary parts
-    # gives the same bits, so one cast at the end replaces complex temporaries
-    diag = np.zeros(n)
-    diag[:-1] += kdiag - om**2 * h * p00
-    diag[1:] += kdiag - om**2 * h * p11
-    diag = diag.astype(complex)
-    offdiag = (-kdiag - om**2 * h * p01).astype(complex)
-
+    # summed into the real parts of complex zeros: adding complex numbers
+    # with zero imaginary parts gives the same bits
+    diag = np.zeros(n, dtype=complex)
+    diag_re = diag.real
+    offdiag = np.empty(n - 1, dtype=complex)
     rhs = np.zeros(n, dtype=complex)
-    if problem.f is not None:
-        xg = mesh.nodes[:-1, None] + h[:, None] * G5_T[None, :]
-        fg = np.asarray(problem.f(xg.ravel()), dtype=complex).reshape(xg.shape)
-        rhs[:-1] += h * ((fg * (1.0 - G5_T)) @ G5_W)
-        rhs[1:] += h * ((fg * G5_T) @ G5_W)
+    for lo, k in _leaf_runs(n - 1):
+        hi = lo + k
+        x = mesh.nodes[lo:hi + 1]
+        h = x[1:] - x[:-1]
+        a_mean, p00, p01, p11 = _element_data(problem, mesh, lo, hi)
+        kdiag = a_mean / h
+        om2h = om**2 * h
+        diag_re[lo:hi] += kdiag - om2h * p00
+        diag_re[lo + 1:hi + 1] += kdiag - om2h * p11
+        offdiag[lo:hi] = -kdiag - om2h * p01
+        if problem.f is not None:
+            xg = x[:-1, None] + h[:, None] * G5_T[None, :]
+            fg = np.asarray(problem.f(xg.ravel()), dtype=complex).reshape(xg.shape)
+            rhs[lo:hi] += h * ((fg * (1.0 - G5_T)) @ G5_W)
+            rhs[lo + 1:hi + 1] += h * ((fg * G5_T) @ G5_W)
 
     if problem.bc.impedance_left:
         diag[0] -= 1j * om * problem.beta_left
@@ -286,23 +310,26 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
 def solve(system: BandedComplexSystem) -> FemSolution:
     """Banded LU solve; the relative max-norm residual is always reported.
 
-    The max norms reuse one array of magnitudes, and A x - b is formed in
-    the array that `matvec` returns.
+    The solution is computed in place in the array returned, between its
+    Dirichlet zeros.  The max norms of b and of A x - b are taken run by run
+    over the leaf runs of `_pairwise_tree` (at most `_SUM_LEAF` rows each);
+    a maximum has no rounding order, so both keep their bits.
     """
-    x = system.solve_vector(system.rhs)
-    mags = np.abs(system.rhs)
-    b_inf = mags.max()
+    pad_l = int(system.dirichlet_left)
+    values = np.zeros(system.dimension + pad_l + int(system.dirichlet_right),
+                      dtype=complex)
+    x = values[pad_l:pad_l + system.dimension]
+    x[...] = system.rhs
+    system.solve_vector(x, overwrite_b=True)
+    runs = [(lo, lo + k) for lo, k in _leaf_runs(system.dimension)]
+    b_inf = np.max([np.abs(system.rhs[lo:hi]).max() for lo, hi in runs])
     if b_inf == 0.0:
         residual = 0.0
     else:
-        r = system.matvec(x)
-        np.subtract(r, system.rhs, out=r)
-        residual = float(np.abs(r, out=mags).max() / b_inf)
-    if system.dirichlet_left or system.dirichlet_right:
-        pad_l = [0.0] if system.dirichlet_left else []
-        pad_r = [0.0] if system.dirichlet_right else []
-        x = np.concatenate([pad_l, x, pad_r])
-    return FemSolution(values=x, residual=residual)
+        r_inf = np.max([np.abs(system.matvec(x, lo, hi) - system.rhs[lo:hi]).max()
+                        for lo, hi in runs])
+        residual = float(r_inf / b_inf)
+    return FemSolution(values=values, residual=residual)
 
 
 def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
@@ -311,37 +338,29 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
     The P1 derivative is piecewise constant, so ||u_h'|| is exact; the
     weighted L2 term reuses the exact (or Gauss) element mass integrals; the
     energy combines the a-weighted derivative with the weighted L2 part.
-    The element terms |ur - ul|^2 / h and
-    h (|ul|^2 p00 + 2 Re(ul conj(ur)) p01 + |ur|^2 p11) are evaluated in
-    this order, one operation at a time, into one complex and three real
-    arrays.
+    The three sums over elements of |ur - ul|^2 / h,
+    h (|ul|^2 p00 + 2 Re(ul conj(ur)) p01 + |ur|^2 p11) and a |ur - ul|^2 / h
+    are taken along `_pairwise_tree`: each leaf builds the widths and the
+    element data of its own run, so the sums have the bits of one `np.sum`
+    over the whole mesh and no temporary is mesh-sized.
     """
     u = solution.values
-    h = mesh.widths
-    ul, ur = u[:-1], u[1:]
-    a_mean, p00, p01, p11 = _element_data(problem, mesh)
-    om = problem.omega
-    cx = np.subtract(ur, ul)
-    slope2 = np.abs(cx)
-    np.square(slope2, out=slope2)
-    np.divide(slope2, h, out=slope2)
-    du2 = float(np.sum(slope2))
-    mass = np.abs(ul)
-    np.square(mass, out=mass)
-    np.multiply(mass, p00, out=mass)
-    np.multiply(ul, np.conjugate(ur, out=cx), out=cx)
-    term = np.multiply(2.0, cx.real)
-    del cx
-    np.multiply(term, p01, out=term)
-    np.add(mass, term, out=mass)
-    np.abs(ur, out=term)
-    np.square(term, out=term)
-    np.multiply(term, p11, out=term)
-    np.add(mass, term, out=mass)
-    np.multiply(h, mass, out=mass)
-    wu2 = float(om**2 * np.sum(mass))
-    energy2 = float(np.sum(np.multiply(a_mean, slope2, out=term))) + wu2
-    return np.sqrt(du2), np.sqrt(wu2), np.sqrt(energy2)
+    nodes = mesh.nodes
+
+    def leaf_sums(lo, k):
+        hi = lo + k
+        h = nodes[lo + 1:hi + 1] - nodes[lo:hi]
+        ul, ur = u[lo:hi], u[lo + 1:hi + 1]
+        a_mean, p00, p01, p11 = _element_data(problem, mesh, lo, hi)
+        slope2 = np.abs(ur - ul) ** 2 / h
+        mass = h * (np.abs(ul) ** 2 * p00 + 2.0 * (ul * np.conj(ur)).real * p01
+                    + np.abs(ur) ** 2 * p11)
+        return np.array([np.sum(slope2), np.sum(mass), np.sum(a_mean * slope2)])
+
+    du2, mass2, energy_du2 = _pairwise_tree(leaf_sums, 0, mesh.n_nodes - 1)
+    wu2 = float(problem.omega**2 * mass2)
+    energy2 = float(energy_du2) + wu2
+    return np.sqrt(float(du2)), np.sqrt(wu2), np.sqrt(energy2)
 
 
 def condition_estimate(system: BandedComplexSystem) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helmlab as hl
-from helmlab import experiments, fem
+from helmlab import experiments, fem, quadrature
 from helmlab.quadrature import G5_T, G5_W
 
 
@@ -388,7 +388,7 @@ class TestQuasiOpt:
         base *= 8
         finest = hl.build_mesh(prob, base * 2**(levels - 1))
         assert 5 * (finest.n_nodes - 1) > 2 * leaf
-        monkeypatch.setattr(experiments, "_SUM_LEAF", leaf)
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
         assert hl.quasiopt_probe(prob, levels=levels, base=base) == \
             _reference_probe(prob, levels, base, _energy_errors_one_shot)
 
@@ -396,18 +396,18 @@ class TestQuasiOpt:
     def test_pairwise_tree_matches_numpy_sum(self, monkeypatch, leaf):
         # if numpy changes how it reduces float64, this fails before any
         # probe digit moves
-        monkeypatch.setattr(experiments, "_SUM_LEAF", leaf)
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
         rng = np.random.default_rng(leaf)
         for n in (1, 7, 127, 128, 129, 8191, 65537, 1000003):
             a = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
-            tree = experiments._pairwise_tree(
+            tree = quadrature._pairwise_tree(
                 lambda lo, k: np.sum(a[lo:lo + k]), 0, n)
             assert tree == np.sum(a), n
 
     @pytest.mark.parametrize("leaf", [128, 136, 1000])
     def test_pooled_sum_ignores_completion_order(self, monkeypatch, leaf):
         # seeded sleeps make the two workers finish the leaves out of order
-        monkeypatch.setattr(experiments, "_SUM_LEAF", leaf)
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
         rng = np.random.default_rng(leaf)
         n = 40 * leaf + 13
         a = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
@@ -426,14 +426,14 @@ class TestQuasiOpt:
                                                                  monkeypatch):
         prob, base, levels = _probe_case("dirichlet")
         base *= 8
-        monkeypatch.setattr(experiments, "_SUM_LEAF", 128)
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
         reference = _reference_probe(prob, levels, base, _energy_errors_one_shot)
         for _ in range(5):
             assert hl.quasiopt_probe(prob, levels=levels, base=base) == reference
 
     def test_leaf_error_surfaces_and_pool_is_joined(self, monkeypatch):
         # many leaves per level, and the third leaf's oracle call fails
-        monkeypatch.setattr(experiments, "_SUM_LEAF", 128)
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
         eval_with_deriv = hl.WaveAmplitudes.eval_with_deriv
         calls = []
         lock = threading.Lock()

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import helmlab as hl
-from helmlab import fem
+from helmlab import fem, quadrature
 from helmlab.coeffs import Constant, Linear, _seg_values
 from helmlab.fem import MeshAlignmentError, SingularSystemError
 from helmlab.quadrature import G5_T, G5_W
@@ -217,6 +219,24 @@ class TestElementData:
             assert {type(s) for s in coef.segments} == {
                 hl.Constant, hl.Linear, hl.Smooth}
         _assert_element_data_identical(prob, hl.build_mesh(prob, 37))
+
+    @pytest.mark.parametrize("name", ["family", "mixed"])
+    def test_runs_match_masked_reference_slices(self, name):
+        # seeded random runs, many starting or ending inside a subinterval
+        if name == "family":
+            prob = hl.family(hl.UnstableFamilySpec(6, 0.5, eps=1e-6))
+        else:
+            prob = _mixed_problem_with_source()
+        mesh = hl.build_mesh(prob, 37)
+        ref = _element_data_masked(prob, mesh)
+        n = mesh.n_nodes - 1
+        rng = np.random.default_rng(n)
+        runs = [(0, n), (0, 1), (n - 1, n)] + [
+            tuple(sorted(rng.choice(n + 1, 2, replace=False))) for _ in range(40)]
+        for lo, hi in runs:
+            got = fem._element_data(prob, mesh, lo, hi)
+            for name, g, want in zip(("a_mean", "p00", "p01", "p11"), got, ref):
+                assert np.array_equal(g, want[lo:hi]), (name, lo, hi)
 
 
 class TestSolve:
@@ -442,6 +462,60 @@ class TestLevelMatchesFreshArrayReferences:
         mesh = hl.build_mesh(prob, elements)
         assert hl.assemble(prob, mesh).dimension <= 2
         self._assert_level_identical(prob, mesh)
+
+
+class TestLevelMatchesFreshArrayReferencesInShortRuns(
+        TestLevelMatchesFreshArrayReferences):
+    """The same cases with runs short enough to start inside a subinterval,
+    straddle breakpoints and end next to a Dirichlet-trimmed node; 136 =
+    8 * 17 is no divisor of any subinterval's element count."""
+
+    @pytest.fixture(autouse=True, params=[128, 136, 1000])
+    def short_runs(self, request, monkeypatch):
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("bc", list(BC), ids=lambda bc: bc.name)
+    def test_boundary_configs_across_runs(self, bc, short_runs):
+        prob = _two_layer_problem(bc)
+        mesh = hl.build_mesh(prob, 1013)
+        runs = quadrature._leaf_runs(mesh.n_nodes - 1)
+        assert len(runs) > 1 and any(lo % 1013 for lo, _ in runs)
+        self._assert_level_identical(prob, mesh)
+
+
+class TestBoundedMemory:
+    """A level's solve and norms build no mesh-sized temporary: with runs of
+    2^14 elements their traced peaks stay below a quarter of one mesh-sized
+    float64 array, beyond the solution that `solve` returns."""
+
+    @pytest.fixture(scope="class")
+    def level(self):
+        prob = hl.family(hl.UnstableFamilySpec(12, 0.6))
+        mesh = hl.build_mesh(prob, 25600)
+        assert mesh.n_nodes == 640_001
+        system = hl.assemble(prob, mesh)
+        system.factorize()
+        return prob, mesh, system
+
+    @staticmethod
+    def _traced_peak(func, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = func(*args)
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_and_norms_peaks(self, level, monkeypatch):
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 2**14)
+        prob, mesh, system = level
+        bound = mesh.n_nodes * 8 / 4
+        solution, peak = self._traced_peak(hl.solve, system)
+        assert peak < solution.values.nbytes + bound, peak
+        _, peak = self._traced_peak(hl.norms, solution, prob, mesh)
+        assert peak < bound, peak
 
 
 def _condition_estimate_reference(system, itmax=5):
