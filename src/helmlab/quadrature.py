@@ -5,7 +5,9 @@ numpy's pairwise summation split into cache-sized leaves.
 of at most `_SUM_LEAF` values, and adds the halves in numpy's order; leaves
 that return `np.sum` of their run therefore give the bits of one `np.sum` over
 the whole run.  The finite element norms and the quasi-optimality probe sum
-through it, so neither builds a mesh-sized array of terms.
+through it, and the finite element assembly and residual pass over the mesh
+in its leaf runs (`_leaf_runs`), so none of them builds a mesh-sized
+temporary.  There is one tree and one leaf length.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ G5_T = 0.5 * (G5_T + 1.0)
 G5_W = 0.5 * G5_W
 
 
-# Values per leaf of `_pairwise_tree`, and the length of the element runs
-# every elementwise pass of a ladder level works on.  At least numpy's
+# Values per leaf of `_pairwise_tree`: Gauss points in the quasi-optimality
+# probe, elements or rows in the finite element passes.  At least numpy's
 # pairwise block of 128, below which the split can stall at 0.  On the
 # quasiopt benchmark 2^16 ran faster than 2^15 and 2^14 (less Python work per
-# point under the GIL) at a few MB more peak memory.
+# point under the GIL) at a few MB more peak memory; on table1, 2^15 showed
+# no gain over 2^16 in alternating pairs.
 _SUM_LEAF = 2**16
 
 
