@@ -15,9 +15,10 @@ condition estimate runs on one helper thread while that level is solved and
 the coarser levels run; an optional cache keeps one record per ladder),
 table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
-probe against the analytic reference (its Gauss-point error leaves run on
-two worker threads and are added along one fixed tree, so the errors do not
-depend on which thread finished first).
+probe against the analytic reference (one pool of two worker threads,
+joined once per probe, computes each level's Gauss-point error leaves while
+the next level is solved; the leaves are added along one fixed tree, so the
+errors do not depend on which thread finished first).
 """
 
 from __future__ import annotations
@@ -156,10 +157,9 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     # no thread starts before the submit; leaving the block joins it
     with ThreadPoolExecutor(max_workers=1) as pool:
         mesh, system = _factorized_level(problem, base, levels - 1)
-        # scipy's zgttrf/zgttrs wrappers hold the GIL (8 in-place zgttrs
-        # calls at 1,280,001 nodes beside 25 numpy multiplies took 292 ms on
-        # two threads and 287 ms serially), so the estimate overlaps only
-        # the calling thread's numpy work
+        # scipy's zgttrs releases the GIL (2 x 10 solves at 1,280,001 nodes
+        # took 0.30 s on two threads, 10 took 0.28 s), but zgttrf holds it
+        # for about 40 ms a call, so coarser factorizations stall the estimate
         estimate = pool.submit(fem.condition_estimate, system)
         finest = _solved_level(problem, mesh, system)
         del mesh, system  # so the system is freed when its estimate is done
@@ -376,71 +376,72 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     zero source.  The ratio ladder stabilises below the quasi-optimality
     factor once the resolution condition holds, and approaches 1 for easy
     problems.  The Gauss-point errors of each level are streamed in leaves
-    of at most `_SUM_LEAF` points (see `_energy_errors`), two leaves at a
-    time on two worker threads, so memory beyond the level's FEM system is
-    bounded by two leaves, not the mesh, and the errors are the bits one
-    `np.sum` over the whole grid gives.  The threads are joined before each
-    level's errors return, also when a leaf raises.
+    of at most `_SUM_LEAF` points (see `_energy_errors`) on one pool of two
+    worker threads, joined once per probe.  Levels go coarse to fine: the
+    calling thread solves a level and submits its leaves, then adds up the
+    previous level's sums while the workers finish them, so at most two
+    levels' data are alive.  The sums are added along `_pairwise_tree`, each
+    looked up by its run, so the errors are the bits of one `np.sum` over
+    the whole grid whichever thread finished first.  On an error, leaves not
+    yet started are cancelled and the pool is joined before it is raised.
     """
     if levels < 1:
         raise ValueError("a quasi-optimality probe needs at least one level")
     amps = oracle.solve_analytic(problem)
-    energy_fem = []
-    energy_interp = []
-    nodal = []
-    lv = []
-    for level in range(levels):
-        mesh = fem.build_mesh(problem, base * 2**level)
-        # the system is not kept, so it is freed before the errors are built
-        u_h = fem.solve_problem(problem, mesh)[0].values
-        u_nodes = amps.eval(mesh.nodes)
-        e_fem, e_interp = _energy_errors(problem, mesh, amps, u_h, u_nodes)
-        energy_fem.append(e_fem)
-        energy_interp.append(e_interp)
-        nodal.append(_nodal_l2_error(mesh, u_nodes, u_h))
-        lv.append(level)
-    return QuasiOptimalityProbe(tuple(lv), tuple(energy_fem),
-                                tuple(energy_interp), tuple(nodal))
-
-
-def _pooled_pairwise_sum(leaf_sums, n: int):
-    """`_pairwise_tree(leaf_sums, 0, n)` with the leaves computed on two
-    worker threads.
-
-    The leaf runs are listed first, their sums computed by the pool, and the
-    sums then added up the same tree, each looked up by its run; so neither
-    the tree's shape nor the order of its additions depends on which thread
-    finished first, and the result has the bits of the serial tree.  A
-    leaf's error is raised here once the pool is joined, and leaves not yet
-    started are cancelled.
-    """
-    runs = _leaf_runs(n)
+    errors = []
     # two workers: the same two-thread budget a ladder uses; leaving the
     # block joins them on every exit path
     with ThreadPoolExecutor(max_workers=2) as pool:
-        sums = dict(zip(runs, pool.map(lambda run: leaf_sums(*run), runs)))
-    return _pairwise_tree(lambda lo, k: sums[lo, k], 0, n)
+        try:
+            collect = _submitted_level(pool, problem, amps, base)
+            for level in range(1, levels):
+                collect_next = _submitted_level(pool, problem, amps, base * 2**level)
+                errors.append(collect())
+                collect = collect_next
+            errors.append(collect())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    # per level (FEM, interpolation, nodal), transposed to the fields
+    return QuasiOptimalityProbe(tuple(range(levels)), *zip(*errors))
+
+
+def _submitted_level(pool: ThreadPoolExecutor, problem: HelmholtzProblem,
+                     amps: oracle.WaveAmplitudes, n_elements: int):
+    """Solve one probe level and submit its leaves to the pool; the returned
+    callable adds their sums up and gives the level's energy errors (FEM,
+    interpolation) and nodal l2 error."""
+    mesh = fem.build_mesh(problem, n_elements)
+    # the system is not kept, so it is freed before the leaves are submitted
+    u_h = fem.solve_problem(problem, mesh)[0].values
+    u_nodes = amps.eval(mesh.nodes)
+    leaf_sums = _energy_errors(problem, mesh, amps, u_h, u_nodes)
+    n = len(G5_T) * (mesh.n_nodes - 1)
+    sums = {run: pool.submit(leaf_sums, *run) for run in _leaf_runs(n)}
+
+    def collect():
+        s = _pairwise_tree(lambda lo, k: sums[lo, k].result(), 0, n)
+        return (float(np.sqrt(s[0] + s[1])), float(np.sqrt(s[2] + s[3])),
+                _nodal_l2_error(mesh, u_nodes, u_h))
+
+    return collect
 
 
 def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
                    amps: oracle.WaveAmplitudes, u_fem: np.ndarray,
-                   u_interp: np.ndarray) -> tuple:
-    """Weighted-norm distances between the analytic solution and two P1
-    functions on one mesh, given by their nodal values.
-
-    5-point Gauss per element; the meshes resolve the waves far below a
+                   u_interp: np.ndarray):
+    """`leaf_sums(lo, n)` of the squared weighted-norm distances between the
+    analytic solution and two P1 functions on one mesh, given by their nodal
+    values, over the run [lo, lo + n) of the flat element-major grid of
+    Gauss points (5 per element; the meshes resolve the waves far below a
     wavelength, so the quadrature error is negligible against the error
-    being measured.  The squared error is a sum over the flat element-major
-    grid of Gauss points, taken by `_pooled_pairwise_sum`: each leaf builds
-    the Gauss data (weights, the coefficients of the layer that owns each
-    element, element // `per_segment` on the mesh, and the exact u and u'
-    from one oracle pass) for the elements covering its points only, shared
-    by both distances, and returns the four partial sums (derivative and
-    mass term of each function).  A leaf may start or end inside an element.
-    The leaves run on two worker threads, and their sums are added in
-    `_pairwise_tree`'s order whatever order they finish in.  Memory is
-    bounded by two leaves, not by the mesh, and the results are the bits of
-    one `np.sum` per term over the whole grid.
+    measured).  A leaf builds the Gauss data (weights, the coefficients of
+    the layer that owns each element, element // `per_segment` on the mesh,
+    and the exact u and u' from one oracle pass) for the elements covering
+    its run only, shared by both distances, and returns the four partial
+    sums (derivative and mass term of each function).  A run may start or
+    end inside an element.  Added along `_pairwise_tree`, the leaves give
+    the bits of one `np.sum` per term over the whole grid.
     """
     nodes = mesh.nodes
     om = problem.omega
@@ -466,8 +467,7 @@ def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
             sums.append(np.sum((w_mass * np.abs(u_ex - u_h) ** 2).ravel()[run]))
         return np.array(sums)
 
-    s = _pooled_pairwise_sum(leaf_sums, n_gauss * (len(nodes) - 1))
-    return float(np.sqrt(s[0] + s[1])), float(np.sqrt(s[2] + s[3]))
+    return leaf_sums
 
 
 def _nodal_l2_error(mesh: fem.Mesh1D, u_exact_nodes: np.ndarray,

@@ -371,7 +371,9 @@ def condition_estimate(system: BandedComplexSystem) -> float:
     place in one complex vector (`solve_vector(..., overwrite_b=True)`), and
     the magnitudes, the zero mask and the current vector x have one array
     each.  The iteration, its expressions and so its result are those of
-    the textbook loop.
+    the textbook loop, which ends each step with the transposed solve; that
+    solve is skipped where it cannot change the result: when the estimate
+    stopped growing, and on the last step.
     """
     n = system.dimension
     if n == 1:
@@ -381,11 +383,16 @@ def condition_estimate(system: BandedComplexSystem) -> float:
     mags = np.empty(n)
     zero = np.empty(n, dtype=bool)
     est = 0.0
-    for _ in range(5):
+    for step in range(5):
         v[...] = x
         y = system.solve_vector(v, overwrite_b=True)
         np.abs(y, out=mags)
         est_new = float(mags.sum())
+        if est_new <= est:
+            break
+        if step == 4:
+            est = est_new  # max(est, est_new), as est_new > est
+            break
         np.equal(mags, 0.0, out=zero)
         # xi = y / |y|, with 1 where y vanishes
         mags[zero] = 1.0
@@ -394,8 +401,7 @@ def condition_estimate(system: BandedComplexSystem) -> float:
         z = system.solve_vector(y, trans="C", overwrite_b=True)
         j = int(np.argmax(np.abs(z, out=mags)))
         # z^H x conjugates z in place: z is not needed afterwards
-        if est_new <= est or \
-                np.abs(z[j]) <= (np.conjugate(z, out=z) @ x).real + 1e-300:
+        if np.abs(z[j]) <= (np.conjugate(z, out=z) @ x).real + 1e-300:
             est = max(est, est_new)
             break
         est = est_new

@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -371,6 +372,25 @@ def _probe_case(name):
         bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j), 8, 4
 
 
+def _counting_pools(monkeypatch):
+    """The thread pools `experiments` builds from now on, each counting its
+    submits."""
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submitted = 0
+            pools.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountingPool)
+    return pools
+
+
 class TestQuasiOpt:
     @pytest.mark.parametrize("name", ["family", "homogeneous", "dirichlet"])
     def test_probe_bit_identical_to_two_call_reference(self, name):
@@ -405,22 +425,85 @@ class TestQuasiOpt:
             assert tree == np.sum(a), n
 
     @pytest.mark.parametrize("leaf", [128, 136, 1000])
-    def test_pooled_sum_ignores_completion_order(self, monkeypatch, leaf):
-        # seeded sleeps make the two workers finish the leaves out of order
+    def test_probe_sum_ignores_completion_order(self, monkeypatch, leaf):
+        # seeded sleeps make the two workers finish each level's leaves out
+        # of order, and each level's last leaf sleeps long enough for the
+        # next level's leaves to finish before it
         monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
-        rng = np.random.default_rng(leaf)
-        n = 40 * leaf + 13
-        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
-        finished = []
+        terms, finished = {}, []
 
-        def leaf_sums(lo, k):
-            time.sleep(np.random.default_rng(lo).uniform(0.0, 2e-3))
-            finished.append(lo)
-            return np.array([np.sum(a[lo:lo + k]), np.sum(a[lo:lo + k] ** 2)])
+        def synthetic_leaves(problem, mesh, amps, u_fem, u_interp):
+            n = 5 * (mesh.n_nodes - 1)
+            rng = np.random.default_rng(n)
+            a = terms[n] = rng.uniform(0.0, 1.0, (4, n)) \
+                * 10.0 ** rng.uniform(-3.0, 3.0, (4, n))
 
-        pooled = experiments._pooled_pairwise_sum(leaf_sums, n)
+            def leaf_sums(lo, k):
+                time.sleep(0.05 if lo + k == n else
+                           np.random.default_rng(lo).uniform(0.0, 2e-3))
+                finished.append((n, lo))
+                return np.array([np.sum(row[lo:lo + k]) for row in a])
+
+            return leaf_sums
+
+        monkeypatch.setattr(experiments, "_energy_errors", synthetic_leaves)
+        prob, base, levels = _probe_case("family")
+        probe = hl.quasiopt_probe(prob, levels=levels, base=8 * base)
+        sizes = sorted(terms)
+        assert len(sizes) == levels
+        for n, e_fem, e_interp in zip(sizes, probe.energy_errors,
+                                      probe.interp_errors):
+            a = terms[n]
+            assert e_fem == float(np.sqrt(np.sum(a[0]) + np.sum(a[1])))
+            assert e_interp == float(np.sqrt(np.sum(a[2]) + np.sum(a[3])))
         assert finished != sorted(finished)
-        assert pooled[0] == np.sum(a) and pooled[1] == np.sum(a ** 2)
+        for coarse, fine in zip(sizes, sizes[1:]):
+            last = max(i for i, (n, _) in enumerate(finished) if n == coarse)
+            first = min(i for i, (n, _) in enumerate(finished) if n == fine)
+            assert first < last
+
+    def test_next_level_solve_overlaps_leaves(self, monkeypatch):
+        # a level-0 leaf waits for level 1's FEM solve to start; run one
+        # after the other, the levels would let it time out instead
+        prob, base, _ = _probe_case("family")
+        coarse = hl.build_mesh(prob, base).n_nodes
+        started = threading.Event()
+        waited = []
+        solve_problem, energy_errors = fem.solve_problem, experiments._energy_errors
+
+        def recording_solve(problem, mesh):
+            if mesh.n_nodes > coarse:
+                started.set()
+            return solve_problem(problem, mesh)
+
+        def waiting_leaves(problem, mesh, amps, u_fem, u_interp):
+            leaf_sums = energy_errors(problem, mesh, amps, u_fem, u_interp)
+
+            def leaf(lo, k):
+                if mesh.n_nodes == coarse and lo == 0:
+                    waited.append(started.wait(timeout=10.0))
+                return leaf_sums(lo, k)
+
+            return leaf
+
+        monkeypatch.setattr(fem, "solve_problem", recording_solve)
+        monkeypatch.setattr(experiments, "_energy_errors", waiting_leaves)
+        probe = hl.quasiopt_probe(prob, levels=2, base=base)
+        assert waited == [True]
+        monkeypatch.undo()
+        assert probe == _reference_probe(prob, 2, base, _energy_errors_one_shot)
+
+    def test_one_pool_per_probe(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
+        pools = _counting_pools(monkeypatch)
+        prob, base, levels = _probe_case("family")
+        hl.quasiopt_probe(prob, levels=levels, base=base)
+        pool, = pools
+        assert pool._max_workers == 2
+        assert pool.submitted == sum(
+            len(quadrature._leaf_runs(5 * (hl.build_mesh(prob, base * 2**level)
+                                           .n_nodes - 1)))
+            for level in range(levels))
 
     def test_repeated_small_leaf_probe_bit_identical_to_one_shot(self,
                                                                  monkeypatch):
@@ -432,8 +515,10 @@ class TestQuasiOpt:
             assert hl.quasiopt_probe(prob, levels=levels, base=base) == reference
 
     def test_leaf_error_surfaces_and_pool_is_joined(self, monkeypatch):
-        # many leaves per level, and the third leaf's oracle call fails
+        # many leaves per level, and the third leaf's oracle call fails;
+        # the next level's leaves are already submitted when it surfaces
         monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
+        pools = _counting_pools(monkeypatch)
         eval_with_deriv = hl.WaveAmplitudes.eval_with_deriv
         calls = []
         lock = threading.Lock()
@@ -449,8 +534,39 @@ class TestQuasiOpt:
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="leaf failed"):
             hl.quasiopt_probe(hl.family(hl.UnstableFamilySpec(2, 0.4)),
-                              levels=2, base=50)
+                              levels=3, base=200)
         assert threading.active_count() == before
+        pool, = pools
+        assert len(calls) < pool.submitted
+
+    def test_solve_error_surfaces_and_pool_is_joined(self, monkeypatch):
+        # level 1's FEM solve fails while level 0's slowed leaves are pending
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
+        pools = _counting_pools(monkeypatch)
+        prob = hl.family(hl.UnstableFamilySpec(2, 0.4))
+        coarse = hl.build_mesh(prob, 200).n_nodes
+        solve_problem = fem.solve_problem
+        eval_with_deriv = hl.WaveAmplitudes.eval_with_deriv
+        calls = []
+
+        def failing_solve(problem, mesh):
+            if mesh.n_nodes > coarse:
+                raise hl.SingularSystemError("solve failed", 1)
+            return solve_problem(problem, mesh)
+
+        def slow(amps, x):
+            calls.append(x.shape)
+            time.sleep(0.01)
+            return eval_with_deriv(amps, x)
+
+        monkeypatch.setattr(fem, "solve_problem", failing_solve)
+        monkeypatch.setattr(hl.WaveAmplitudes, "eval_with_deriv", slow)
+        before = threading.active_count()
+        with pytest.raises(hl.SingularSystemError, match="solve failed"):
+            hl.quasiopt_probe(prob, levels=3, base=200)
+        assert threading.active_count() == before
+        pool, = pools
+        assert 0 < len(calls) < pool.submitted
 
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError, match="at least one level"):

@@ -518,14 +518,17 @@ class TestBoundedMemory:
         assert peak < bound, peak
 
 
-def _condition_estimate_reference(system, itmax=5):
-    """The Hager loop with fresh arrays at every step."""
+def _condition_estimate_reference(system, itmax=5, exits=None):
+    """The textbook Hager loop with fresh arrays at every step; `exits`
+    receives how it ended, "stalled" (the estimate did not grow), "optimal"
+    (no unit vector promises more) or "cap", and after how many steps."""
     n = system.dimension
     if n == 1:
         return 1.0
     x = np.full(n, 1.0 / n, dtype=complex)
     est = 0.0
-    for _ in range(itmax):
+    exit = "cap"
+    for step in range(1, itmax + 1):
         y = system.solve_vector(x)
         mags = np.abs(y)
         est_new = float(mags.sum())
@@ -534,11 +537,14 @@ def _condition_estimate_reference(system, itmax=5):
         z = system.solve_vector(xi, trans="C")
         j = int(np.argmax(np.abs(z)))
         if est_new <= est or np.abs(z[j]) <= (z.conj() @ x).real + 1e-300:
+            exit = "stalled" if est_new <= est else "optimal"
             est = max(est, est_new)
             break
         est = est_new
         x = np.zeros(n, dtype=complex)
         x[j] = 1.0
+    if exits is not None:
+        exits.append((exit, step))
     return system.norm1() * est
 
 
@@ -555,12 +561,15 @@ def _estimate_case(name):
             c=hl.piecewise_constant(bp, [1.0, 0.7, 1.4]), omega=6.0,
             bc=BC.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j)
         return hl.assemble(prob, hl.build_mesh(prob, 40))
-    n = {"diagonal": 20, "n2": 2, "n3": 3}[name]
+    n = {"diagonal": 20, "equal-moduli": 9, "n2": 2, "n3": 3}[name]
     k = np.arange(1, n + 1)
-    offdiag = np.zeros(n - 1, dtype=complex) if name == "diagonal" \
+    offdiag = np.zeros(n - 1, dtype=complex) if name in ("diagonal", "equal-moduli") \
         else 0.3 + 0.1j * k[:-1]
+    # with equal moduli every step's promise is round-off: the estimate
+    # stops growing at the third step
+    diag = (3.0 if name == "equal-moduli" else k) * np.exp(1j * k)
     return hl.BandedComplexSystem(
-        diag=k * np.exp(1j * k), offdiag=offdiag, rhs=np.ones(n, dtype=complex),
+        diag=diag, offdiag=offdiag, rhs=np.ones(n, dtype=complex),
         dirichlet_left=False, dirichlet_right=False)
 
 
@@ -580,17 +589,26 @@ def _recorded_estimate(estimator, system):
 
 
 class TestConditionEstimate:
-    @pytest.mark.parametrize("name", ["family-2-0.4", "family-12-0.6",
-                                      "dirichlet-impedance", "diagonal",
-                                      "n2", "n3"])
-    def test_bit_identical_to_reference(self, name):
+    @pytest.mark.parametrize("name, exit, steps", [
+        ("family-2-0.4", "cap", 5), ("family-12-0.6", "optimal", 3),
+        ("dirichlet-impedance", "optimal", 5), ("diagonal", "optimal", 2),
+        ("equal-moduli", "stalled", 3), ("n2", "optimal", 2),
+        ("n3", "optimal", 2)])
+    def test_bit_identical_to_reference(self, name, exit, steps):
         est, calls = _recorded_estimate(hl.condition_estimate,
                                         _estimate_case(name))
-        ref, ref_calls = _recorded_estimate(_condition_estimate_reference,
-                                            _estimate_case(name))
+        exits = []
+        ref, ref_calls = _recorded_estimate(
+            lambda system: _condition_estimate_reference(system, exits=exits),
+            _estimate_case(name))
+        assert exits == [(exit, steps)]
         assert est == ref
-        # the same solves on the same right-hand sides, bit for bit
-        assert [c[0] for c in calls] == [c[0] for c in ref_calls]
+        # the reference's solves on the same right-hand sides, bit for bit,
+        # except its last transposed solve where that cannot move the
+        # result: after a stalled step, and on the last step
+        assert len(ref_calls) == 2 * steps
+        assert len(calls) == len(ref_calls) - (exit == "stalled" or steps == 5)
+        assert [c[0] for c in calls] == [c[0] for c in ref_calls[:len(calls)]]
         for (_, rhs, x), (_, ref_rhs, ref_x) in zip(calls, ref_calls):
             assert np.array_equal(rhs, ref_rhs) and np.array_equal(x, ref_x)
 
