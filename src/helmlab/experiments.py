@@ -15,10 +15,10 @@ condition estimate runs on one helper thread while that level is solved and
 the coarser levels run; an optional cache keeps one record per ladder),
 table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
-probe against the analytic reference (one pool of two worker threads,
-joined once per probe, computes each level's Gauss-point error leaves while
-the next level is solved; the leaves are added along one fixed tree, so the
-errors do not depend on which thread finished first).
+probe against the analytic reference (a serial loop over levels; on the
+probe's layered problems with f = 0 and per-layer uniform meshes, its
+energy errors are element integrals in closed form, from one oracle pass at
+the element midpoints and six integrals per layer).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,7 +37,6 @@ import numpy as np
 from . import fem, oracle, stability
 from .coeffs import constant, piecewise_constant
 from .problem import BoundaryConfig, HelmholtzProblem
-from .quadrature import G5_T, G5_W, _leaf_runs, _pairwise_tree
 
 # Part of every cached ladder's file name and record; a ladder stored under
 # another version is a miss.  Bump it when a change may move a cached value.
@@ -373,101 +373,102 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     """Energy errors of the FEM and of nodal interpolation on one ladder.
 
     Needs the analytic reference, hence piecewise-constant coefficients with
-    zero source.  The ratio ladder stabilises below the quasi-optimality
+    zero source, and nonzero impedance data: without it the solution is 0 and
+    no ratio exists.  The ratio ladder stabilises below the quasi-optimality
     factor once the resolution condition holds, and approaches 1 for easy
-    problems.  The Gauss-point errors of each level are streamed in leaves
-    of at most `_SUM_LEAF` points (see `_energy_errors`) on one pool of two
-    worker threads, joined once per probe.  Levels go coarse to fine: the
-    calling thread solves a level and submits its leaves, then adds up the
-    previous level's sums while the workers finish them, so at most two
-    levels' data are alive.  The sums are added along `_pairwise_tree`, each
-    looked up by its run, so the errors are the bits of one `np.sum` over
-    the whole grid whichever thread finished first.  On an error, leaves not
-    yet started are cancelled and the pool is joined before it is raised.
+    problems.  Levels run one at a time, coarse to fine (`_level_errors`).
     """
     if levels < 1:
         raise ValueError("a quasi-optimality probe needs at least one level")
     amps = oracle.solve_analytic(problem)
-    errors = []
-    # two workers: the same two-thread budget a ladder uses; leaving the
-    # block joins them on every exit path
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        try:
-            collect = _submitted_level(pool, problem, amps, base)
-            for level in range(1, levels):
-                collect_next = _submitted_level(pool, problem, amps, base * 2**level)
-                errors.append(collect())
-                collect = collect_next
-            errors.append(collect())
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    if problem.boundary_norm() == 0.0:
+        raise ValueError("a quasi-optimality probe needs nonzero boundary data")
+    errors = [_level_errors(problem, amps, base * 2**level) for level in range(levels)]
     # per level (FEM, interpolation, nodal), transposed to the fields
     return QuasiOptimalityProbe(tuple(range(levels)), *zip(*errors))
 
 
-def _submitted_level(pool: ThreadPoolExecutor, problem: HelmholtzProblem,
-                     amps: oracle.WaveAmplitudes, n_elements: int):
-    """Solve one probe level and submit its leaves to the pool; the returned
-    callable adds their sums up and gives the level's energy errors (FEM,
-    interpolation) and nodal l2 error."""
+# For p and q of `_level_errors`, theta = kh/2, s = sin theta, c = cos theta:
+# int p'^2 = k W0, int q'^2 = W1/k, int p^2 = W2/k, int q^2 = W3/k^3,
+# int p = W4/k and int tq = W5/k^3, where W0 = theta - sc, W1 = theta + sc
+# - 2s^2/theta, W2 = theta(1 + 2c^2) - 3sc, W3 = theta - sc - 4s(s - theta c)
+# /theta + 2 theta s^2/3, W4 = 2(s - theta c) and W5 = W4 - 2 theta^2 s/3,
+# each as terms (coef, a, f, b): coef theta^a f(b theta), cos(0 theta) = 1.
+# Below `_SERIES_BELOW` the terms cancel (W3 ~ theta^7 from terms ~ theta),
+# so there a W is its exactly summed Taylor series (both sides are within
+# 2e-13 of mpmath).
+_WEIGHT_TERMS = (
+    ((1, 1, math.cos, 0), (Fraction(-1, 2), 0, math.sin, 2)),
+    ((1, 1, math.cos, 0), (Fraction(1, 2), 0, math.sin, 2),
+     (-1, -1, math.cos, 0), (1, -1, math.cos, 2)),
+    ((2, 1, math.cos, 0), (1, 1, math.cos, 2), (Fraction(-3, 2), 0, math.sin, 2)),
+    ((Fraction(4, 3), 1, math.cos, 0), (Fraction(-1, 3), 1, math.cos, 2),
+     (Fraction(3, 2), 0, math.sin, 2), (-2, -1, math.cos, 0), (2, -1, math.cos, 2)),
+    ((2, 0, math.sin, 1), (-2, 1, math.cos, 1)),
+    ((2, 0, math.sin, 1), (-2, 1, math.cos, 1), (Fraction(-2, 3), 2, math.sin, 1)),
+)
+_SERIES_BELOW = 1.0
+
+
+def _taylor(terms, degree: int = 25) -> np.ndarray:
+    """Taylor coefficients in theta, up to `degree`, of a sum of terms."""
+    coeffs = [Fraction(0)] * (degree + 2)  # degrees -1 .. degree
+    for coef, a, f, b in terms:
+        for m in range(degree + 1 - a):
+            # the m-th derivative of sin or cos at 0 is f(m pi/2): -1, 0 or 1
+            d_m = round(f(m * math.pi / 2)) * b**m
+            coeffs[m + a + 1] += Fraction(coef * d_m, math.factorial(m))
+    return np.array(coeffs[1:], dtype=float)
+
+
+_WEIGHT_SERIES = tuple(_taylor(terms) for terms in _WEIGHT_TERMS)
+
+
+def _layer_weights(k: float, h: float) -> tuple:
+    """(int p'^2, int q'^2, int p^2, int q^2, int p, int tq) of `_level_errors`."""
+    theta = 0.5 * k * h
+    if theta < _SERIES_BELOW:
+        w = [np.polynomial.polynomial.polyval(theta, c) for c in _WEIGHT_SERIES]
+    else:
+        w = [sum(float(coef) * theta**a * f(b * theta) for coef, a, f, b in terms)
+             for terms in _WEIGHT_TERMS]
+    return k * w[0], w[1] / k, w[2] / k, w[3] / k**3, w[4] / k, w[5] / k**3
+
+
+def _level_errors(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
+                  n_elements: int) -> tuple:
+    """One level's weighted-norm errors of the FEM solution u_h and of the
+    nodal interpolant of u (closed-form element integrals), and nodal l2 error.
+
+    On an element of width h in a layer of wavenumber k, u = S cos kt +
+    D sin(kt)/k with t from the midpoint, S = u(mid) and D = u'(mid).  With
+    d = u - u_h at the nodes and e, o its mean and difference over the
+    element, u - u_h = S p + D q + e + o t/h, p = cos kt - cos(kh/2) and
+    q = (sin kt - (2t/h) sin(kh/2))/k.  Odd products integrate to 0, so
+    int |u' - u_h'|^2 = |S|^2 int p'^2 + |D|^2 int q'^2 + |o|^2/h and
+    int |u - u_h|^2 = |S|^2 int p^2 + |D|^2 int q^2 + h(|e|^2 + |o|^2/12) +
+    2 Re(conj(S) e) int p + 2 Re(conj(D) o) int tq / h; for the interpolant
+    d = 0.  Layer by layer, so every temporary is layer-sized.
+    """
     mesh = fem.build_mesh(problem, n_elements)
-    # the system is not kept, so it is freed before the leaves are submitted
     u_h = fem.solve_problem(problem, mesh)[0].values
     u_nodes = amps.eval(mesh.nodes)
-    leaf_sums = _energy_errors(problem, mesh, amps, u_h, u_nodes)
-    n = len(G5_T) * (mesh.n_nodes - 1)
-    sums = {run: pool.submit(leaf_sums, *run) for run in _leaf_runs(n)}
-
-    def collect():
-        s = _pairwise_tree(lambda lo, k: sums[lo, k].result(), 0, n)
-        return (float(np.sqrt(s[0] + s[1])), float(np.sqrt(s[2] + s[3])),
-                _nodal_l2_error(mesh, u_nodes, u_h))
-
-    return collect
-
-
-def _energy_errors(problem: HelmholtzProblem, mesh: fem.Mesh1D,
-                   amps: oracle.WaveAmplitudes, u_fem: np.ndarray,
-                   u_interp: np.ndarray):
-    """`leaf_sums(lo, n)` of the squared weighted-norm distances between the
-    analytic solution and two P1 functions on one mesh, given by their nodal
-    values, over the run [lo, lo + n) of the flat element-major grid of
-    Gauss points (5 per element; the meshes resolve the waves far below a
-    wavelength, so the quadrature error is negligible against the error
-    measured).  A leaf builds the Gauss data (weights, the coefficients of
-    the layer that owns each element, element // `per_segment` on the mesh,
-    and the exact u and u' from one oracle pass) for the elements covering
-    its run only, shared by both distances, and returns the four partial
-    sums (derivative and mass term of each function).  A run may start or
-    end inside an element.  Added along `_pairwise_tree`, the leaves give
-    the bits of one `np.sum` per term over the whole grid.
-    """
-    nodes = mesh.nodes
-    om = problem.omega
-    n_gauss = len(G5_T)
-
-    def leaf_sums(lo, n):
-        e0, e1 = lo // n_gauss, -(-(lo + n) // n_gauss)
-        x = nodes[e0:e1 + 1]
-        h = np.diff(x)
-        layer = np.arange(e0, e1) // mesh.per_segment
-        wg = h[:, None] * G5_W[None, :]
-        w_deriv = amps.a[layer][:, None] * wg
-        w_mass = (om / amps.c[layer][:, None]) ** 2 * wg
-        u_ex, du_ex = amps.eval_with_deriv(x[:-1, None] + h[:, None] * G5_T[None, :])
-        run = slice(lo - n_gauss * e0, lo - n_gauss * e0 + n)
-        sums = []
-        for nodal_values in (u_fem, u_interp):
-            ul = nodal_values[e0:e1][:, None]
-            ur = nodal_values[e0 + 1:e1 + 1][:, None]
-            u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
-            du_h = (ur - ul) / h[:, None]
-            sums.append(np.sum((w_deriv * np.abs(du_ex - du_h) ** 2).ravel()[run]))
-            sums.append(np.sum((w_mass * np.abs(u_ex - u_h) ** 2).ravel()[run]))
-        return np.array(sums)
-
-    return leaf_sums
+    interp2 = excess2 = 0.0  # the FEM error^2 is their sum
+    for j, (a, c, k) in enumerate(zip(amps.a, amps.c, amps.k)):
+        own = mesh.elements_of(j)
+        x = mesh.nodes[own.start:own.stop + 1]
+        h = (x[-1] - x[0]) / mesh.per_segment
+        dp2, dq2, p2, q2, p1, tq = _layer_weights(k, h)
+        s, du = amps.eval_with_deriv(0.5 * (x[:-1] + x[1:]))
+        d = u_nodes[own.start:own.stop + 1] - u_h[own.start:own.stop + 1]
+        e, o = 0.5 * (d[:-1] + d[1:]), np.diff(d)
+        s2, du2, e2, o2 = (np.vdot(z, z).real for z in (s, du, e, o))
+        mass_weight = (problem.omega / c) ** 2
+        interp2 += a * (s2 * dp2 + du2 * dq2) + mass_weight * (s2 * p2 + du2 * q2)
+        excess2 += a * o2 / h + mass_weight * (h * (e2 + o2 / 12.0) + 2.0 * (
+            np.vdot(s, e).real * p1 + np.vdot(du, o).real * tq / h))
+    return (float(np.sqrt(interp2 + excess2)), float(np.sqrt(interp2)),
+            _nodal_l2_error(mesh, u_nodes, u_h))
 
 
 def _nodal_l2_error(mesh: fem.Mesh1D, u_exact_nodes: np.ndarray,

@@ -4,10 +4,10 @@ numpy's pairwise summation split into cache-sized leaves.
 `_pairwise_tree` follows the splits numpy's float64 sum makes, down to runs
 of at most `_SUM_LEAF` values, and adds the halves in numpy's order; leaves
 that return `np.sum` of their run therefore give the bits of one `np.sum` over
-the whole run.  The finite element norms and the quasi-optimality probe sum
-through it, and the finite element assembly and residual pass over the mesh
-in its leaf runs (`_leaf_runs`), so none of them builds a mesh-sized
-temporary.  There is one tree and one leaf length.
+the whole run.  The finite element norms sum through it, and the finite
+element assembly and residual pass over the mesh in its leaf runs
+(`_leaf_runs`), so none of them builds a mesh-sized temporary.  There is one
+tree and one leaf length.
 """
 
 from __future__ import annotations
@@ -20,18 +20,16 @@ _MAX_DEPTH = 40
 _RTOL, _ATOL = 1e-10, 1e-15  # a panel is accepted within max(_ATOL, _RTOL |I|)
 
 # 5-point rule on the unit element [0, 1]: per-element integrals in the finite
-# element code and in the energy-error measurements.
+# element code.
 G5_T, G5_W = np.polynomial.legendre.leggauss(5)
 G5_T = 0.5 * (G5_T + 1.0)
 G5_W = 0.5 * G5_W
 
 
-# Values per leaf of `_pairwise_tree`: Gauss points in the quasi-optimality
-# probe, elements or rows in the finite element passes.  At least numpy's
-# pairwise block of 128, below which the split can stall at 0.  On the
-# quasiopt benchmark 2^16 ran faster than 2^15 and 2^14 (less Python work per
-# point under the GIL) at a few MB more peak memory; on table1, 2^15 showed
-# no gain over 2^16 in alternating pairs.
+# Values per leaf of `_pairwise_tree`: elements or rows in the finite
+# element passes.  At least numpy's pairwise block of 128, below which the
+# split can stall at 0.  The value rests on table1, where 2^15 showed no
+# gain over 2^16 in alternating pairs.
 _SUM_LEAF = 2**16
 
 

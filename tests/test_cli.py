@@ -9,6 +9,7 @@ from helmlab.cli import fmt_paper, fmt_sig, parse_and_dispatch
 from helmlab.config import ConfigError, load_problem
 
 FORMATS_DOC = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 UNIT_CFG = """
@@ -347,6 +348,25 @@ class TestTables:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("level,energy_error")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("m, r", [("2", "0.4"), ("8", "0.5")])
+    def test_quasiopt_default_output_unchanged(self, capsys, m, r):
+        # the default 7-level probe from 800 elements per subinterval; the
+        # files hold the stdout of the 5-point Gauss route
+        assert parse_and_dispatch(["quasiopt", "--m", m, "--r", r]) == 0
+        golden = DATA / f"quasiopt_m{m}_r{r}.csv"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    def test_quasiopt_without_boundary_data_exits_one(self, capsys):
+        # with f = 0 and g = 0 the solution is 0 and so is every
+        # interpolation error, which the ratios would divide by
+        assert parse_and_dispatch(["quasiopt", "--m", "2", "--r", "0.4",
+                                   "--g1", "0", "--g2", "0", "--base", "8",
+                                   "--levels", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+        assert "nonzero boundary data" in captured.err
 
     def test_quasiopt_without_levels_exits_one(self, capsys):
         assert parse_and_dispatch(["quasiopt", "--m", "2", "--r", "0.4",

@@ -1,15 +1,13 @@
 import json
 import math
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import helmlab as hl
-from helmlab import experiments, fem, quadrature
-from helmlab.quadrature import G5_T, G5_W
+from helmlab import experiments, fem
 
 
 class TestFamily:
@@ -288,9 +286,12 @@ class TestBoundComparison:
         assert rows[-1].bound_variation < 2.0
 
 
-def _energy_error_two_calls(problem, mesh, amps, nodal_values):
-    """Reference energy error: its own Gauss data and one `eval` and one
-    `deriv` call per P1 function."""
+def _energy_errors_one_shot(problem, mesh, amps, u_fem, u_interp, n_gauss=5):
+    """Reference for the energy errors of `experiments._level_errors`: the
+    weighted-norm errors by n-point Gauss quadrature on every element, the
+    whole grid of the level at once, one `np.sum` per term."""
+    t, w = np.polynomial.legendre.leggauss(n_gauss)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
     nodes = mesh.nodes
     h = mesh.widths
     xl = nodes[:-1]
@@ -298,37 +299,13 @@ def _energy_error_two_calls(problem, mesh, amps, nodal_values):
     a_e = problem.a.values(mid)
     c_e = problem.c.values(mid)
     om = problem.omega
-
-    xg = xl[:, None] + h[:, None] * G5_T[None, :]
-    wg = h[:, None] * G5_W[None, :]
-    u_ex = amps.eval(xg.ravel()).reshape(xg.shape)
-    du_ex = amps.deriv(xg.ravel()).reshape(xg.shape)
-    ul = nodal_values[:-1][:, None]
-    ur = nodal_values[1:][:, None]
-    u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
-    du_h = (ur - ul) / h[:, None]
-    err2 = np.sum(a_e[:, None] * wg * np.abs(du_ex - du_h) ** 2) \
-        + np.sum((om / c_e[:, None]) ** 2 * wg * np.abs(u_ex - u_h) ** 2)
-    return float(np.sqrt(err2))
-
-
-def _energy_errors_one_shot(problem, mesh, amps, u_fem, u_interp):
-    """Reference for `experiments._energy_errors`: the whole Gauss-point
-    grid of the level at once, one `np.sum` per term."""
-    nodes = mesh.nodes
-    h = mesh.widths
-    xl = nodes[:-1]
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    a_e = problem.a.values(mid)
-    c_e = problem.c.values(mid)
-    om = problem.omega
-    wg = h[:, None] * G5_W[None, :]
-    u_ex, du_ex = amps.eval_with_deriv(xl[:, None] + h[:, None] * G5_T[None, :])
+    wg = h[:, None] * w[None, :]
+    u_ex, du_ex = amps.eval_with_deriv(xl[:, None] + h[:, None] * t[None, :])
 
     def error(nodal_values):
         ul = nodal_values[:-1][:, None]
         ur = nodal_values[1:][:, None]
-        u_h = ul * (1.0 - G5_T)[None, :] + ur * G5_T[None, :]
+        u_h = ul * (1.0 - t)[None, :] + ur * t[None, :]
         du_h = (ur - ul) / h[:, None]
         err2 = np.sum(a_e[:, None] * wg * np.abs(du_ex - du_h) ** 2) \
             + np.sum((om / c_e[:, None]) ** 2 * wg * np.abs(u_ex - u_h) ** 2)
@@ -337,20 +314,16 @@ def _energy_errors_one_shot(problem, mesh, amps, u_fem, u_interp):
     return error(u_fem), error(u_interp)
 
 
-def _energy_errors_two_calls(problem, mesh, amps, u_fem, u_interp):
-    return (_energy_error_two_calls(problem, mesh, amps, u_fem),
-            _energy_error_two_calls(problem, mesh, amps, u_interp))
-
-
-def _reference_probe(problem, levels, base, energy_errors):
-    """Reference probe, level by level, with the given energy errors."""
+def _reference_probe(problem, levels, base, n_gauss=5):
+    """Reference probe, level by level, with Gauss-point energy errors."""
     amps = hl.solve_analytic(problem)
     energy_fem, energy_interp, nodal = [], [], []
     for level in range(levels):
         mesh = hl.build_mesh(problem, base * 2**level)
         u_h = hl.solve_problem(problem, mesh)[0].values
         u_nodes = amps.eval(mesh.nodes)
-        e_fem, e_interp = energy_errors(problem, mesh, amps, u_h, u_nodes)
+        e_fem, e_interp = _energy_errors_one_shot(problem, mesh, amps, u_h,
+                                                  u_nodes, n_gauss)
         energy_fem.append(e_fem)
         energy_interp.append(e_interp)
         nodal.append(experiments._nodal_l2_error(mesh, u_nodes, u_h))
@@ -359,9 +332,11 @@ def _reference_probe(problem, levels, base, energy_errors):
 
 
 def _probe_case(name):
-    """(problem, base, levels) of the probe tests' three cases."""
+    """(problem, base, levels) of the probe tests' cases."""
     if name == "family":
         return hl.family(hl.UnstableFamilySpec(2, 0.4)), 50, 3
+    if name == "family_default":
+        return hl.family(hl.UnstableFamilySpec(2, 0.4)), 800, 7
     if name == "homogeneous":
         return hl.HelmholtzProblem(a=hl.constant(1.0), c=hl.constant(1.0),
                                    omega=2.0, g_right=1.0), 8, 4
@@ -372,201 +347,99 @@ def _probe_case(name):
         bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j), 8, 4
 
 
-def _counting_pools(monkeypatch):
-    """The thread pools `experiments` builds from now on, each counting its
-    submits."""
-    pools = []
+def _assert_probes_close(probe, reference, rtol):
+    assert probe.levels == reference.levels
+    # the nodal l2 errors take no quadrature, so they keep their bits
+    assert probe.nodal_l2_errors == reference.nodal_l2_errors
+    np.testing.assert_allclose(probe.energy_errors, reference.energy_errors,
+                               rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(probe.interp_errors, reference.interp_errors,
+                               rtol=rtol, atol=0.0)
 
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.submitted = 0
-            pools.append(self)
 
-        def submit(self, *args, **kwargs):
-            self.submitted += 1
-            return super().submit(*args, **kwargs)
+def _mp_layer_weights(k, h):
+    """The six element integrals of `experiments._layer_weights` by mpmath
+    quadrature of their integrands; the caller sets the precision."""
+    k, h = mp.mpf(k), mp.mpf(h)
+    s, c = mp.sin(k * h / 2), mp.cos(k * h / 2)
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountingPool)
-    return pools
+    def p(t):
+        return mp.cos(k * t) - c
+
+    def q(t):
+        return (mp.sin(k * t) - 2 * t / h * s) / k
+
+    integrands = (lambda t: (k * mp.sin(k * t)) ** 2,
+                  lambda t: (mp.cos(k * t) - 2 * s / (k * h)) ** 2,
+                  lambda t: p(t) ** 2, lambda t: q(t) ** 2, p,
+                  lambda t: t * q(t))
+    return [mp.quad(f, [-h / 2, h / 2]) for f in integrands]
+
+
+# theta = kh/2 from where the trig forms lose every digit to both sides of
+# the series crossover
+_WEIGHT_THETAS = tuple(np.geomspace(1e-8, 3.0, 12)) + (
+    np.nextafter(experiments._SERIES_BELOW, 0.0), experiments._SERIES_BELOW)
+_WEIGHT_THETA_IDS = [f"{t:.3g}" for t in _WEIGHT_THETAS[:-2]] + [
+    "below_crossover", "at_crossover"]
 
 
 class TestQuasiOpt:
-    @pytest.mark.parametrize("name", ["family", "homogeneous", "dirichlet"])
-    def test_probe_bit_identical_to_two_call_reference(self, name):
+    @pytest.mark.parametrize("name", ["family", "homogeneous", "dirichlet",
+                                      "family_default"])
+    def test_probe_matches_gauss_reference(self, name):
         prob, base, levels = _probe_case(name)
-        assert hl.quasiopt_probe(prob, levels=levels, base=base) == \
-            _reference_probe(prob, levels, base, _energy_errors_two_calls)
+        _assert_probes_close(hl.quasiopt_probe(prob, levels=levels, base=base),
+                             _reference_probe(prob, levels, base), 1e-11)
 
-    @pytest.mark.parametrize("leaf", [128, 136, 1000])
-    @pytest.mark.parametrize("name", ["family", "homogeneous", "dirichlet"])
-    def test_streamed_probe_bit_identical_to_one_shot(self, monkeypatch,
-                                                      name, leaf):
-        # small leaves split every case's finer levels into many leaves;
-        # 136 = 8 * 17 starts most of them inside an element
-        prob, base, levels = _probe_case(name)
-        base *= 8
-        finest = hl.build_mesh(prob, base * 2**(levels - 1))
-        assert 5 * (finest.n_nodes - 1) > 2 * leaf
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
-        assert hl.quasiopt_probe(prob, levels=levels, base=base) == \
-            _reference_probe(prob, levels, base, _energy_errors_one_shot)
+    def test_coarse_probe_matches_20_point_gauss(self):
+        # two elements per subinterval put theta = kh/2 on both sides of the
+        # series crossover, where 5 Gauss points are off by up to 6e-9
+        prob, _, levels = _probe_case("dirichlet")
+        amps = hl.solve_analytic(prob)
+        theta = 0.5 * amps.k * (amps.widths / 2)
+        assert theta.min() < experiments._SERIES_BELOW < theta.max()
+        _assert_probes_close(hl.quasiopt_probe(prob, levels=levels, base=2),
+                             _reference_probe(prob, levels, 2, n_gauss=20),
+                             1e-11)
 
-    @pytest.mark.parametrize("leaf", [128, 136, 1000, 2**14, 2**16])
-    def test_pairwise_tree_matches_numpy_sum(self, monkeypatch, leaf):
-        # if numpy changes how it reduces float64, this fails before any
-        # probe digit moves
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
-        rng = np.random.default_rng(leaf)
-        for n in (1, 7, 127, 128, 129, 8191, 65537, 1000003):
-            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
-            tree = quadrature._pairwise_tree(
-                lambda lo, k: np.sum(a[lo:lo + k]), 0, n)
-            assert tree == np.sum(a), n
+    @pytest.mark.parametrize("theta", _WEIGHT_THETAS,
+                             ids=_WEIGHT_THETA_IDS)
+    def test_layer_weights_match_mpmath(self, theta):
+        # k = 3 tells the powers of k apart
+        k = 3.0
+        h = 2.0 * theta / k
+        weights = experiments._layer_weights(k, h)
+        # 110 digits keep 50 through the cancellation in the integrands
+        with mp.workdps(110):
+            reference = _mp_layer_weights(k, h)
+            for got, want in zip(weights, reference):
+                assert abs((got - want) / want) < 1e-11, (theta, got, want)
 
-    @pytest.mark.parametrize("leaf", [128, 136, 1000])
-    def test_probe_sum_ignores_completion_order(self, monkeypatch, leaf):
-        # seeded sleeps make the two workers finish each level's leaves out
-        # of order, and each level's last leaf sleeps long enough for the
-        # next level's leaves to finish before it
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
-        terms, finished = {}, []
-
-        def synthetic_leaves(problem, mesh, amps, u_fem, u_interp):
-            n = 5 * (mesh.n_nodes - 1)
-            rng = np.random.default_rng(n)
-            a = terms[n] = rng.uniform(0.0, 1.0, (4, n)) \
-                * 10.0 ** rng.uniform(-3.0, 3.0, (4, n))
-
-            def leaf_sums(lo, k):
-                time.sleep(0.05 if lo + k == n else
-                           np.random.default_rng(lo).uniform(0.0, 2e-3))
-                finished.append((n, lo))
-                return np.array([np.sum(row[lo:lo + k]) for row in a])
-
-            return leaf_sums
-
-        monkeypatch.setattr(experiments, "_energy_errors", synthetic_leaves)
-        prob, base, levels = _probe_case("family")
-        probe = hl.quasiopt_probe(prob, levels=levels, base=8 * base)
-        sizes = sorted(terms)
-        assert len(sizes) == levels
-        for n, e_fem, e_interp in zip(sizes, probe.energy_errors,
-                                      probe.interp_errors):
-            a = terms[n]
-            assert e_fem == float(np.sqrt(np.sum(a[0]) + np.sum(a[1])))
-            assert e_interp == float(np.sqrt(np.sum(a[2]) + np.sum(a[3])))
-        assert finished != sorted(finished)
-        for coarse, fine in zip(sizes, sizes[1:]):
-            last = max(i for i, (n, _) in enumerate(finished) if n == coarse)
-            first = min(i for i, (n, _) in enumerate(finished) if n == fine)
-            assert first < last
-
-    def test_next_level_solve_overlaps_leaves(self, monkeypatch):
-        # a level-0 leaf waits for level 1's FEM solve to start; run one
-        # after the other, the levels would let it time out instead
-        prob, base, _ = _probe_case("family")
-        coarse = hl.build_mesh(prob, base).n_nodes
-        started = threading.Event()
-        waited = []
-        solve_problem, energy_errors = fem.solve_problem, experiments._energy_errors
+    def test_probe_runs_in_calling_thread(self, monkeypatch):
+        # levels run one after another, with no pool or helper thread
+        solve_problem = fem.solve_problem
+        solved = []
 
         def recording_solve(problem, mesh):
-            if mesh.n_nodes > coarse:
-                started.set()
+            solved.append((mesh.n_nodes, threading.current_thread(),
+                           threading.active_count()))
             return solve_problem(problem, mesh)
-
-        def waiting_leaves(problem, mesh, amps, u_fem, u_interp):
-            leaf_sums = energy_errors(problem, mesh, amps, u_fem, u_interp)
-
-            def leaf(lo, k):
-                if mesh.n_nodes == coarse and lo == 0:
-                    waited.append(started.wait(timeout=10.0))
-                return leaf_sums(lo, k)
-
-            return leaf
 
         monkeypatch.setattr(fem, "solve_problem", recording_solve)
-        monkeypatch.setattr(experiments, "_energy_errors", waiting_leaves)
-        probe = hl.quasiopt_probe(prob, levels=2, base=base)
-        assert waited == [True]
-        monkeypatch.undo()
-        assert probe == _reference_probe(prob, 2, base, _energy_errors_one_shot)
-
-    def test_one_pool_per_probe(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
-        pools = _counting_pools(monkeypatch)
+        before = threading.active_count()
         prob, base, levels = _probe_case("family")
         hl.quasiopt_probe(prob, levels=levels, base=base)
-        pool, = pools
-        assert pool._max_workers == 2
-        assert pool.submitted == sum(
-            len(quadrature._leaf_runs(5 * (hl.build_mesh(prob, base * 2**level)
-                                           .n_nodes - 1)))
-            for level in range(levels))
-
-    def test_repeated_small_leaf_probe_bit_identical_to_one_shot(self,
-                                                                 monkeypatch):
-        prob, base, levels = _probe_case("dirichlet")
-        base *= 8
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
-        reference = _reference_probe(prob, levels, base, _energy_errors_one_shot)
-        for _ in range(5):
-            assert hl.quasiopt_probe(prob, levels=levels, base=base) == reference
-
-    def test_leaf_error_surfaces_and_pool_is_joined(self, monkeypatch):
-        # many leaves per level, and the third leaf's oracle call fails;
-        # the next level's leaves are already submitted when it surfaces
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
-        pools = _counting_pools(monkeypatch)
-        eval_with_deriv = hl.WaveAmplitudes.eval_with_deriv
-        calls = []
-        lock = threading.Lock()
-
-        def failing(amps, x):
-            with lock:
-                calls.append(x.shape)
-                if len(calls) == 3:
-                    raise FloatingPointError("leaf failed")
-            return eval_with_deriv(amps, x)
-
-        monkeypatch.setattr(hl.WaveAmplitudes, "eval_with_deriv", failing)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="leaf failed"):
-            hl.quasiopt_probe(hl.family(hl.UnstableFamilySpec(2, 0.4)),
-                              levels=3, base=200)
+        main = threading.current_thread()
+        n_nodes = [hl.build_mesh(prob, base * 2**level).n_nodes
+                      for level in range(levels)]
+        assert solved == [(n, main, before) for n in n_nodes]
         assert threading.active_count() == before
-        pool, = pools
-        assert len(calls) < pool.submitted
 
-    def test_solve_error_surfaces_and_pool_is_joined(self, monkeypatch):
-        # level 1's FEM solve fails while level 0's slowed leaves are pending
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
-        pools = _counting_pools(monkeypatch)
-        prob = hl.family(hl.UnstableFamilySpec(2, 0.4))
-        coarse = hl.build_mesh(prob, 200).n_nodes
-        solve_problem = fem.solve_problem
-        eval_with_deriv = hl.WaveAmplitudes.eval_with_deriv
-        calls = []
-
-        def failing_solve(problem, mesh):
-            if mesh.n_nodes > coarse:
-                raise hl.SingularSystemError("solve failed", 1)
-            return solve_problem(problem, mesh)
-
-        def slow(amps, x):
-            calls.append(x.shape)
-            time.sleep(0.01)
-            return eval_with_deriv(amps, x)
-
-        monkeypatch.setattr(fem, "solve_problem", failing_solve)
-        monkeypatch.setattr(hl.WaveAmplitudes, "eval_with_deriv", slow)
-        before = threading.active_count()
-        with pytest.raises(hl.SingularSystemError, match="solve failed"):
-            hl.quasiopt_probe(prob, levels=3, base=200)
-        assert threading.active_count() == before
-        pool, = pools
-        assert 0 < len(calls) < pool.submitted
+    def test_no_boundary_data_rejected(self):
+        prob = hl.family(hl.UnstableFamilySpec(2, 0.4, g=(0.0, 0.0)))
+        with pytest.raises(ValueError, match="nonzero boundary data"):
+            hl.quasiopt_probe(prob, levels=2, base=8)
 
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError, match="at least one level"):

@@ -484,6 +484,19 @@ class TestLevelMatchesFreshArrayReferencesInShortRuns(
         self._assert_level_identical(prob, mesh)
 
 
+@pytest.mark.parametrize("leaf", [128, 136, 1000, 2**14, 2**16])
+def test_pairwise_tree_matches_numpy_sum(monkeypatch, leaf):
+    # if numpy changes how it reduces float64, this fails before any norm
+    # digit moves
+    monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
+    rng = np.random.default_rng(leaf)
+    for n in (1, 7, 127, 128, 129, 8191, 65537, 1000003):
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
+        tree = quadrature._pairwise_tree(
+            lambda lo, k: np.sum(a[lo:lo + k]), 0, n)
+        assert tree == np.sum(a), n
+
+
 class TestBoundedMemory:
     """A level's solve and norms build no mesh-sized temporary: with runs of
     2^14 elements their traced peaks stay below a quarter of one mesh-sized
