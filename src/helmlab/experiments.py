@@ -40,7 +40,7 @@ from .problem import BoundaryConfig, HelmholtzProblem
 
 # Part of every cached ladder's file name and record; a ladder stored under
 # another version is a miss.  Bump it when a change may move a cached value.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 # A ladder converges when its last three levels agree in this many leading
 # significant figures; the reported value is the finest level so rounded.
 _SIGFIGS = 4
@@ -157,9 +157,9 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     # no thread starts before the submit; leaving the block joins it
     with ThreadPoolExecutor(max_workers=1) as pool:
         mesh, system = _factorized_level(problem, base, levels - 1)
-        # scipy's zgttrs releases the GIL (2 x 10 solves at 1,280,001 nodes
-        # took 0.30 s on two threads, 10 took 0.28 s), but zgttrf holds it
-        # for about 40 ms a call, so coarser factorizations stall the estimate
+        # the estimate is one two-column zgttrs solve, which releases the
+        # GIL; a coarser level's zgttrf holds it (about 40 ms a call at
+        # 1,280,001 nodes), so it can only delay that one solve's start
         estimate = pool.submit(fem.condition_estimate, system)
         finest = _solved_level(problem, mesh, system)
         del mesh, system  # so the system is freed when its estimate is done

@@ -10,11 +10,13 @@ the norms pass over the mesh in the leaf runs of `quadrature._pairwise_tree`
 run-sized, not mesh-sized, and every entry, maximum and sum has the bits of
 the whole-mesh computation.  The complex symmetric tridiagonal system stores
 its diagonal and a single off-diagonal; it is solved by banded LU with partial
-pivoting, and conditioning is estimated by a Hager-style 1-norm iteration on
-the factors.  Condition numbers in the instability studies reach 1e17, which
-is why plain pivot-free recursions are not used here.  At that conditioning
-the finest ladder levels depend on the last bit of the assembled entries, so
-reordering the element or assembly arithmetic changes printed table cells.
+pivoting, and its 1-norm condition number is exact up to round-off: it
+follows from the first and last columns of the inverse, which one
+two-column solve on the factors gives.  Condition numbers in the instability
+studies reach 1e17, which is why plain pivot-free recursions are not used
+here.  At that conditioning the finest ladder levels depend on the last bit
+of the assembled entries, so reordering the element or assembly arithmetic
+changes printed table cells.
 """
 
 from __future__ import annotations
@@ -123,31 +125,26 @@ class BandedComplexSystem:
             self._factors = (dl, d, du, du2, ipiv)
         return self._factors
 
-    def solve_vector(self, b: np.ndarray, trans: str = "N",
+    def solve_vector(self, b: np.ndarray,
                      overwrite_b: bool = False) -> np.ndarray:
-        """Solve A x = b (trans "N"), A^T x = b ("T") or A^H x = b ("C").
+        """Solve A x = b for an (n,) vector or an (n, k) block `b`.
 
-        With `overwrite_b` a contiguous complex `b` receives the solution and
-        is returned; otherwise `b` is left untouched.
+        With `overwrite_b` a contiguous complex `b` (F-ordered if a block)
+        receives the solution and is returned; otherwise `b` is untouched.
         """
         fact = self.factorize()
         if isinstance(fact[0], str):  # dense fallback for n <= 2
-            dense = fact[1]
-            if trans == "T":
-                dense = dense.T
-            elif trans == "C":
-                dense = dense.conj().T
-            x = np.linalg.solve(dense, b)
+            x = np.linalg.solve(fact[1], b)
             if overwrite_b:
                 b[...] = x
                 return b
             return x
         dl, d, du, du2, ipiv = fact
-        x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1),
-                                trans=trans, overwrite_b=overwrite_b)
+        x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b.reshape(len(b), -1),
+                                overwrite_b=overwrite_b)
         if info != 0:
             raise SingularSystemError(f"banded solve failed (info={info})", info)
-        return x.ravel()
+        return x.reshape(b.shape)
 
     def matvec(self, x: np.ndarray, lo: int = 0,
                hi: Optional[int] = None) -> np.ndarray:
@@ -364,50 +361,39 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
 
 
 def condition_estimate(system: BandedComplexSystem) -> float:
-    """1-norm condition estimate from the LU factors (Hager-style iteration).
+    """The 1-norm condition number ||A||_1 ||A^-1||_1, exact up to round-off.
 
-    Hager (1984) as refined by Higham (1988), at most five steps.  The
-    buffers are allocated once and reused by every step: each solve runs in
-    place in one complex vector (`solve_vector(..., overwrite_b=True)`), and
-    the magnitudes, the zero mask and the current vector x have one array
-    each.  The iteration, its expressions and so its result are those of
-    the textbook loop, which ends each step with the transposed solve; that
-    solve is skipped where it cannot change the result: when the estimate
-    stopped growing, and on the last step.
+    An irreducible tridiagonal symmetric matrix has a semiseparable inverse
+    (Meurant 1992): with c_1 = A^-1 e_1 and c_n = A^-1 e_n,
+    (A^-1)_ij = c_n[i] c_1[j] / c_1[n-1] for i <= j, and symmetrically.  So
+    column j of A^-1 has 1-norm (|c_1[j]| P_j + |c_n[j]| S_{j+1}) / |c_1[n-1]|
+    with P the prefix sums of |c_n| and S the suffix sums of |c_1|, and both
+    columns come from one two-column solve.  A zero off-diagonal entry (a
+    reducible matrix) raises ValueError; a corner c_1[n-1] that is zero or
+    not finite, or a result that is not finite, raises SingularSystemError.
     """
     n = system.dimension
     if n == 1:
         return 1.0
-    x = np.full(n, 1.0 / n, dtype=complex)
-    v = np.empty(n, dtype=complex)
-    mags = np.empty(n)
-    zero = np.empty(n, dtype=bool)
-    est = 0.0
-    for step in range(5):
-        v[...] = x
-        y = system.solve_vector(v, overwrite_b=True)
-        np.abs(y, out=mags)
-        est_new = float(mags.sum())
-        if est_new <= est:
-            break
-        if step == 4:
-            est = est_new  # max(est, est_new), as est_new > est
-            break
-        np.equal(mags, 0.0, out=zero)
-        # xi = y / |y|, with 1 where y vanishes
-        mags[zero] = 1.0
-        np.divide(y, mags, out=y)
-        y[zero] = 1.0
-        z = system.solve_vector(y, trans="C", overwrite_b=True)
-        j = int(np.argmax(np.abs(z, out=mags)))
-        # z^H x conjugates z in place: z is not needed afterwards
-        if np.abs(z[j]) <= (np.conjugate(z, out=z) @ x).real + 1e-300:
-            est = max(est, est_new)
-            break
-        est = est_new
-        x[...] = 0.0
-        x[j] = 1.0
-    return system.norm1() * est
+    if not np.all(system.offdiag):
+        raise ValueError("the condition number needs an irreducible matrix: "
+                         "an off-diagonal entry is zero")
+    cols = np.zeros((n, 2), dtype=complex, order="F")
+    cols[0, 0] = cols[-1, 1] = 1.0
+    system.solve_vector(cols, overwrite_b=True)
+    mags = np.abs(cols)  # F-ordered like cols, so each column is contiguous
+    del cols
+    first, last = mags[:, 0], mags[:, 1]
+    corner = first[-1]
+    if not (np.isfinite(corner) and corner > 0.0):
+        raise SingularSystemError(
+            f"condition number: the inverse's corner entry is {corner}", n - 1)
+    col_norms = first * np.cumsum(last)
+    col_norms[:-1] += last[:-1] * np.cumsum(first[::-1])[-2::-1]
+    kappa = system.norm1() * float(col_norms.max() / corner)
+    if not np.isfinite(kappa):
+        raise SingularSystemError("condition number overflows", n - 1)
+    return kappa
 
 
 def solve_problem(problem: HelmholtzProblem, mesh: Mesh1D):

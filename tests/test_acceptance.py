@@ -12,15 +12,18 @@ the cell itself or agree with the analytic value to four figures.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helmlab as hl
+from helmlab.cli import parse_and_dispatch
 
 from conftest import random_layered_problem
 
 BC = hl.BoundaryConfig
+DATA = Path(__file__).resolve().parent / "data"
 
 # ||u'|| over (m, r), boundary data g = (0, 1); None marks an asterisk
 TABLE1_DU = {
@@ -124,6 +127,14 @@ def test_criterion_01_table1(table1_fem, table1_oracle):
     assert _report(1, ok, "Table 1: oracle (<1s) and FEM ladder reproduce "
                    "all 18 cells at reported precision; asterisk semantics "
                    "honored" + ("; ".join([""] + detail))), detail
+
+
+def test_table1_csv_unchanged(table1_fem, monkeypatch, capsys):
+    # the default table1 CSV, formatted by the CLI from the criterion 01 grid
+    monkeypatch.setattr(hl.experiments, "table1",
+                        lambda *args, **kwargs: list(table1_fem.values()))
+    assert parse_and_dispatch(["table1"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "table1.csv").read_bytes()
 
 
 def test_criterion_02_slope_fits(table1_fem):

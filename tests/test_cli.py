@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ import helmlab as hl
 from helmlab.cli import fmt_paper, fmt_sig, parse_and_dispatch
 from helmlab.config import ConfigError, load_problem
 
-FORMATS_DOC = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+ROOT = Path(__file__).resolve().parents[1]
+FORMATS_DOC = ROOT / "docs" / "formats.md"
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -182,6 +186,26 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "norm_du = 0.707" in out
         assert "residual" in out
+
+    def test_solve_condition_is_exact(self, tmp_path, capsys):
+        # one element under pure impedance is a 2 x 2 system whose 1-norm
+        # condition number is 2.9844; five Hager steps give only 1.0025
+        path = tmp_path / "omega10.cfg"
+        path.write_text(UNIT_CFG.replace("omega = 1.5707963267948966",
+                                         "omega = 10"))
+        assert parse_and_dispatch(["solve", "--config", str(path),
+                                   "--elements", "1", "--condition"]) == 0
+        assert "condition_estimate = 2.9844e+00" in \
+            capsys.readouterr().out.splitlines()
+
+    def test_python_dash_m_runs_the_cli(self, unit_cfg):
+        result = subprocess.run(
+            [sys.executable, "-m", "helmlab", "solve", "--config", unit_cfg,
+             "--elements", "8", "--condition"],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "condition_estimate = " in result.stdout
 
     def test_oracle_reports_norms(self, unit_cfg, capsys):
         assert parse_and_dispatch(["oracle", "--config", unit_cfg]) == 0
@@ -387,7 +411,7 @@ class TestTables:
                                    "--cache", str(cache)]) == 0
         # one record per ladder
         assert [p.name for p in cache.iterdir()] == \
-            [f"{hl.UnstableFamilySpec(2, 0.4).cache_key()}_base25_levels2_v2.json"]
+            [f"{hl.UnstableFamilySpec(2, 0.4).cache_key()}_base25_levels2_v3.json"]
 
     def test_bounds_compare_csv(self, tmp_path):
         out = tmp_path / "b.csv"
