@@ -20,7 +20,8 @@ from .theory import (FemTheoryInputs, FemTheoryReport, continuity_constant,
                      kappa_ratio, resolution_and_quasiopt, sigma_star_bound)
 from .fem import (BandedComplexSystem, FemSolution, Mesh1D, MeshAlignmentError,
                   SingularSystemError, assemble, build_mesh,
-                  condition_estimate, norms, solve, solve_problem)
+                  condition_estimate, derivative_norm, norms, solve,
+                  solve_in_place, solve_problem)
 from .oracle import (UnsupportedProblemError, WaveAmplitudes, exact_norms,
                      solve_analytic)
 from .experiments import (BoundComparisonRow, QuasiOptimalityProbe,

@@ -12,13 +12,14 @@ Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
 significant figures; the finest level is factorized first, and its
 condition estimate runs on one helper thread while that level is solved and
-the coarser levels run; an optional cache keeps one record per ladder),
-table grids over (m, r, data, perturbation), least-squares growth-rate fits,
-comparison against the theoretical bound, and an empirical quasi-optimality
-probe against the analytic reference (a serial loop over levels; on the
-probe's layered problems with f = 0 and per-layer uniform meshes, its
-energy errors are element integrals in closed form, from one oracle pass at
-the element midpoints and six integrals per layer).
+the coarser levels run, each solved once in place for its ||u_h'|| alone;
+an optional cache keeps one record per ladder), table grids over (m, r,
+data, perturbation), least-squares growth-rate fits, comparison against the
+theoretical bound, and an empirical quasi-optimality probe against the
+analytic reference (a serial loop over levels, each solved once in place;
+on the probe's layered problems with f = 0 and per-layer uniform meshes,
+its energy errors are element integrals in closed form, from one oracle pass
+at the element midpoints and six integrals per layer).
 """
 
 from __future__ import annotations
@@ -152,40 +153,33 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
 
     The finest level is built and factorized first, and its estimate is
     submitted to one helper thread before that level is solved and normed;
-    the coarser levels follow, each built, factorized, solved and normed.
+    its factors live on for the estimate.  Each coarser level follows with
+    one in-place solve and its ||u_h'|| alone (`_coarse_du`).
     """
     # no thread starts before the submit; leaving the block joins it
     with ThreadPoolExecutor(max_workers=1) as pool:
-        mesh, system = _factorized_level(problem, base, levels - 1)
+        mesh = fem.build_mesh(problem, base * 2**(levels - 1))
+        system = fem.assemble(problem, mesh)
+        system.factorize()
         # the estimate is one two-column zgttrs solve, which releases the
-        # GIL; a coarser level's zgttrf holds it (about 40 ms a call at
-        # 1,280,001 nodes), so it can only delay that one solve's start
+        # GIL; a coarser level's zgtsv holds it (about 25-35 ms a call at
+        # 640,001 nodes), so it can only delay that one solve's start
         estimate = pool.submit(fem.condition_estimate, system)
-        finest = _solved_level(problem, mesh, system)
-        del mesh, system  # so the system is freed when its estimate is done
-        du = [_solved_level(problem, *_factorized_level(problem, base, level))["du"]
-              for level in range(levels - 1)]
+        solution = fem.solve(system)
+        system.rhs = None  # the estimate needs the matrix and its LU only
+        du, wu, _energy = fem.norms(solution, problem, mesh)
+        res = solution.residual
+        del mesh, system, solution  # the system is freed with its estimate
+        coarse = [_coarse_du(problem, base, level) for level in range(levels - 1)]
         cond = estimate.result()
-    return {"du": du + [finest["du"]], "wu": finest["wu"],
-            "res": finest["res"], "cond": cond}
+    return {"du": coarse + [float(du)], "wu": float(wu), "res": res, "cond": cond}
 
 
-def _factorized_level(problem: HelmholtzProblem, base: int, level: int) -> tuple:
-    """One ladder level's mesh and its assembled, factorized system."""
+def _coarse_du(problem: HelmholtzProblem, base: int, level: int) -> float:
+    """A coarser level's ||u_h'||, from one in-place solve without factors or
+    residual: the record keeps no other number of it."""
     mesh = fem.build_mesh(problem, base * 2**level)
-    system = fem.assemble(problem, mesh)
-    system.factorize()
-    return mesh, system
-
-
-def _solved_level(problem: HelmholtzProblem, mesh: fem.Mesh1D,
-                  system: fem.BandedComplexSystem) -> dict:
-    """A factorized level's norms and residual (du, wu, res).  The right-hand
-    side is dropped once solved: an estimate needs the matrix and its LU."""
-    solution = fem.solve(system)
-    system.rhs = None
-    du, wu, _energy = fem.norms(solution, problem, mesh)
-    return {"du": float(du), "wu": float(wu), "res": solution.residual}
+    return fem.derivative_norm(fem.solve_in_place(fem.assemble(problem, mesh)), mesh)
 
 
 def _cache_path(cache_dir, cache_key, base, levels) -> Optional[Path]:
@@ -451,7 +445,7 @@ def _level_errors(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
     d = 0.  Layer by layer, so every temporary is layer-sized.
     """
     mesh = fem.build_mesh(problem, n_elements)
-    u_h = fem.solve_problem(problem, mesh)[0].values
+    u_h = fem.solve_in_place(fem.assemble(problem, mesh))
     u_nodes = amps.eval(mesh.nodes)
     interp2 = excess2 = 0.0  # the FEM error^2 is their sum
     for j, (a, c, k) in enumerate(zip(amps.a, amps.c, amps.k)):

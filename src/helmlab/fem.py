@@ -12,11 +12,14 @@ the whole-mesh computation.  The complex symmetric tridiagonal system stores
 its diagonal and a single off-diagonal; it is solved by banded LU with partial
 pivoting, and its 1-norm condition number is exact up to round-off: it
 follows from the first and last columns of the inverse, which one
-two-column solve on the factors gives.  Condition numbers in the instability
-studies reach 1e17, which is why plain pivot-free recursions are not used
-here.  At that conditioning the finest ladder levels depend on the last bit
-of the assembled entries, so reordering the element or assembly arithmetic
-changes printed table cells.
+two-column solve on the factors gives.  A system that needs no factors, no
+residual and no norm but ||u_h'|| (`derivative_norm`) is solved by one
+in-place `zgtsv` pass (`solve_in_place`), with the bits of the factorized
+solve; this module alone chooses the LAPACK routines.  Condition numbers in
+the instability studies reach 1e17, which is why plain pivot-free recursions
+are not used here.  At that conditioning the finest ladder levels depend on
+the last bit of the assembled entries, so reordering the element or assembly
+arithmetic changes printed table cells.
 """
 
 from __future__ import annotations
@@ -329,6 +332,46 @@ def solve(system: BandedComplexSystem) -> FemSolution:
     return FemSolution(values=values, residual=residual)
 
 
+def solve_in_place(system: BandedComplexSystem) -> np.ndarray:
+    """The nodal values, Dirichlet zeros included, from one LAPACK `zgtsv`
+    call: it overwrites the system's diagonal, off-diagonal and right-hand
+    side (the last with the solution), and needs one copy of the stored
+    off-diagonal for the sub-diagonal.  No factors are kept and no residual
+    is computed; the values have the bits of `solve(system).values`, which
+    systems of dimension <= 2 take (the dense fallback of `factorize`).
+    """
+    if system.dimension <= 2:
+        return solve(system).values
+    _, _, _, x, info = lapack.zgtsv(
+        system.offdiag.copy(), system.diag, system.offdiag,
+        system.rhs.reshape(-1, 1), overwrite_dl=1, overwrite_d=1,
+        overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        raise SingularSystemError(
+            f"zero pivot at row {info - 1} during banded LU", info - 1)
+    x = x.reshape(-1)
+    if system.dirichlet_left or system.dirichlet_right:
+        x = np.pad(x, (int(system.dirichlet_left), int(system.dirichlet_right)))
+    return x
+
+
+def _slope2(ul: np.ndarray, ur: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """|u_h'|^2 on elements of width h with end values ul and ur."""
+    return np.abs(ur - ul) ** 2 / h
+
+
+def derivative_norm(values: np.ndarray, mesh: Mesh1D) -> float:
+    """||u_h'|| of nodal values, with the bits of `norms(...)[0]`."""
+    nodes = mesh.nodes
+
+    def leaf_sum(lo, k):
+        hi = lo + k
+        return np.sum(_slope2(values[lo:hi], values[lo + 1:hi + 1],
+                              nodes[lo + 1:hi + 1] - nodes[lo:hi]))
+
+    return float(np.sqrt(float(_pairwise_tree(leaf_sum, 0, mesh.n_nodes - 1))))
+
+
 def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
     """(||u_h'||, ||(omega/c) u_h||, energy) with exact element integration.
 
@@ -349,7 +392,7 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
         h = nodes[lo + 1:hi + 1] - nodes[lo:hi]
         ul, ur = u[lo:hi], u[lo + 1:hi + 1]
         a_mean, p00, p01, p11 = _element_data(problem, mesh, lo, hi)
-        slope2 = np.abs(ur - ul) ** 2 / h
+        slope2 = _slope2(ul, ur, h)
         mass = h * (np.abs(ul) ** 2 * p00 + 2.0 * (ul * np.conj(ur)).real * p01
                     + np.abs(ur) ** 2 * p11)
         return np.array([np.sum(slope2), np.sum(mass), np.sum(a_mean * slope2)])
@@ -388,9 +431,10 @@ def condition_estimate(system: BandedComplexSystem) -> float:
     if not (np.isfinite(corner) and corner > 0.0):
         raise SingularSystemError(
             f"condition number: the inverse's corner entry is {corner}", n - 1)
-    col_norms = first * np.cumsum(last)
-    col_norms[:-1] += last[:-1] * np.cumsum(first[::-1])[-2::-1]
-    kappa = system.norm1() * float(col_norms.max() / corner)
+    with np.errstate(over="ignore"):  # a non-finite kappa raises below
+        col_norms = first * np.cumsum(last)
+        col_norms[:-1] += last[:-1] * np.cumsum(first[::-1])[-2::-1]
+        kappa = system.norm1() * float(col_norms.max() / corner)
     if not np.isfinite(kappa):
         raise SingularSystemError("condition number overflows", n - 1)
     return kappa

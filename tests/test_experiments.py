@@ -52,6 +52,27 @@ class TestFamily:
             hl.UnstableFamilySpec(2, 1.5)
 
 
+def _dirichlet_layers():
+    bp = [-1.0, -0.2, 0.5, 1.0]
+    return hl.HelmholtzProblem(
+        a=hl.piecewise_constant(bp, [1.0, 2.0, 0.5]),
+        c=hl.piecewise_constant(bp, [1.0, 0.4, 2.0]), omega=9.0,
+        bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j)
+
+
+# (problem, base, levels) of the ladder record tests
+_RECORD_CASES = {
+    "family-2-0.4": lambda: (hl.family(hl.UnstableFamilySpec(2, 0.4)), 20, 4),
+    "family-8-0.5": lambda: (hl.family(hl.UnstableFamilySpec(8, 0.5)), 10, 5),
+    "family-12-0.6-g": lambda: (hl.family(hl.UnstableFamilySpec(
+        12, 0.6, g=(2.0, 0.5))), 12, 4),
+    "family-10-0.5-eps": lambda: (hl.family(hl.UnstableFamilySpec(
+        10, 0.5, eps=1e-6)), 16, 4),
+    "dirichlet": lambda: (_dirichlet_layers(), 7, 5),
+    "row-interchanges": lambda: (hl.family(hl.UnstableFamilySpec(12, 0.6)), 1, 5),
+}
+
+
 class TestRefinementProtocol:
     def test_constant_coefficient_quick_convergence(self):
         prob = hl.HelmholtzProblem(a=hl.constant(1.0), c=hl.constant(1.0),
@@ -153,49 +174,69 @@ class TestRefinementProtocol:
         if case == "warm":
             hl.refine_to_convergence(prob, **kwargs)
         reference = _refine_serial_reference(prob)
-        factorized_level, solve, estimate = \
-            experiments._factorized_level, fem.solve, fem.condition_estimate
+        factorize, solve, solve_in_place, estimate = (
+            fem.BandedComplexSystem.factorize, fem.solve, fem.solve_in_place,
+            fem.condition_estimate)
         events, estimated = [], []
 
-        def recording_level(problem, base, level):
-            events.append(("factorize", level, threading.active_count()))
-            mesh, system = factorized_level(problem, base, level)
-            assert system._factors is not None
-            return mesh, system
+        def recording_factorize(system):
+            if system._factors is None:
+                events.append(("factorize", system.dimension,
+                               threading.active_count()))
+            return factorize(system)
 
         def recording_solve(system):
             events.append(("solve", system.dimension, threading.active_count()))
             return solve(system)
 
+        def recording_solve_in_place(system):
+            events.append(("solve_in_place", system.dimension,
+                           threading.active_count()))
+            values = solve_in_place(system)
+            assert system._factors is None
+            return values
+
         def recording_estimate(system):
             estimated.append((system.dimension, threading.current_thread()))
             return estimate(system)
 
-        monkeypatch.setattr(experiments, "_factorized_level", recording_level)
+        monkeypatch.setattr(fem.BandedComplexSystem, "factorize",
+                            recording_factorize)
         monkeypatch.setattr(fem, "solve", recording_solve)
+        monkeypatch.setattr(fem, "solve_in_place", recording_solve_in_place)
         monkeypatch.setattr(fem, "condition_estimate", recording_estimate)
         before = threading.active_count()
         assert hl.refine_to_convergence(prob, **kwargs) == reference
         if case == "estimate":
-            # finest first, then 0 .. L-2, each solved right after it is
-            # factorized; the helper thread starts with the finest level's
-            # estimate, so it is alive when that level's solve starts, and
-            # it stays until the ladder is done
-            order = [levels - 1] + list(range(levels - 1))
+            # the finest level alone is factorized, before the helper thread
+            # starts with its estimate, and then solved with its residual;
+            # levels 0 .. L-2 follow, each solved once in place, while the
+            # helper thread stays until the ladder is done
             dims = [hl.build_mesh(prob, _LADDER["base"] * 2**level).n_nodes
-                    for level in order]
-            expected = []
-            for i, (level, dim) in enumerate(zip(order, dims)):
-                expected += [("factorize", level, before + (i > 0)),
-                             ("solve", dim, before + 1)]
-            assert events == expected
+                    for level in range(levels)]
+            assert events == [("factorize", dims[-1], before),
+                              ("solve", dims[-1], before + 1)] + [
+                ("solve_in_place", dim, before + 1) for dim in dims[:-1]]
             (est_dim, est_thread), = estimated
-            assert est_dim == dims[0]
+            assert est_dim == dims[-1]
             assert est_thread is not threading.current_thread()
         else:
             # a stored ladder runs no level and starts no thread
             assert events == [] and estimated == []
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("case", list(_RECORD_CASES))
+    def test_record_matches_full_work_ladder(self, case):
+        problem, base, levels = _RECORD_CASES[case]()
+        if case == "row-interchanges":
+            # zgttrf swaps rows on the coarsest level
+            ipiv = hl.assemble(problem, hl.build_mesh(problem, base)).factorize()[4]
+            assert np.any(ipiv != np.arange(1, len(ipiv) + 1))
+        record = experiments._run_ladder(problem, base, levels)
+        reference = _ladder_record_reference(problem, base, levels)
+        assert record.keys() == reference.keys()
+        for key in ("du", "wu", "res", "cond"):
+            assert record[key] == reference[key], key
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError, match="at least one level"):
@@ -228,22 +269,32 @@ _LADDER_SPEC = hl.UnstableFamilySpec(2, 0.4)
 _LADDER = dict(base=20, levels=4)
 
 
-def _refine_serial_reference(problem, base=_LADDER["base"],
-                             levels=_LADDER["levels"], sigfigs=4):
-    """The ladder run level by level, coarsest first, with the condition
-    estimate of the finest system computed last on the calling thread."""
-    values = []
+def _ladder_record_reference(problem, base, levels):
+    """The ladder's cache record with every level factorized, solved with
+    its residual and normed, coarsest first, and the finest system's
+    condition estimate computed last on the calling thread."""
+    du = []
     for level in range(levels):
         mesh = hl.build_mesh(problem, base * 2**level)
-        solution, system = hl.solve_problem(problem, mesh)
-        du, wu, _energy = hl.norms(solution, problem, mesh)
-        values.append(float(du))
-    cond = hl.condition_estimate(system)
+        system = hl.assemble(problem, mesh)
+        system.factorize()
+        solution = hl.solve(system)
+        du_level, wu, _energy = hl.norms(solution, problem, mesh)
+        du.append(float(du_level))
+    return {"du": du, "wu": float(wu), "res": solution.residual,
+            "cond": hl.condition_estimate(system)}
+
+
+def _refine_serial_reference(problem, base=_LADDER["base"],
+                             levels=_LADDER["levels"], sigfigs=4):
+    """`refine_to_convergence` on `_ladder_record_reference`."""
+    record = _ladder_record_reference(problem, base, levels)
+    values = record["du"]
     tail = [f"%.{sigfigs - 1}e" % v for v in values[-3:]]
     converged = len(values) >= 3 and tail[0] == tail[1] == tail[2]
     return hl.RefinementRun(tuple(values), converged,
-                            hl.round_sig(values[-1], sigfigs), cond,
-                            solution.residual, float(wu))
+                            hl.round_sig(values[-1], sigfigs), record["cond"],
+                            record["res"], record["wu"])
 
 
 def _edit_record(path, edit):
@@ -418,15 +469,15 @@ class TestQuasiOpt:
 
     def test_probe_runs_in_calling_thread(self, monkeypatch):
         # levels run one after another, with no pool or helper thread
-        solve_problem = fem.solve_problem
+        solve_in_place = fem.solve_in_place
         solved = []
 
-        def recording_solve(problem, mesh):
-            solved.append((mesh.n_nodes, threading.current_thread(),
+        def recording_solve(system):
+            solved.append((system.dimension, threading.current_thread(),
                            threading.active_count()))
-            return solve_problem(problem, mesh)
+            return solve_in_place(system)
 
-        monkeypatch.setattr(fem, "solve_problem", recording_solve)
+        monkeypatch.setattr(fem, "solve_in_place", recording_solve)
         before = threading.active_count()
         prob, base, levels = _probe_case("family")
         hl.quasiopt_probe(prob, levels=levels, base=base)

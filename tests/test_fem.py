@@ -329,6 +329,50 @@ class TestSolve:
             hl.solve(system)
 
 
+def _solve_in_place_cases(bc):
+    """(problem, element count) pairs with the boundary configuration bc:
+    the unit problem on 1, 2 and 3 elements (dimensions 1 to 4, so the dense
+    fallback and the smallest zgtsv calls), and random layered problems,
+    whose wavenumbers reach about 100, on 1, 3, 17 and 200 elements."""
+    g = (0.5 if bc.impedance_left else 0.0, 1.0 - 1j if bc.impedance_right else 0.0)
+    cases = [(unit_problem(omega=1.0, bc=bc, g=g), count) for count in (1, 2, 3)]
+    rng = np.random.default_rng(sum(map(ord, bc.name)))
+    return cases + [(random_layered_problem(rng, bc=bc), count)
+                    for _ in range(8) for count in (1, 3, 17, 200)]
+
+
+class TestSolveInPlace:
+    @pytest.mark.parametrize("bc", list(BC), ids=lambda bc: bc.name)
+    def test_matches_solve(self, bc):
+        dims, swaps = set(), 0
+        for prob, count in _solve_in_place_cases(bc):
+            mesh = hl.build_mesh(prob, count)
+            expected = hl.solve(hl.assemble(prob, mesh)).values
+            system = hl.assemble(prob, mesh)
+            values = hl.solve_in_place(system)
+            assert values.dtype == expected.dtype
+            assert np.array_equal(values, expected), (bc, count)
+            dims.add(system.dimension)
+            if system.dimension > 2:
+                assert system._factors is None
+                ipiv = hl.assemble(prob, mesh).factorize()[4]
+                swaps += np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1))
+        # both nodes of a single element are free under pure impedance
+        assert set(range(2 if bc == BC.PURE_IMPEDANCE else 1, 4)) <= dims
+        assert swaps > 0
+
+    @pytest.mark.parametrize("diag, offdiag", [
+        ([1.0, 0.0, 1.0], [0.0, 0.0]), (np.zeros(3), np.zeros(2)),
+        ([1.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0]), ([0.0, 1.0], [0.0])],
+        ids=["middle", "first", "after-elimination", "dense"])
+    def test_singular_system_raises_like_factorize(self, diag, offdiag):
+        with pytest.raises(SingularSystemError) as factorized:
+            _tridiagonal(diag, offdiag).factorize()
+        with pytest.raises(SingularSystemError) as in_place:
+            hl.solve_in_place(_tridiagonal(diag, offdiag))
+        assert in_place.value.pivot_index == factorized.value.pivot_index
+
+
 class TestNorms:
     def test_zero_solution(self):
         prob = unit_problem()
@@ -444,8 +488,11 @@ class TestLevelMatchesFreshArrayReferences:
         solution = hl.solve(system)
         x = ref.solve_vector(ref.rhs)
         assert np.array_equal(solution.residual, _residual_reference(ref, x))
-        assert np.array_equal(hl.norms(solution, problem, mesh),
+        norms = hl.norms(solution, problem, mesh)
+        assert np.array_equal(norms,
                               _norms_reference(solution.values, problem, mesh))
+        du = hl.derivative_norm(solution.values, mesh)
+        assert type(du) is float and du == norms[0]
 
     @pytest.mark.parametrize("m, r", [(10, 0.6), (12, 0.5), (12, 0.6)])
     def test_paper_asterisk_cells_mid_ladder(self, m, r):
@@ -674,9 +721,11 @@ class TestConditionEstimate:
 
     @pytest.mark.parametrize("diag, offdiag", [(1e300, 1e-300), (1e-300, 1e-310)],
                              ids=["corner-underflows", "products-overflow"])
+    @pytest.mark.filterwarnings("error")
     def test_near_reducible_matrix_raises(self, diag, offdiag):
         # the inverse's corner entry underflows to 0, or the column sums
-        # overflow although the condition number is about 1: never a value
+        # overflow although the condition number is about 1: never a value,
+        # and no warning on the way
         system = _tridiagonal(np.full(3, diag), np.full(2, offdiag))
         with pytest.raises(SingularSystemError):
             hl.condition_estimate(system)

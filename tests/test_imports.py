@@ -259,3 +259,46 @@ def test_scanner_flags_a_pool_outside_with():
 def test_pools_are_with_items(path):
     """No worker pool outlives the call that builds it."""
     assert pools_outside_with(path.read_text()) == []
+
+
+def lapack_imports(source: str) -> list:
+    """Imports of `scipy.linalg.lapack` or of names from it, and the
+    attribute `linalg.lapack` (reached through `import scipy.linalg`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {alias.name}"
+                      for alias in node.names
+                      if alias.name.startswith("scipy.linalg.lapack")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.linalg.lapack") or (
+                    node.module == "scipy.linalg" and any(
+                        alias.name in ("lapack", "get_lapack_funcs")
+                        for alias in node.names)):
+                found.append(f"line {node.lineno}: from {node.module}")
+        elif (isinstance(node, ast.Attribute) and node.attr == "lapack"
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "linalg"):
+            found.append(f"line {node.lineno}: linalg.lapack")
+    return found
+
+
+def test_scanner_flags_a_lapack_import():
+    source = ("from scipy.linalg import lapack\n"
+              "import scipy.linalg.lapack as lp\n"
+              "from scipy.linalg.lapack import zgtsv\n"
+              "from scipy.linalg import get_lapack_funcs, solve\n"
+              "import scipy.linalg\n"
+              "scipy.linalg.lapack.zgttrf\n"
+              "from scipy.linalg import solve_banded\n"
+              "from scipy import sparse\n")
+    assert lapack_imports(source) == [
+        "line 1: from scipy.linalg", "line 2: import scipy.linalg.lapack",
+        "line 3: from scipy.linalg.lapack", "line 4: from scipy.linalg",
+        "line 6: linalg.lapack"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_lapack_only_in_fem(path):
+    """The choice of LAPACK routine for the banded systems stays in `fem`."""
+    assert bool(lapack_imports(path.read_text())) == (path.name == "fem.py")
