@@ -17,9 +17,9 @@ an optional cache keeps one record per ladder), table grids over (m, r,
 data, perturbation), least-squares growth-rate fits, comparison against the
 theoretical bound, and an empirical quasi-optimality probe against the
 analytic reference (a serial loop over levels, each solved once in place;
-on the probe's layered problems with f = 0 and per-layer uniform meshes,
-its energy errors are element integrals in closed form, from one oracle pass
-at the element midpoints and six integrals per layer).
+on its layered problems with f = 0 and per-layer uniform meshes, the energy
+errors are closed-form element integrals: six per layer, and the oracle at
+nodes and midpoints, evaluated layer by layer on the mesh's element runs).
 """
 
 from __future__ import annotations
@@ -442,18 +442,27 @@ def _level_errors(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
     int |u' - u_h'|^2 = |S|^2 int p'^2 + |D|^2 int q'^2 + |o|^2/h and
     int |u - u_h|^2 = |S|^2 int p^2 + |D|^2 int q^2 + h(|e|^2 + |o|^2/12) +
     2 Re(conj(S) e) int p + 2 Re(conj(D) o) int tq / h; for the interpolant
-    d = 0.  Layer by layer, so every temporary is layer-sized.
+    d = 0.  The oracle runs layer by layer on the mesh's own element runs: no
+    point is looked up, and every temporary is layer-sized.
     """
     mesh = fem.build_mesh(problem, n_elements)
+    if not np.array_equal(mesh.partition, amps.partition):
+        raise ValueError("the mesh and the reference solution have different partitions")
     u_h = fem.solve_in_place(fem.assemble(problem, mesh))
-    u_nodes = amps.eval(mesh.nodes)
+    u_nodes = np.empty(mesh.n_nodes, dtype=complex)
+    last = len(amps.a) - 1
+    for j in range(last + 1):
+        # breakpoints go to the layer on their right, as `eval` looks them up
+        own = mesh.elements_of(j)
+        run = slice(own.start, own.stop + 1 if j == last else own.stop)
+        u_nodes[run] = amps.eval_on_layer(j, mesh.nodes[run])
     interp2 = excess2 = 0.0  # the FEM error^2 is their sum
     for j, (a, c, k) in enumerate(zip(amps.a, amps.c, amps.k)):
         own = mesh.elements_of(j)
         x = mesh.nodes[own.start:own.stop + 1]
         h = (x[-1] - x[0]) / mesh.per_segment
         dp2, dq2, p2, q2, p1, tq = _layer_weights(k, h)
-        s, du = amps.eval_with_deriv(0.5 * (x[:-1] + x[1:]))
+        s, du = amps.eval_on_layer(j, 0.5 * (x[:-1] + x[1:]), deriv=True)
         d = u_nodes[own.start:own.stop + 1] - u_h[own.start:own.stop + 1]
         e, o = 0.5 * (d[:-1] + d[1:]), np.diff(d)
         s2, du2, e2, o2 = (np.vdot(z, z).real for z in (s, du, e, o))

@@ -9,7 +9,8 @@ sequential 2x2 transfer-matrix sweep would be numerically explosive exactly
 where these problems are interesting, so the global solve is used instead.
 The system is written straight into (2, 2) band storage, and that one array
 serves the solve, the residual and the extended-precision refinement: O(N)
-memory, no dense matrix.
+memory, no dense matrix.  u and u' are evaluated at any points, or layer by
+layer at points the caller assigns, such as a mesh's element runs.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class WaveAmplitudes:
 
     u(x) = A_l exp(i k_l (x - z_{l-1})) + B_l exp(-i k_l (x - z_{l-1})) on
     layer l.  `flagged` marks a near-singular amplitude system (relative
-    residual above RESIDUAL_FLAG_LEVEL).  Three evaluators share one layer
-    lookup: `eval` gives u, `deriv` gives u', and `eval_with_deriv` gives
-    both from a single pass over the points.
+    residual above RESIDUAL_FLAG_LEVEL).  `eval` and `deriv` give u and u'
+    at any points, looking up each point's layer; `eval_on_layer` gives u,
+    or u and u' from one exponential, at points of one layer.
     """
 
     partition: np.ndarray
@@ -65,13 +66,15 @@ class WaveAmplitudes:
         if np.any(x < lo) or np.any(x > hi):
             raise ValueError(f"evaluation point outside [{lo}, {hi}]")
         idx = segment_of(self.partition, x.ravel())
-        s = x.ravel() - self.partition[idx]
-        k = self.k[idx]
+        return (x.shape, *self._layer_waves(idx, x.ravel()))
+
+    def _layer_waves(self, j, x):
+        """Wavenumber and forward and backward travelling waves at the points
+        x of layer j: one layer index for all points, or one per point."""
+        k = self.k[j]
         # conj(exp(i k s)) has the bits of exp(-i k s), at half the cost
-        phase = np.exp(1j * k * s)
-        fwd = self.A[idx] * phase
-        bwd = self.B[idx] * np.conj(phase)
-        return x.shape, k, fwd, bwd
+        phase = np.exp(1j * k * (x - self.partition[j]))
+        return k, self.A[j] * phase, self.B[j] * np.conj(phase)
 
     def eval(self, x) -> np.ndarray:
         """Solution values; continuous across layer boundaries."""
@@ -83,11 +86,13 @@ class WaveAmplitudes:
         shape, k, fwd, bwd = self._waves(x)
         return (1j * k * (fwd - bwd)).reshape(shape)
 
-    def eval_with_deriv(self, x) -> tuple:
-        """(eval(x), deriv(x)) from one layer lookup and one exponential
-        per point; bit-identical to the two separate calls."""
-        shape, k, fwd, bwd = self._waves(x)
-        return (fwd + bwd).reshape(shape), (1j * k * (fwd - bwd)).reshape(shape)
+    def eval_on_layer(self, j: int, x: np.ndarray, deriv: bool = False):
+        """u at the points x of layer j, or (u, u') with `deriv`: the bits of
+        `eval` and `deriv` where their lookup gives layer j (breakpoints go
+        to the layer on their right, the right end to the last layer)."""
+        k, fwd, bwd = self._layer_waves(j, x)
+        return (fwd + bwd, 1j * k * (fwd - bwd)) if deriv else fwd + bwd
+
 
 def _layer_values(problem: HelmholtzProblem):
     if not problem.is_layered() or problem.f is not None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helmlab as hl
-from helmlab import experiments, fem
+from helmlab import coeffs, experiments, fem, oracle
 
 
 class TestFamily:
@@ -351,7 +351,8 @@ def _energy_errors_one_shot(problem, mesh, amps, u_fem, u_interp, n_gauss=5):
     c_e = problem.c.values(mid)
     om = problem.omega
     wg = h[:, None] * w[None, :]
-    u_ex, du_ex = amps.eval_with_deriv(xl[:, None] + h[:, None] * t[None, :])
+    x_gauss = xl[:, None] + h[:, None] * t[None, :]
+    u_ex, du_ex = amps.eval(x_gauss), amps.deriv(x_gauss)
 
     def error(nodal_values):
         ul = nodal_values[:-1][:, None]
@@ -382,6 +383,32 @@ def _reference_probe(problem, levels, base, n_gauss=5):
                                    tuple(energy_interp), tuple(nodal))
 
 
+def _level_errors_reference(problem, amps, n_elements):
+    """`experiments._level_errors` with a per-point layer lookup instead:
+    the oracle at every mesh node in one `eval` call, and at each layer's
+    element midpoints by `eval` and `deriv`."""
+    mesh = hl.build_mesh(problem, n_elements)
+    u_h = fem.solve_in_place(fem.assemble(problem, mesh))
+    u_nodes = amps.eval(mesh.nodes)
+    interp2 = excess2 = 0.0
+    for j, (a, c, k) in enumerate(zip(amps.a, amps.c, amps.k)):
+        own = mesh.elements_of(j)
+        x = mesh.nodes[own.start:own.stop + 1]
+        h = (x[-1] - x[0]) / mesh.per_segment
+        dp2, dq2, p2, q2, p1, tq = experiments._layer_weights(k, h)
+        mid = 0.5 * (x[:-1] + x[1:])
+        s, du = amps.eval(mid), amps.deriv(mid)
+        d = u_nodes[own.start:own.stop + 1] - u_h[own.start:own.stop + 1]
+        e, o = 0.5 * (d[:-1] + d[1:]), np.diff(d)
+        s2, du2, e2, o2 = (np.vdot(z, z).real for z in (s, du, e, o))
+        mass_weight = (problem.omega / c) ** 2
+        interp2 += a * (s2 * dp2 + du2 * dq2) + mass_weight * (s2 * p2 + du2 * q2)
+        excess2 += a * o2 / h + mass_weight * (h * (e2 + o2 / 12.0) + 2.0 * (
+            np.vdot(s, e).real * p1 + np.vdot(du, o).real * tq / h))
+    return (float(np.sqrt(interp2 + excess2)), float(np.sqrt(interp2)),
+            experiments._nodal_l2_error(mesh, u_nodes, u_h))
+
+
 def _probe_case(name):
     """(problem, base, levels) of the probe tests' cases."""
     if name == "family":
@@ -396,6 +423,9 @@ def _probe_case(name):
         a=hl.piecewise_constant(bp, [1.0, 2.5, 0.6]),
         c=hl.piecewise_constant(bp, [1.0, 0.7, 1.4]), omega=6.0,
         bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j), 8, 4
+
+
+_PROBE_CASES = ["family", "homogeneous", "dirichlet", "family_default"]
 
 
 def _assert_probes_close(probe, reference, rtol):
@@ -436,12 +466,45 @@ _WEIGHT_THETA_IDS = [f"{t:.3g}" for t in _WEIGHT_THETAS[:-2]] + [
 
 
 class TestQuasiOpt:
-    @pytest.mark.parametrize("name", ["family", "homogeneous", "dirichlet",
-                                      "family_default"])
+    @pytest.mark.parametrize("name", _PROBE_CASES)
     def test_probe_matches_gauss_reference(self, name):
         prob, base, levels = _probe_case(name)
         _assert_probes_close(hl.quasiopt_probe(prob, levels=levels, base=base),
                              _reference_probe(prob, levels, base), 1e-11)
+
+    @pytest.mark.parametrize("name", _PROBE_CASES)
+    def test_level_errors_match_lookup_reference(self, name):
+        prob, base, levels = _probe_case(name)
+        amps = hl.solve_analytic(prob)
+        for level in range(levels):
+            n = base * 2**level
+            assert experiments._level_errors(prob, amps, n) == \
+                _level_errors_reference(prob, amps, n), level
+
+    @pytest.mark.parametrize("name", ["family", "dirichlet"])
+    def test_probe_looks_up_no_point(self, monkeypatch, name):
+        # the mesh states which layer owns each element, so no point of the
+        # probe is searched for in the partition
+        prob, base, levels = _probe_case(name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("segment_of called")
+
+        monkeypatch.setattr(coeffs, "segment_of", refuse)
+        monkeypatch.setattr(oracle, "segment_of", refuse)
+        probe = hl.quasiopt_probe(prob, levels=levels, base=base)
+        assert len(probe.energy_errors) == levels
+
+    @pytest.mark.parametrize("bp", [[-1.0, -0.3, 0.401, 1.0], [-1.0, 0.4, 1.0]],
+                             ids=["moved", "fewer_layers"])
+    def test_level_errors_need_the_mesh_partition(self, bp):
+        prob, _, _ = _probe_case("dirichlet")
+        ones = np.ones(len(bp) - 1)
+        other = hl.HelmholtzProblem(
+            a=hl.piecewise_constant(bp, ones), c=hl.piecewise_constant(bp, ones),
+            omega=prob.omega, bc=prob.bc, g_right=prob.g_right)
+        with pytest.raises(ValueError, match="different partitions"):
+            experiments._level_errors(prob, hl.solve_analytic(other), 4)
 
     def test_coarse_probe_matches_20_point_gauss(self):
         # two elements per subinterval put theta = kh/2 on both sides of the

@@ -214,6 +214,45 @@ def test_partition_lookup_only_in_coeffs(path):
     assert partition_lookups(path.read_text()) == []
 
 
+LOOKUP_NAMES = ("segment_of", "segmentwise")
+
+
+def point_lookups(source: str, names=LOOKUP_NAMES) -> list:
+    """References to a function that looks points up in a partition: a
+    name, attribute or imported name in `names`, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in names:
+            found.append((node.lineno, f"line {node.lineno}: {name}"))
+    return [line for _lineno, line in sorted(found)]
+
+
+def test_scanner_flags_a_point_lookup():
+    source = ("from .coeffs import constant, segment_of\n"
+              "from . import coeffs\n"
+              "idx = segment_of(partition, x)\n"
+              "coeffs.segmentwise(bp, x, f)\n"
+              "mesh.elements_of(j)\n"
+              "segment_count(partition)\n"
+              "f = coeffs.segment_of\n")
+    assert point_lookups(source) == [
+        "line 1: segment_of", "line 3: segment_of", "line 4: segmentwise",
+        "line 7: segment_of"]
+
+
+def test_experiments_look_up_no_point():
+    """The mesh states which layer owns each element of a probe level."""
+    assert point_lookups((SRC / "experiments.py").read_text()) == []
+
+
 POOL_NAMES = ("ThreadPoolExecutor", "ProcessPoolExecutor")
 
 

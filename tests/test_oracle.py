@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import helmlab as hl
@@ -200,21 +201,30 @@ class TestEval:
 
     def test_out_of_domain(self):
         amps = hl.solve_analytic(unit_problem())
-        for evaluate in (amps.eval, amps.deriv, amps.eval_with_deriv):
+        for evaluate in (amps.eval, amps.deriv):
             with pytest.raises(ValueError):
                 evaluate(np.array([1.5]))
 
-    def test_eval_with_deriv_matches_separate_calls(self):
-        prob = hl.family(hl.UnstableFamilySpec(2, 0.4))
+    @pytest.mark.parametrize("bc", list(BC), ids=lambda bc: bc.name)
+    @given(seed=st.integers(0, 2**32 - 1), per_layer=st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_eval_on_layer_matches_lookup(self, bc, seed, per_layer):
+        # 1-10 layers; each layer's mesh nodes from its left breakpoint on,
+        # the domain's last node with the last layer, and its midpoints
+        prob = random_layered_problem(np.random.default_rng(seed), bc=bc)
         amps = hl.solve_analytic(prob)
-        # breakpoints (both endpoints among them) and points between them
-        x = np.concatenate([prob.partition,
-                            np.linspace(-1.0, 1.0, 3 * len(prob.partition))])
-        x = x.reshape(2, -1)
-        u, du = amps.eval_with_deriv(x)
-        assert u.shape == du.shape == x.shape
-        assert np.array_equal(u, amps.eval(x))
-        assert np.array_equal(du, amps.deriv(x))
+        mesh = hl.build_mesh(prob, per_layer)
+        last = len(amps.a) - 1
+        for j in range(last + 1):
+            own = mesh.elements_of(j)
+            x = mesh.nodes[own.start:own.stop + 1]
+            nodes = x if j == last else x[:-1]
+            assert nodes[0] == prob.partition[j]
+            assert np.array_equal(amps.eval_on_layer(j, nodes), amps.eval(nodes))
+            for pts in (nodes, 0.5 * (x[:-1] + x[1:])):
+                u, du = amps.eval_on_layer(j, pts, deriv=True)
+                assert np.array_equal(u, amps.eval(pts))
+                assert np.array_equal(du, amps.deriv(pts))
 
 
 class TestExactNorms:
