@@ -26,7 +26,8 @@ from .oracle import (UnsupportedProblemError, WaveAmplitudes, exact_norms,
                      solve_analytic)
 from .experiments import (BoundComparisonRow, QuasiOptimalityProbe,
                           RefinementRun, TableRow, UnstableFamilySpec,
-                          bound_comparison, family, quasiopt_probe,
+                          bound_comparison, family, growth_rates,
+                          quasiopt_probe,
                           refine_to_convergence, round_sig, run_cells,
                           slope_fit, table1, table2, table3)
 

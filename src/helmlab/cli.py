@@ -10,6 +10,7 @@ reference tables.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -33,14 +34,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def fmt_sig(value: float, sigfigs: int = 4) -> str:
-    """Plain formatting with a fixed number of significant figures."""
+def _special_text(value):
+    """The text of None or nan (blank), zero and +-inf; None for the rest."""
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     if value == 0.0:
         return "0"
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
+    return None
+
+
+def fmt_sig(value: float, sigfigs: int = 4) -> str:
+    """Plain formatting with a fixed number of significant figures."""
+    if (text := _special_text(value)) is not None:
+        return text
     rounded = experiments.round_sig(value, sigfigs)
     mag = math.floor(math.log10(abs(rounded)))
     decimals = max(0, sigfigs - 1 - mag)
@@ -51,12 +59,8 @@ def fmt_sig(value: float, sigfigs: int = 4) -> str:
 
 def fmt_paper(value: float, sigfigs: int = 4) -> str:
     """d.ddd(+e) scientific style, e.g. 0.7742 -> 7.742(-1)."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    if value == 0.0:
-        return "0"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    if (text := _special_text(value)) is not None:
+        return text
     s = f"%.{sigfigs - 1}e" % value
     mantissa, exponent = s.split("e")
     return f"{mantissa}({int(exponent):+d})"
@@ -80,6 +84,12 @@ def _parse_list(text, cast):
     return [cast(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _print_norms(du, wu, energy, residual):
+    for name, value in (("norm_du", du), ("norm_wu", wu), ("energy", energy)):
+        print(f"{name} = {value:.10g}")
+    print(f"residual = {residual:.3e}")
+
+
 def _dump_solution(path, xs, values):
     with open(path, "w") as fh:
         fh.write("# x  Re(u)  Im(u)\n")
@@ -93,12 +103,8 @@ def _cmd_solve(args) -> int:
     problem = load_problem(args.config)
     mesh = fem.build_mesh(problem, args.elements)
     solution, system = fem.solve_problem(problem, mesh)
-    du, wu, energy = fem.norms(solution, problem, mesh)
     print(f"nodes = {mesh.n_nodes}")
-    print(f"norm_du = {du:.10g}")
-    print(f"norm_wu = {wu:.10g}")
-    print(f"energy = {energy:.10g}")
-    print(f"residual = {solution.residual:.3e}")
+    _print_norms(*fem.norms(solution, problem, mesh), solution.residual)
     if args.condition:
         print(f"condition_estimate = {fem.condition_estimate(system):.4e}")
     if args.dump_solution:
@@ -109,12 +115,8 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     problem = load_problem(args.config)
     amps = oracle.solve_analytic(problem, extended_precision=args.extended_precision)
-    du, wu, energy = oracle.exact_norms(amps)
     print(f"layers = {len(amps.A)}")
-    print(f"norm_du = {du:.10g}")
-    print(f"norm_wu = {wu:.10g}")
-    print(f"energy = {energy:.10g}")
-    print(f"residual = {amps.residual:.3e}")
+    _print_norms(*oracle.exact_norms(amps), amps.residual)
     if amps.flagged:
         print("warning: amplitude system near-singular; values are unreliable",
               file=sys.stderr)
@@ -146,11 +148,10 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    inputs = theory.FemTheoryInputs(
-        a_min=args.a_min, a_max=args.a_max, c_min=args.c_min, c_max=args.c_max,
-        omega=args.omega, omega0=args.omega0, h=args.h, c_stab=args.c_stab,
-        kappa_a=args.kappa_a, kappa_c=args.kappa_c,
-        c_reg=args.c_reg, c_int=args.c_int, c_trace=args.c_trace)
+    # the parser's dests are the field names
+    inputs = theory.FemTheoryInputs(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(theory.FemTheoryInputs)})
     report = theory.resolution_and_quasiopt(inputs)
     print(f"C_ac = {report.c_ac:.10g}")
     print(f"C0 = {report.c0:.10g}")
@@ -166,83 +167,60 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _common_table_args(args):
-    return dict(base=args.base, levels=args.levels, jobs=args.jobs,
-                cache_dir=args.cache)
+def _table_args(args):
+    return dict(m_list=_parse_list(args.m, int), base=args.base,
+                levels=args.levels, jobs=args.jobs, cache_dir=args.cache)
+
+
+def _write_grid(args, header, rows, column, columns, cell=None, footer=()) -> int:
+    """The CSV of a table: the header, then per m of --m one cell per entry
+    of `columns`, from the row whose `column` field is that entry: the text
+    of its value (asterisk included), or `cell(row, text)`; then the footer."""
+    by_key = {(row.m, getattr(row, column)): row for row in rows}
+    lines = [",".join(header)]
+    for m in _parse_list(args.m, int):
+        cells = [str(m)]
+        for row in (by_key[(m, c)] for c in columns):
+            text = _cell(row.value, args.paper_format, row.asterisk)
+            cells.append(text if cell is None else cell(row, text))
+        lines.append(",".join(cells))
+    _emit(lines + list(footer), args.output)
+    return 0
 
 
 def _cmd_table1(args) -> int:
     r_list = _parse_list(args.r, float)
-    m_list = _parse_list(args.m, int)
-    rows = experiments.table1(r_list, m_list, **_common_table_args(args))
-    paper = args.paper_format
-    header = ["m"]
-    for r in r_list:
-        header += [f"||u'|| (r={r:g})", f"kappa (r={r:g})"]
-    lines = [",".join(header)]
-    by_key = {(row.m, row.r): row for row in rows}
-    for m in m_list:
-        cells = [str(m)]
-        for r in r_list:
-            row = by_key[(m, r)]
-            cells.append(_cell(row.value, paper, row.asterisk))
-            cells.append(_cell(row.kappa, paper, sigfigs=3))
-        lines.append(",".join(cells))
-    grad = ["grad"]
-    for r in r_list:
-        conv = [(m, by_key[(m, r)].run.values[-1]) for m in m_list
-                if not by_key[(m, r)].asterisk]
-        if len(conv) >= 2:
-            slope = experiments.slope_fit([m for m, _ in conv],
-                                          [v for _, v in conv])
-            grad += [f"{slope:.2f}", ""]
-        else:
-            grad += ["", ""]
-    lines.append(",".join(grad))
-    _emit(lines, args.output)
-    return 0
+    rows = experiments.table1(r_list, **_table_args(args))
+    rates = experiments.growth_rates(rows)
+    grad = ["grad"] + [("" if rates[r] is None else f"{rates[r]:.2f}") + ","
+                       for r in r_list]
+    header = ["m"] + [f"{name} (r={r:g})" for r in r_list
+                      for name in ("||u'||", "kappa")]
+    return _write_grid(args, header, rows, "r", r_list, lambda row, text: (
+        f"{text},{_cell(row.kappa, args.paper_format, sigfigs=3)}"),
+        footer=[",".join(grad)])
 
 
 def _cmd_table2(args) -> int:
-    m_list = _parse_list(args.m, int)
     g_cases = ((1.0, 1.0), (2.0, 0.5))
-    rows = experiments.table2(m_list, r=args.r, g_cases=g_cases,
-                              **_common_table_args(args))
-    paper = args.paper_format
-    by_key = {(row.m, row.g): row for row in rows}
-    lines = ["m,||u'|| (g1=1 g2=1),||u'|| (g1=2 g2=0.5)"]
-    for m in m_list:
-        cells = [str(m)]
-        for g in g_cases:
-            row = by_key[(m, g)]
-            cells.append(_cell(row.value, paper, row.asterisk))
-        lines.append(",".join(cells))
-    _emit(lines, args.output)
-    return 0
+    rows = experiments.table2(r=args.r, g_cases=g_cases, **_table_args(args))
+    header = ["m"] + [f"||u'|| (g1={g1:g} g2={g2:g})" for g1, g2 in g_cases]
+    return _write_grid(args, header, rows, "g", g_cases)
 
 
 def _cmd_table3(args) -> int:
-    m_list = _parse_list(args.m, int)
     eps_list = _parse_list(args.eps, float)
-    rows = experiments.table3(m_list, eps_list, r=args.r,
+    rows = experiments.table3(eps_list=eps_list, r=args.r,
                               skip_unattempted=not args.attempt_blank,
-                              **_common_table_args(args))
-    paper = args.paper_format
-    by_key = {(row.m, row.eps): row for row in rows}
+                              **_table_args(args))
+
+    def cell(row, text):  # not attempted: blank, or the analytic value
+        if row.run is not None:
+            return text
+        return text + "!" if args.beyond_paper else ""
+
     header = ["m\\eps"] + [f"{e:g}" for e in eps_list]
-    lines = [",".join(header)]
-    for m in m_list:
-        cells = [str(m)]
-        for e in eps_list:
-            row = by_key[(m, e)]
-            if row.run is None:  # not attempted: blank, or the analytic value
-                cells.append(_cell(row.value, paper) + "!" if args.beyond_paper
-                             else "")
-            else:
-                cells.append(_cell(row.value, paper, row.asterisk))
-        lines.append(",".join(cells))
-    _emit(lines, args.output)
-    return 0
+    return _write_grid(args, header, rows, "eps", eps_list, cell)
 
 
 def _family_from_args(args) -> UnstableFamilySpec:

@@ -216,7 +216,7 @@ def _store_cached(path: Optional[Path], record: dict) -> None:
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")  # one per writer process
     tmp.write_text(json.dumps({**record, "version": CACHE_VERSION}))
     os.replace(tmp, path)
 
@@ -301,6 +301,17 @@ def slope_fit(m_values: Sequence[float], u_prime_values: Sequence[float]) -> flo
     if np.any(u <= 0.0):
         raise ValueError("norm values must be positive")
     return float(np.polyfit(m_values, np.log(u), 1)[0])
+
+
+def growth_rates(rows: Sequence[TableRow]) -> dict:
+    """Per contrast r, in the rows' order: the `slope_fit` of (m, finest
+    ||u_h'||) over its rows without an asterisk, or None with fewer than two."""
+    settled = {row.r: [] for row in rows}
+    for row in rows:
+        if not row.asterisk:
+            settled[row.r].append((row.m, row.run.values[-1]))
+    return {r: slope_fit(*zip(*points)) if len(points) >= 2 else None
+            for r, points in settled.items()}
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,8 @@ class BandedComplexSystem:
 
     @property
     def dimension(self) -> int:
+        if self.diag is None:
+            raise ValueError("the system was consumed by solve_in_place")
         return len(self.diag)
 
     def factorize(self):
@@ -153,17 +155,19 @@ class BandedComplexSystem:
                hi: Optional[int] = None) -> np.ndarray:
         """Rows [lo, hi) of A x (default: all rows).  Each row adds its
         super-diagonal term before its sub-diagonal one."""
-        hi = self.dimension if hi is None else hi
+        n = self.dimension
+        hi = n if hi is None else hi
         y = self.diag[lo:hi] * x[lo:hi]
-        top = min(hi, self.dimension - 1)  # the rows that have a super-diagonal
+        top = min(hi, n - 1)  # the rows that have a super-diagonal
         y[:top - lo] += self.offdiag[lo:top] * x[lo + 1:top + 1]
         bottom = max(lo, 1)  # the first row that has a sub-diagonal
         y[bottom - lo:] += self.offdiag[bottom - 1:hi - 1] * x[bottom - 1:hi - 1]
         return y
 
     def norm1(self) -> float:
+        n = self.dimension
         col = np.abs(self.diag)
-        if self.dimension > 1:
+        if n > 1:
             off = np.abs(self.offdiag)
             col[1:] += off
             col[:-1] += off
@@ -339,19 +343,23 @@ def solve_in_place(system: BandedComplexSystem) -> np.ndarray:
     off-diagonal for the sub-diagonal.  No factors are kept and no residual
     is computed; the values have the bits of `solve(system).values`, which
     systems of dimension <= 2 take (the dense fallback of `factorize`).
+    Either way the call consumes the system: any later solve, estimate,
+    `matvec` or `norm1` on it raises ValueError.
     """
     if system.dimension <= 2:
-        return solve(system).values
-    _, _, _, x, info = lapack.zgtsv(
-        system.offdiag.copy(), system.diag, system.offdiag,
-        system.rhs.reshape(-1, 1), overwrite_dl=1, overwrite_d=1,
-        overwrite_du=1, overwrite_b=1)
+        x, info = solve(system).values, 0
+    else:
+        _, _, _, x, info = lapack.zgtsv(
+            system.offdiag.copy(), system.diag, system.offdiag,
+            system.rhs.reshape(-1, 1), overwrite_dl=1, overwrite_d=1,
+            overwrite_du=1, overwrite_b=1)
+        x = x.reshape(-1)
+        if system.dirichlet_left or system.dirichlet_right:
+            x = np.pad(x, (int(system.dirichlet_left), int(system.dirichlet_right)))
+    system.diag = system.offdiag = system.rhs = system._factors = None
     if info != 0:
         raise SingularSystemError(
             f"zero pivot at row {info - 1} during banded LU", info - 1)
-    x = x.reshape(-1)
-    if system.dirichlet_left or system.dirichlet_right:
-        x = np.pad(x, (int(system.dirichlet_left), int(system.dirichlet_right)))
     return x
 
 

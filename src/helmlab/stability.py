@@ -268,7 +268,7 @@ def _product_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
 
 
 def q_product_bound(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
-                    bc: BoundaryConfig = BoundaryConfig.DIRICHLET_IMPEDANCE) -> float:
+                    bc: BoundaryConfig = BoundaryConfig.PURE_IMPEDANCE) -> float:
     """Product-form bound on Q: sharper than the exponential form when the
     coefficients are not oscillatory.
 

@@ -140,10 +140,9 @@ def test_table1_csv_unchanged(table1_fem, monkeypatch, capsys):
 def test_criterion_02_slope_fits(table1_fem):
     ok = True
     detail = []
+    rates = hl.growth_rates(list(table1_fem.values()))
     for r, expected in TABLE1_GRAD.items():
-        pts = [(m, table1_fem[(m, r)].run.values[-1])
-               for m in (2, 4, 6, 8, 10, 12) if not table1_fem[(m, r)].asterisk]
-        slope = hl.slope_fit([p[0] for p in pts], [p[1] for p in pts])
+        slope = rates[r]
         detail.append(f"r={r}: {slope:.3f} (target {expected} +- 0.02)")
         if abs(slope - expected) > 0.02:
             ok = False

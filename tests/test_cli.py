@@ -10,6 +10,7 @@ import pytest
 import helmlab as hl
 from helmlab.cli import fmt_paper, fmt_sig, parse_and_dispatch
 from helmlab.config import ConfigError, load_problem
+from helmlab.fem import SingularSystemError
 
 ROOT = Path(__file__).resolve().parents[1]
 FORMATS_DOC = ROOT / "docs" / "formats.md"
@@ -187,6 +188,17 @@ class TestDispatch:
         assert "norm_du = 0.707" in out
         assert "residual" in out
 
+    def test_singular_system_exits_two(self, unit_cfg, monkeypatch, capsys):
+        def singular(problem, mesh):
+            raise SingularSystemError("zero pivot at row 0 during banded LU", 0)
+
+        monkeypatch.setattr(hl.fem, "solve_problem", singular)
+        assert parse_and_dispatch(["solve", "--config", unit_cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "numerical failure: zero pivot at row 0 during banded LU\n"
+
     def test_solve_condition_is_exact(self, tmp_path, capsys):
         # one element under pure impedance is a 2 x 2 system whose 1-norm
         # condition number is 2.9844; five Hager steps give only 1.0025
@@ -250,6 +262,11 @@ class TestDispatch:
         assert "sigma_star_bound = 0.0808" in out
 
 
+SMALL_TABLE2 = ["table2", "--m", "2,4", "--base", "50", "--levels", "3"]
+SMALL_TABLE3 = ["table3", "--m", "6,14", "--eps", "0,1e-3", "--base", "50",
+                "--levels", "3"]
+
+
 class TestTables:
     def test_table1_csv_and_determinism(self, tmp_path, capsys):
         args = ["table1", "--m", "2", "--r", "0.4", "--base", "50",
@@ -277,15 +294,10 @@ class TestTables:
                                    "-o", str(out)]) == 0
         printed = out.read_text().splitlines()[-1]
         assert printed == grad
-        rows = hl.table1((0.4, 0.5), (2, 4), base=base, levels=3)
-        expected = ["grad"]
-        for r in (0.4, 0.5):
-            settled = [row for row in rows if row.r == r and not row.asterisk]
-            slope = hl.slope_fit([row.m for row in settled],
-                                 [row.run.values[-1] for row in settled]) \
-                if len(settled) >= 2 else None
-            expected += ["" if slope is None else f"{slope:.2f}", ""]
-        assert printed == ",".join(expected)
+        rates = hl.growth_rates(hl.table1((0.4, 0.5), (2, 4), base=base, levels=3))
+        assert list(rates) == [0.4, 0.5]
+        slopes = ["" if rate is None else f"{rate:.2f}" for rate in rates.values()]
+        assert printed == ",".join(["grad"] + [f"{slope}," for slope in slopes])
 
     def test_parallel_output_byte_identical(self, tmp_path):
         args = ["table1", "--m", "2,4", "--r", "0.4", "--base", "25",
@@ -313,6 +325,18 @@ class TestTables:
                 "--levels", "2", "-o", str(out)]
         assert parse_and_dispatch(args + (["--paper-format"] if paper else [])) == 0
         assert out.read_text().splitlines()[1].split(",")[2] == "inf"
+
+    @pytest.mark.parametrize("args, golden", [
+        (SMALL_TABLE2, "table2_small"),
+        (SMALL_TABLE2 + ["--paper-format"], "table2_small_paper"),
+        (SMALL_TABLE3, "table3_small"),
+        (SMALL_TABLE3 + ["--beyond-paper"], "table3_small_beyond"),
+        (SMALL_TABLE3 + ["--attempt-blank"], "table3_small_attempt")])
+    def test_small_grid_output_unchanged(self, capsys, args, golden):
+        # between them: plain and paper, asterisk, blank and '!' cells
+        assert parse_and_dispatch(args) == 0
+        assert capsys.readouterr().out.encode() == \
+            (DATA / f"{golden}.csv").read_bytes()
 
     def test_table2_header(self, tmp_path):
         out = tmp_path / "t2.csv"

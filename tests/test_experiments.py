@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import threading
 
 import mpmath as mp
@@ -108,6 +109,27 @@ class TestRefinementProtocol:
         run2 = hl.refine_to_convergence(prob, **kwargs)
         assert 123.0 in run2.values
         assert run1.values != run2.values
+
+    def test_two_writers_of_one_ladder(self, tmp_path, monkeypatch):
+        # a second process stores the same ladder between the first one's
+        # write and its replace: each replaces the record whole
+        path = experiments._cache_path(str(tmp_path), "key", 25, 2)
+        first = {"du": [1.0, 2.0], "wu": 3.0, "res": 1e-16, "cond": 10.0}
+        second = {**first, "cond": 20.0}
+        pids = iter([101, 202])
+        monkeypatch.setattr(os, "getpid", lambda: next(pids))
+        replace = os.replace
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(os, "replace", replace)
+            experiments._store_cached(path, second)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        experiments._store_cached(path, first)
+        assert experiments._load_cached(path, 2) == {
+            **first, "version": experiments.CACHE_VERSION}
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("stale", [
         lambda path: _edit_record(path, lambda record: record.pop("version")),

@@ -349,17 +349,40 @@ class TestSolveInPlace:
             mesh = hl.build_mesh(prob, count)
             expected = hl.solve(hl.assemble(prob, mesh)).values
             system = hl.assemble(prob, mesh)
+            dim = system.dimension  # the call consumes the system
             values = hl.solve_in_place(system)
             assert values.dtype == expected.dtype
             assert np.array_equal(values, expected), (bc, count)
-            dims.add(system.dimension)
-            if system.dimension > 2:
-                assert system._factors is None
+            dims.add(dim)
+            if dim > 2:
                 ipiv = hl.assemble(prob, mesh).factorize()[4]
                 swaps += np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1))
         # both nodes of a single element are free under pure impedance
         assert set(range(2 if bc == BC.PURE_IMPEDANCE else 1, 4)) <= dims
         assert swaps > 0
+
+    @pytest.mark.parametrize("count", [1, 20], ids=["dense", "zgtsv"])
+    @pytest.mark.parametrize("factorized", [False, True])
+    def test_consumes_the_system(self, count, factorized):
+        # its arrays hold LAPACK's factors and the solution afterwards: on
+        # (2, 0.4) at 20 elements an estimate from them gives 375.8, not the
+        # assembled matrix's 8394.9, and a solve a residual of 5.5e-16
+        prob = hl.family(hl.UnstableFamilySpec(2, 0.4)) if count > 1 else unit_problem()
+        system = hl.assemble(prob, hl.build_mesh(prob, count))
+        n = system.dimension
+        if factorized:
+            system.factorize()
+        expected = hl.solve(hl.assemble(prob, hl.build_mesh(prob, count))).values
+        assert np.array_equal(hl.solve_in_place(system), expected)
+        assert system._factors is None
+        x = np.ones(n, dtype=complex)
+        queries = [hl.solve, hl.condition_estimate, hl.solve_in_place,
+                   lambda s: s.factorize(), lambda s: s.solve_vector(x),
+                   lambda s: s.matvec(x), lambda s: s.matvec(x, 0, 1),
+                   lambda s: s.norm1(), lambda s: s.dimension]
+        for query in queries:
+            with pytest.raises(ValueError, match="consumed by solve_in_place"):
+                query(system)
 
     @pytest.mark.parametrize("diag, offdiag", [
         ([1.0, 0.0, 1.0], [0.0, 0.0]), (np.zeros(3), np.zeros(2)),

@@ -173,6 +173,14 @@ class TestQBound:
         bound = hl.q_product_bound(a, c, BC.DIRICHLET_IMPEDANCE)
         assert bound == pytest.approx(2.0 * 3.0 * 4.0, rel=1e-12)
 
+    def test_default_layout_is_pure_impedance(self):
+        # like q_bound and stability_report; Dirichlet-impedance doubles it
+        a = c = hl.from_segments([-1.0, 1.0], [hl.Linear(1.0, 2.0)])
+        assert hl.q_product_bound(a, c) == \
+            hl.q_product_bound(a, c, BC.PURE_IMPEDANCE) == pytest.approx(8.0)
+        assert hl.q_product_bound(a, c, BC.DIRICHLET_IMPEDANCE) == pytest.approx(16.0)
+        assert hl.stability_report(a, c).Q_product_bound == hl.q_product_bound(a, c)
+
     def test_exact_below_bound(self, rng):
         # [-1, 1], then random intervals [z_0, z_N]: anywhere, and left of 0
         ends = np.random.default_rng(7)
@@ -273,6 +281,16 @@ class TestVerifyQ:
         assert qa_m - qa_p == pytest.approx(0.0, abs=0.0)
         jump_c2 = q.one_sided(1, "left") / 4.0 - q.one_sided(1, "right") / 1.0
         assert jump_c2 == pytest.approx(-0.75, abs=0.0)
+        assert hl.verify_q_properties(q, a, c).passed
+
+    def test_proportional_affine_envelopes(self):
+        # a~ = c~ = (3 + x)/2: the closed form divides by q r - p s = 0, so
+        # the integrals of 1/(a~ c~^2) = 8/(3 + x)^3 come from quadrature
+        a = c = hl.from_segments([-1.0, 1.0], [hl.Linear(1.0, 2.0)])
+        q = hl.build_q(a, c)
+        params = stability._affine_params(q.a_tilde.segments[0], -1.0, 1.0)
+        assert stability._recip_antiderivative(*params, *params, 1.0) is None
+        assert q.seg_integrals[0] == pytest.approx(0.75, rel=0.0, abs=1e-12)
         assert hl.verify_q_properties(q, a, c).passed
 
     def test_smooth_coefficients(self):
