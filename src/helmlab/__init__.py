@@ -17,7 +17,7 @@ from .stability import (JumpFactors, MultiplierQ, QDiagnostics, StabilityReport,
                         stability_report, tech_product_check,
                         verify_q_properties)
 from .theory import (FemTheoryInputs, FemTheoryReport, continuity_constant,
-                     kappa_ratio, resolution_and_quasiopt, sigma_star_bound)
+                     resolution_and_quasiopt, sigma_star_bound)
 from .fem import (BandedComplexSystem, FemSolution, Mesh1D, MeshAlignmentError,
                   SingularSystemError, assemble, build_mesh,
                   condition_estimate, derivative_norm, norms, solve,

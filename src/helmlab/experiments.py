@@ -10,16 +10,18 @@ breakpoint collapses the growth.
 
 Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
-significant figures; the finest level is factorized first, and its
-condition estimate runs on one helper thread while that level is solved and
-the coarser levels run, each solved once in place for its ||u_h'|| alone;
-an optional cache keeps one record per ladder), table grids over (m, r,
-data, perturbation), least-squares growth-rate fits, comparison against the
-theoretical bound, and an empirical quasi-optimality probe against the
-analytic reference (a serial loop over levels, each solved once in place;
-on its layered problems with f = 0 and per-layer uniform meshes, the energy
-errors are closed-form element integrals: six per layer, and the oracle at
-nodes and midpoints, evaluated layer by layer on the mesh's element runs).
+significant figures; one helper thread solves the coarser levels, each once
+in place for its ||u_h'|| alone, and then the finest level's condition
+estimate, while the calling thread factorizes, solves and norms the finest
+level and, for data g = (0, 1), hands its solution to the estimate as the
+inverse's last column; an optional cache keeps one record per ladder),
+table grids over (m, r, data, perturbation), least-squares growth-rate fits,
+comparison against the theoretical bound, and an empirical quasi-optimality
+probe against the analytic reference (a serial loop over levels, each
+solved once in place; on its layered problems with f = 0 and per-layer
+uniform meshes, the energy errors are closed-form element integrals: six
+per layer, and the oracle at nodes and midpoints, evaluated layer by layer
+on the mesh's element runs).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -122,11 +124,11 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
                           cache_key: Optional[str] = None) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
 
-    The finest level is built and factorized first, and the condition
-    estimate of its system runs on one helper thread while the calling
-    thread solves and norms that level and then works through the coarser
-    levels; every level still runs the same functions on the same inputs,
-    so the run is the one a serial ladder gives.
+    One helper thread solves the coarser levels and then the condition
+    estimate of the finest system, while the calling thread builds,
+    factorizes, solves and norms the finest level (`_run_ladder`); every
+    level still runs the same functions on the same inputs, so the run is
+    the one a serial ladder gives.
 
     With a cache directory and key, the ladder is one record keyed by
     problem, base and level count: it is read before the ladder and written
@@ -151,28 +153,40 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     """The ladder's cache record: ||u_h'|| per level, and the finest level's
     weighted norm, residual and condition estimate.
 
-    The finest level is built and factorized first, and its estimate is
-    submitted to one helper thread before that level is solved and normed;
-    its factors live on for the estimate.  Each coarser level follows with
-    one in-place solve and its ||u_h'|| alone (`_coarse_du`).
+    Levels 0 .. L-2 go to one helper thread at once, coarsest first, each
+    one in-place solve and its ||u_h'|| alone (`_coarse_du`).  The calling
+    thread builds, assembles and factorizes the finest level, then queues
+    its estimate behind them and solves and norms that level; its factors
+    live on for the estimate.  When the finest right-hand side is exactly
+    e_n, its solution is A^-1 e_n, and the estimate takes that column from
+    the solve through a Future instead of solving it again.
     """
-    # no thread starts before the submit; leaving the block joins it
+    # no thread starts before the first submit; leaving the block joins it
     with ThreadPoolExecutor(max_workers=1) as pool:
+        coarse = [pool.submit(_coarse_du, problem, base, level)
+                  for level in range(levels - 1)]
         mesh = fem.build_mesh(problem, base * 2**(levels - 1))
         system = fem.assemble(problem, mesh)
         system.factorize()
-        # the estimate is one two-column zgttrs solve, which releases the
-        # GIL; a coarser level's zgtsv holds it (about 25-35 ms a call at
-        # 640,001 nodes), so it can only delay that one solve's start
-        estimate = pool.submit(fem.condition_estimate, system)
-        solution = fem.solve(system)
+        # a right-hand side of exactly e_n has the solution A^-1 e_n
+        unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
+        last = Future() if unit else None
+        estimate = pool.submit(fem.condition_estimate, system, last)
+        try:
+            solution = fem.solve(system)
+            if last is not None:
+                pad = int(system.dirichlet_left)
+                last.set_result(solution.values[pad:pad + system.dimension])
+        finally:
+            if last is not None:
+                last.cancel()  # a no-op once resolved; else the estimate raises
         system.rhs = None  # the estimate needs the matrix and its LU only
         du, wu, _energy = fem.norms(solution, problem, mesh)
         res = solution.residual
         del mesh, system, solution  # the system is freed with its estimate
-        coarse = [_coarse_du(problem, base, level) for level in range(levels - 1)]
+        du_levels = [level.result() for level in coarse] + [float(du)]
         cond = estimate.result()
-    return {"du": coarse + [float(du)], "wu": float(wu), "res": res, "cond": cond}
+    return {"du": du_levels, "wu": float(wu), "res": res, "cond": cond}
 
 
 def _coarse_du(problem: HelmholtzProblem, base: int, level: int) -> float:

@@ -4,15 +4,18 @@ A mesh is a partition plus one element count per subinterval, so subinterval
 j owns a known run of elements.  Element integrals are exact for
 piecewise-constant and piecewise-linear coefficients (5-point Gauss for smooth
 data and sources) and are computed one coefficient segment at a time, on the
-elements of a run that the segment owns.  Assembly, the solve's residual and
-the norms pass over the mesh in the leaf runs of `quadrature._pairwise_tree`
-(at most `_SUM_LEAF` elements or rows each), so their temporaries are
-run-sized, not mesh-sized, and every entry, maximum and sum has the bits of
-the whole-mesh computation.  The complex symmetric tridiagonal system stores
-its diagonal and a single off-diagonal; it is solved by banded LU with partial
-pivoting, and its 1-norm condition number is exact up to round-off: it
-follows from the first and last columns of the inverse, which one
-two-column solve on the factors gives.  A system that needs no factors, no
+elements of a run that the segment owns; a constant segment's element data
+are four scalars, which the arithmetic broadcasts, so no array is filled with
+a constant.  Assembly, the solve's residual and the norms pass over the mesh
+in the leaf runs of `quadrature._pairwise_tree` (at most `_SUM_LEAF` elements
+or rows each), so their temporaries are run-sized, not mesh-sized, and every
+entry, maximum and sum has the bits of the whole-mesh computation.  The
+complex symmetric tridiagonal system stores its diagonal and a single
+off-diagonal; it is solved by banded LU with partial pivoting, and its 1-norm
+condition number is exact up to round-off: it follows from the first and
+last columns of the inverse, which one two-column solve on the factors gives,
+or a one-column solve when the caller hands in the last column (the solution
+for a right-hand side that is exactly e_n).  A system that needs no factors, no
 residual and no norm but ||u_h'|| (`derivative_norm`) is solved by one
 in-place `zgtsv` pass (`solve_in_place`), with the bits of the factorized
 solve; this module alone chooses the LAPACK routines.  Condition numbers in
@@ -183,62 +186,60 @@ class FemSolution:
 
 
 def _element_data(problem: HelmholtzProblem, mesh: Mesh1D, lo: int = 0,
-                  hi: Optional[int] = None):
-    """Per-element averaged a and the three 1/c^2 mass integrals of the
-    element run [lo, hi) (default: every element).
+                  hi: Optional[int] = None) -> list:
+    """The element data of the element run [lo, hi) (default: every
+    element), one entry per coefficient segment that the run meets.
 
-    Returns (a_mean, p00, p01, p11) with p_ij = int_0^1 phi_i phi_j / c^2 dt
-    on the unit element.  Exact for constant/linear segments, 5-point Gauss
-    otherwise.  By the mesh's ownership rule the run covers subintervals
-    lo // n through ceil(hi / n) - 1 (n elements each); each element's
-    values are those of the whole-mesh call.
+    Each entry is (sl, a_mean, p00, p01, p11): the segment's elements as a
+    slice of the run, their averaged a and the three 1/c^2 mass integrals
+    p_ij = int_0^1 phi_i phi_j / c^2 dt on the unit element.  A Constant
+    segment gives Python floats, a Linear or Smooth one arrays over sl, so
+    callers broadcast either kind alike.  Exact for constant/linear segments,
+    5-point Gauss otherwise.  By the mesh's ownership rule the run covers
+    subintervals lo // n through ceil(hi / n) - 1 (n elements each); each
+    element's values are those of the whole-mesh call.
     """
     part = problem.partition
     if not np.array_equal(mesh.partition, part):
         raise MeshAlignmentError("mesh was built on another partition")
     hi = mesh.n_nodes - 1 if hi is None else hi
     n = mesh.per_segment
-    x = mesh.nodes[lo:hi + 1]
-    xl, xr = x[:-1], x[1:]
-    h = xr - xl
-
-    a_mean, p00, p01, p11 = (np.empty(len(h)) for _ in range(4))
+    pieces = []
     for j in range(lo // n, -(-hi // n)):
         aseg, cseg = problem.a.segments[j], problem.c.segments[j]
         own = mesh.elements_of(j)
-        sl = slice(max(own.start, lo) - lo, min(own.stop, hi) - lo)
+        start, stop = max(own.start, lo), min(own.stop, hi)
+        x = mesh.nodes[start:stop + 1]
+        xl, xr = x[:-1], x[1:]
         x0, x1 = part[j], part[j + 1]
 
         if isinstance(aseg, Constant):
-            a_mean[sl] = aseg.value
+            a_mean = aseg.value
         elif isinstance(aseg, Linear):
-            al = _seg_values(aseg, x0, x1, xl[sl])
-            ar = _seg_values(aseg, x0, x1, xr[sl])
-            a_mean[sl] = 0.5 * (al + ar)
+            al = _seg_values(aseg, x0, x1, xl)
+            ar = _seg_values(aseg, x0, x1, xr)
+            a_mean = 0.5 * (al + ar)
         else:
-            xg = xl[sl][:, None] + h[sl][:, None] * G5_T[None, :]
-            a_mean[sl] = _seg_values(aseg, x0, x1, xg.ravel()).reshape(
+            xg = xl[:, None] + (xr - xl)[:, None] * G5_T[None, :]
+            a_mean = _seg_values(aseg, x0, x1, xg.ravel()).reshape(
                 xg.shape) @ G5_W
 
         if isinstance(cseg, Constant):
             inv = 1.0 / cseg.value ** 2
-            p00[sl] = inv / 3.0
-            p01[sl] = inv / 6.0
-            p11[sl] = inv / 3.0
+            p00, p01, p11 = inv / 3.0, inv / 6.0, inv / 3.0
         elif isinstance(cseg, Linear):
-            cl = _seg_values(cseg, x0, x1, xl[sl])
-            cr = _seg_values(cseg, x0, x1, xr[sl])
+            cl = _seg_values(cseg, x0, x1, xl)
+            cr = _seg_values(cseg, x0, x1, xr)
             j0, j1, j2 = _linear_mass_integrals(cl, cr)
-            p00[sl] = j0 - 2.0 * j1 + j2
-            p01[sl] = j1 - j2
-            p11[sl] = j2
+            p00, p01, p11 = j0 - 2.0 * j1 + j2, j1 - j2, j2
         else:
-            xg = xl[sl][:, None] + h[sl][:, None] * G5_T[None, :]
+            xg = xl[:, None] + (xr - xl)[:, None] * G5_T[None, :]
             inv = 1.0 / _seg_values(cseg, x0, x1, xg.ravel()).reshape(xg.shape) ** 2
-            p00[sl] = (inv * (1.0 - G5_T) ** 2) @ G5_W
-            p01[sl] = (inv * G5_T * (1.0 - G5_T)) @ G5_W
-            p11[sl] = (inv * G5_T**2) @ G5_W
-    return a_mean, p00, p01, p11
+            p00 = (inv * (1.0 - G5_T) ** 2) @ G5_W
+            p01 = (inv * G5_T * (1.0 - G5_T)) @ G5_W
+            p11 = (inv * G5_T**2) @ G5_W
+        pieces.append((slice(start - lo, stop - lo), a_mean, p00, p01, p11))
+    return pieces
 
 
 def _linear_mass_integrals(cl: np.ndarray, cr: np.ndarray):
@@ -284,12 +285,13 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
         hi = lo + k
         x = mesh.nodes[lo:hi + 1]
         h = x[1:] - x[:-1]
-        a_mean, p00, p01, p11 = _element_data(problem, mesh, lo, hi)
-        kdiag = a_mean / h
-        om2h = om**2 * h
-        diag_re[lo:hi] += kdiag - om2h * p00
-        diag_re[lo + 1:hi + 1] += kdiag - om2h * p11
-        offdiag[lo:hi] = -kdiag - om2h * p01
+        left, right, off = diag_re[lo:hi], diag_re[lo + 1:hi + 1], offdiag[lo:hi]
+        for sl, a_mean, p00, p01, p11 in _element_data(problem, mesh, lo, hi):
+            kdiag = a_mean / h[sl]
+            om2h = om**2 * h[sl]
+            left[sl] += kdiag - om2h * p00
+            right[sl] += kdiag - om2h * p11
+            off[sl] = -kdiag - om2h * p01
         if problem.f is not None:
             xg = x[:-1, None] + h[:, None] * G5_T[None, :]
             fg = np.asarray(problem.f(xg.ravel()), dtype=complex).reshape(xg.shape)
@@ -399,11 +401,14 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
         hi = lo + k
         h = nodes[lo + 1:hi + 1] - nodes[lo:hi]
         ul, ur = u[lo:hi], u[lo + 1:hi + 1]
-        a_mean, p00, p01, p11 = _element_data(problem, mesh, lo, hi)
         slope2 = _slope2(ul, ur, h)
-        mass = h * (np.abs(ul) ** 2 * p00 + 2.0 * (ul * np.conj(ur)).real * p01
-                    + np.abs(ur) ** 2 * p11)
-        return np.array([np.sum(slope2), np.sum(mass), np.sum(a_mean * slope2)])
+        ul2, ur2 = np.abs(ul) ** 2, np.abs(ur) ** 2
+        cross = 2.0 * (ul * np.conj(ur)).real
+        mass, a_slope2 = np.empty(k), np.empty(k)
+        for sl, a_mean, p00, p01, p11 in _element_data(problem, mesh, lo, hi):
+            mass[sl] = h[sl] * (ul2[sl] * p00 + cross[sl] * p01 + ur2[sl] * p11)
+            a_slope2[sl] = a_mean * slope2[sl]
+        return np.array([np.sum(slope2), np.sum(mass), np.sum(a_slope2)])
 
     du2, mass2, energy_du2 = _pairwise_tree(leaf_sums, 0, mesh.n_nodes - 1)
     wu2 = float(problem.omega**2 * mass2)
@@ -411,17 +416,20 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
     return np.sqrt(float(du2)), np.sqrt(wu2), np.sqrt(energy2)
 
 
-def condition_estimate(system: BandedComplexSystem) -> float:
+def condition_estimate(system: BandedComplexSystem, last=None) -> float:
     """The 1-norm condition number ||A||_1 ||A^-1||_1, exact up to round-off.
 
     An irreducible tridiagonal symmetric matrix has a semiseparable inverse
     (Meurant 1992): with c_1 = A^-1 e_1 and c_n = A^-1 e_n,
     (A^-1)_ij = c_n[i] c_1[j] / c_1[n-1] for i <= j, and symmetrically.  So
     column j of A^-1 has 1-norm (|c_1[j]| P_j + |c_n[j]| S_{j+1}) / |c_1[n-1]|
-    with P the prefix sums of |c_n| and S the suffix sums of |c_1|, and both
-    columns come from one two-column solve.  A zero off-diagonal entry (a
-    reducible matrix) raises ValueError; a corner c_1[n-1] that is zero or
-    not finite, or a result that is not finite, raises SingularSystemError.
+    with P the prefix sums of |c_n| and S the suffix sums of |c_1|.  Both
+    columns come from one two-column solve on the factors; or, given `last`,
+    a Future of c_n (say, the solve of a right-hand side that is exactly
+    e_n, which has its bits), only c_1 is solved and c_n is awaited from the
+    Future.  A zero off-diagonal entry (a reducible matrix) raises
+    ValueError; a corner c_1[n-1] that is zero or not finite, or a result
+    that is not finite, raises SingularSystemError.
     """
     n = system.dimension
     if n == 1:
@@ -429,12 +437,19 @@ def condition_estimate(system: BandedComplexSystem) -> float:
     if not np.all(system.offdiag):
         raise ValueError("the condition number needs an irreducible matrix: "
                          "an off-diagonal entry is zero")
-    cols = np.zeros((n, 2), dtype=complex, order="F")
-    cols[0, 0] = cols[-1, 1] = 1.0
-    system.solve_vector(cols, overwrite_b=True)
-    mags = np.abs(cols)  # F-ordered like cols, so each column is contiguous
-    del cols
-    first, last = mags[:, 0], mags[:, 1]
+    if last is None:
+        cols = np.zeros((n, 2), dtype=complex, order="F")
+        cols[0, 0] = cols[-1, 1] = 1.0
+        system.solve_vector(cols, overwrite_b=True)
+        mags = np.abs(cols)  # F-ordered like cols, so each column is contiguous
+        del cols
+        first, last = mags[:, 0], mags[:, 1]
+    else:
+        col = np.zeros(n, dtype=complex)
+        col[0] = 1.0
+        first = np.abs(system.solve_vector(col, overwrite_b=True))
+        del col
+        last = np.abs(last.result())
     corner = first[-1]
     if not (np.isfinite(corner) and corner > 0.0):
         raise SingularSystemError(

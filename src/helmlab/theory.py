@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .coeffs import Constant, Linear, PiecewiseCoefficient, _chebyshev, _seg_deriv, _seg_values
-
 
 @dataclass(frozen=True)
 class FemTheoryInputs:
@@ -131,29 +127,3 @@ def resolution_and_quasiopt(inputs: FemTheoryInputs,
         defaults_used=inputs.defaults_used,
     )
 
-
-def kappa_ratio(coeff: PiecewiseCoefficient) -> float:
-    """The sup of |g'/g| for a jump-free coefficient.
-
-    Coefficients with interior jumps have no finite logarithmic derivative;
-    the convergence theory assumes (at least Lipschitz) continuity, so such
-    input is refused.
-    """
-    for j in range(1, coeff.n_segments):
-        if coeff.jump(j) != 0.0:
-            raise ValueError(
-                f"coefficient jumps at breakpoint {j}; the logarithmic "
-                "derivative bound requires a continuous coefficient")
-    worst = 0.0
-    for j, seg in enumerate(coeff.segments):
-        x0, x1 = coeff.breakpoints[j], coeff.breakpoints[j + 1]
-        if isinstance(seg, Constant):
-            continue
-        if isinstance(seg, Linear):
-            worst = max(worst, abs(seg.right - seg.left) / (x1 - x0)
-                        / min(seg.left, seg.right))
-            continue
-        xs = np.concatenate([[x0], _chebyshev(x0, x1), [x1]])
-        ratio = np.abs(_seg_deriv(seg, x0, x1, xs)) / _seg_values(seg, x0, x1, xs)
-        worst = max(worst, float(np.max(ratio)))
-    return worst

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -53,12 +55,24 @@ class TestFamily:
             hl.UnstableFamilySpec(2, 1.5)
 
 
-def _dirichlet_layers():
+def _dirichlet_layers(g_right=1.0 - 0.5j):
     bp = [-1.0, -0.2, 0.5, 1.0]
     return hl.HelmholtzProblem(
         a=hl.piecewise_constant(bp, [1.0, 2.0, 0.5]),
         c=hl.piecewise_constant(bp, [1.0, 0.4, 2.0]), omega=9.0,
-        bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0 - 0.5j)
+        bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=g_right)
+
+
+def _smooth_dirichlet_source():
+    """Linear a, Smooth c, a complex source and a Dirichlet left end: array
+    element data, and a right-hand side that is not e_n."""
+    smooth = hl.Smooth(func=lambda x: 2.0 + np.sin(x), deriv=np.cos,
+                       sign="positive")
+    return hl.HelmholtzProblem(
+        a=hl.from_segments([-1.0, 1.0], [hl.Linear(1.0, 3.0)]),
+        c=hl.from_segments([-1.0, 1.0], [smooth]), omega=7.0,
+        bc=hl.BoundaryConfig.DIRICHLET_IMPEDANCE, g_right=1.0,
+        f=lambda x: np.cos(3.0 * x) + 0.5j * x)
 
 
 # (problem, base, levels) of the ladder record tests
@@ -70,7 +84,11 @@ _RECORD_CASES = {
     "family-10-0.5-eps": lambda: (hl.family(hl.UnstableFamilySpec(
         10, 0.5, eps=1e-6)), 16, 4),
     "dirichlet": lambda: (_dirichlet_layers(), 7, 5),
+    # the free nodes' right-hand side is e_n: the estimate's handed-over
+    # column sits between the solution's Dirichlet zero and its end
+    "dirichlet-unit": lambda: (_dirichlet_layers(g_right=1.0), 7, 5),
     "row-interchanges": lambda: (hl.family(hl.UnstableFamilySpec(12, 0.6)), 1, 5),
+    "smooth-source": lambda: (_smooth_dirichlet_source(), 9, 4),
 }
 
 
@@ -187,65 +205,75 @@ class TestRefinementProtocol:
             assert len(list(tmp_path.glob("*.json"))) == 1
         assert hl.refine_to_convergence(prob, **kwargs) == expected
 
-    @pytest.mark.parametrize("case", ["estimate", "warm"])
+    @pytest.mark.parametrize("case", ["estimate", "estimate-two-columns", "warm"])
     def test_level_order_and_threads(self, tmp_path, monkeypatch, case):
-        prob = hl.family(_LADDER_SPEC)
+        spec = _LADDER_SPEC if case != "estimate-two-columns" else \
+            hl.UnstableFamilySpec(_LADDER_SPEC.m, _LADDER_SPEC.r, g=(2.0, 0.5))
+        prob = hl.family(spec)
         levels = _LADDER["levels"]
-        kwargs = dict(_LADDER, cache_dir=str(tmp_path),
-                      cache_key=_LADDER_SPEC.cache_key())
+        kwargs = dict(_LADDER, cache_dir=str(tmp_path), cache_key=spec.cache_key())
         if case == "warm":
             hl.refine_to_convergence(prob, **kwargs)
         reference = _refine_serial_reference(prob)
-        factorize, solve, solve_in_place, estimate = (
+        factorize, solve, solve_in_place, solve_vector, estimate = (
             fem.BandedComplexSystem.factorize, fem.solve, fem.solve_in_place,
-            fem.condition_estimate)
-        events, estimated = [], []
+            fem.BandedComplexSystem.solve_vector, fem.condition_estimate)
+        events = []  # (event, dimension or column count, thread)
+
+        def record(event, size):
+            events.append((event, size, threading.current_thread()))
 
         def recording_factorize(system):
             if system._factors is None:
-                events.append(("factorize", system.dimension,
-                               threading.active_count()))
+                record("factorize", system.dimension)
             return factorize(system)
 
         def recording_solve(system):
-            events.append(("solve", system.dimension, threading.active_count()))
+            record("solve", system.dimension)
             return solve(system)
 
         def recording_solve_in_place(system):
-            events.append(("solve_in_place", system.dimension,
-                           threading.active_count()))
+            record("solve_in_place", system.dimension)
             values = solve_in_place(system)
             assert system._factors is None
             return values
 
-        def recording_estimate(system):
-            estimated.append((system.dimension, threading.current_thread()))
-            return estimate(system)
+        def recording_solve_vector(system, b, overwrite_b=False):
+            record("solve_vector", b.reshape(len(b), -1).shape[1])
+            return solve_vector(system, b, overwrite_b)
+
+        def recording_estimate(system, last=None):
+            record("estimate", system.dimension)
+            return estimate(system, last)
 
         monkeypatch.setattr(fem.BandedComplexSystem, "factorize",
                             recording_factorize)
+        monkeypatch.setattr(fem.BandedComplexSystem, "solve_vector",
+                            recording_solve_vector)
         monkeypatch.setattr(fem, "solve", recording_solve)
         monkeypatch.setattr(fem, "solve_in_place", recording_solve_in_place)
         monkeypatch.setattr(fem, "condition_estimate", recording_estimate)
         before = threading.active_count()
+        caller = threading.current_thread()
         assert hl.refine_to_convergence(prob, **kwargs) == reference
-        if case == "estimate":
-            # the finest level alone is factorized, before the helper thread
-            # starts with its estimate, and then solved with its residual;
-            # levels 0 .. L-2 follow, each solved once in place, while the
-            # helper thread stays until the ladder is done
-            dims = [hl.build_mesh(prob, _LADDER["base"] * 2**level).n_nodes
-                    for level in range(levels)]
-            assert events == [("factorize", dims[-1], before),
-                              ("solve", dims[-1], before + 1)] + [
-                ("solve_in_place", dim, before + 1) for dim in dims[:-1]]
-            (est_dim, est_thread), = estimated
-            assert est_dim == dims[-1]
-            assert est_thread is not threading.current_thread()
-        else:
-            # a stored ladder runs no level and starts no thread
-            assert events == [] and estimated == []
         assert threading.active_count() == before
+        if case == "warm":
+            # a stored ladder runs no level and starts no thread
+            assert events == []
+            return
+        # the calling thread factorizes the finest level alone and solves it
+        # with its residual; the helper thread solves levels 0 .. L-2 in
+        # place, coarsest first, and then runs the estimate, which solves
+        # e_1 alone when the finest right-hand side is e_n (g = (0, 1))
+        dims = [hl.build_mesh(prob, _LADDER["base"] * 2**level).n_nodes
+                for level in range(levels)]
+        (helper,) = {thread for *_, thread in events} - {caller}
+        assert [event[:2] for event in events if event[2] is caller] == [
+            ("factorize", dims[-1]), ("solve", dims[-1]), ("solve_vector", 1)]
+        columns = 1 if spec.g == (0.0, 1.0) else 2
+        assert [event[:2] for event in events if event[2] is helper] == [
+            ("solve_in_place", dim) for dim in dims[:-1]] + [
+            ("estimate", dims[-1]), ("solve_vector", columns)]
 
     @pytest.mark.parametrize("case", list(_RECORD_CASES))
     def test_record_matches_full_work_ladder(self, case):
@@ -260,23 +288,70 @@ class TestRefinementProtocol:
         for key in ("du", "wu", "res", "cond"):
             assert record[key] == reference[key], key
 
+    def test_concurrent_ladders_under_fast_thread_switching(self):
+        # four ladders at once, each with its helper thread, on two data
+        # pairs (one-column and two-column estimates), switching threads
+        # every few microseconds
+        cases = [(hl.family(hl.UnstableFamilySpec(4, 0.5, g=g)), 15, 4)
+                 for g in ((0.0, 1.0), (2.0, 0.5))]
+        references = [_ladder_record_reference(*case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                records = list(pool.map(lambda case: experiments._run_ladder(*case),
+                                        cases * 4, timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert records == references * 4
+
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError, match="at least one level"):
             hl.refine_to_convergence(hl.family(_LADDER_SPEC), levels=0)
 
-    def test_estimate_error_surfaces_and_thread_is_joined(self, tmp_path,
-                                                          monkeypatch):
-        def boom(system):
-            raise FloatingPointError("estimate failed")
+    @pytest.mark.parametrize("fails", [
+        "finest-factorize", "finest-solve", "coarse-solve", "estimate"])
+    def test_failure_surfaces_and_thread_is_joined(self, tmp_path, monkeypatch,
+                                                   fails):
+        prob = hl.family(_LADDER_SPEC)
+        base, levels = _LADDER["base"], _LADDER["levels"]
+        finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
+        coarse = hl.build_mesh(prob, base * 2).n_nodes  # level 1
+        owner, name, dimension = {
+            "finest-factorize": (fem.BandedComplexSystem, "factorize", finest),
+            "finest-solve": (fem, "solve", finest),
+            "coarse-solve": (fem, "solve_in_place", coarse),
+            "estimate": (fem, "condition_estimate", finest)}[fails]
+        original = getattr(owner, name)
 
-        monkeypatch.setattr(fem, "condition_estimate", boom)
+        class Boom(Exception):
+            pass
+
+        def failing(system, *args):
+            if system.dimension == dimension:
+                raise Boom(fails)
+            return original(system, *args)
+
+        monkeypatch.setattr(owner, name, failing)
         before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="estimate failed"):
-            hl.refine_to_convergence(hl.family(_LADDER_SPEC), **_LADDER,
-                                     cache_dir=str(tmp_path),
-                                     cache_key=_LADDER_SPEC.cache_key())
+        outcome = []
+
+        def ladder():
+            try:
+                hl.refine_to_convergence(prob, **_LADDER, cache_dir=str(tmp_path),
+                                         cache_key=_LADDER_SPEC.cache_key())
+            except Exception as exc:
+                outcome.append(exc)
+
+        # on a thread of its own, so that a deadlock fails the test
+        runner = threading.Thread(target=ladder, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive(), "the ladder did not return"
+        (error,) = outcome
+        assert isinstance(error, Boom) and error.args == (fails,)
         assert threading.active_count() == before
-        # a ladder without its estimate is not stored
+        # a ladder that failed is not stored
         assert list(tmp_path.iterdir()) == []
 
     def test_parallel_matches_serial(self, tmp_path):

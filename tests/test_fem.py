@@ -199,11 +199,37 @@ def _element_data_masked(problem, mesh):
     return a_mean, p00, p01, p11
 
 
-def _assert_element_data_identical(problem, mesh):
-    new = fem._element_data(problem, mesh)
+def _expanded_element_data(problem, mesh, lo=0, hi=None):
+    """`fem._element_data` of the run [lo, hi) as four arrays over the run:
+    each entry's values go to its elements, a scalar repeated over them.
+    Checks that the entries tile the run in order, and that an entry holds
+    Python floats exactly where both of its segments are Constant."""
+    hi = mesh.n_nodes - 1 if hi is None else hi
+    expanded = [np.empty(hi - lo) for _ in range(4)]
+    pieces = fem._element_data(problem, mesh, lo, hi)
+    bounds = [(sl.start, sl.stop) for sl, *_ in pieces]
+    assert bounds[0][0] == 0 and bounds[-1][1] == hi - lo
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+    for sl, *values in pieces:
+        j = (lo + sl.start) // mesh.per_segment
+        a_const = isinstance(problem.a.segments[j], Constant)
+        c_const = isinstance(problem.c.segments[j], Constant)
+        for arr, value, const in zip(expanded, values,
+                                     (a_const, c_const, c_const, c_const)):
+            if const:
+                assert isinstance(value, float)
+            else:
+                assert value.shape == (sl.stop - sl.start,)
+            arr[sl] = value
+    return expanded
+
+
+def _assert_element_data_identical(problem, mesh, lo=0, hi=None):
+    hi = mesh.n_nodes - 1 if hi is None else hi
+    new = _expanded_element_data(problem, mesh, lo, hi)
     ref = _element_data_masked(problem, mesh)
     for name, got, want in zip(("a_mean", "p00", "p01", "p11"), new, ref):
-        assert np.array_equal(got, want), name
+        assert np.array_equal(got, want[lo:hi]), (name, lo, hi)
 
 
 class TestElementData:
@@ -211,7 +237,12 @@ class TestElementData:
         (2, 0.4, 0.0, 0), (6, 0.5, 1e-6, 1), (12, 0.6, 0.0, 2)])
     def test_family_matches_masked_reference(self, m, r, eps, level):
         prob = hl.family(hl.UnstableFamilySpec(m, r, eps=eps))
-        _assert_element_data_identical(prob, hl.build_mesh(prob, 100 * 2**level))
+        mesh = hl.build_mesh(prob, 100 * 2**level)
+        # constant layers: one entry of four floats per subinterval
+        pieces = fem._element_data(prob, mesh)
+        assert len(pieces) == prob.c.n_segments
+        assert all(isinstance(v, float) for _, *values in pieces for v in values)
+        _assert_element_data_identical(prob, mesh)
 
     def test_mixed_segment_kinds_match_masked_reference(self):
         # Constant, Linear and Smooth segments in both a and c, on
@@ -230,15 +261,30 @@ class TestElementData:
         else:
             prob = _mixed_problem_with_source()
         mesh = hl.build_mesh(prob, 37)
-        ref = _element_data_masked(prob, mesh)
         n = mesh.n_nodes - 1
         rng = np.random.default_rng(n)
         runs = [(0, n), (0, 1), (n - 1, n)] + [
             tuple(sorted(rng.choice(n + 1, 2, replace=False))) for _ in range(40)]
         for lo, hi in runs:
-            got = fem._element_data(prob, mesh, lo, hi)
-            for name, g, want in zip(("a_mean", "p00", "p01", "p11"), got, ref):
-                assert np.array_equal(g, want[lo:hi]), (name, lo, hi)
+            _assert_element_data_identical(prob, mesh, lo, hi)
+
+    @pytest.mark.parametrize("name", ["family", "mixed"])
+    def test_leaf_runs_straddling_breakpoints(self, monkeypatch, name):
+        # leaf runs of at most 50 elements on 37 per subinterval: some of
+        # them start in one subinterval and end in the next
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 50)
+        if name == "family":
+            prob = hl.family(hl.UnstableFamilySpec(6, 0.5, eps=1e-6))
+        else:
+            prob = _mixed_problem_with_source()
+        mesh = hl.build_mesh(prob, 37)
+        runs = quadrature._leaf_runs(mesh.n_nodes - 1)
+        straddling = [(lo, k) for lo, k in runs if lo // 37 != (lo + k - 1) // 37]
+        assert straddling
+        for lo, k in straddling:
+            assert len(fem._element_data(prob, mesh, lo, lo + k)) == 2
+        for lo, k in runs:
+            _assert_element_data_identical(prob, mesh, lo, lo + k)
 
 
 class TestSolve:

@@ -93,24 +93,3 @@ class TestResolution:
         with pytest.raises(ValueError):
             unit_inputs(c_min=2.0)  # c_min > c_max
 
-
-class TestKappaRatio:
-    def test_constant_is_zero(self):
-        assert hl.kappa_ratio(hl.constant(5.0)) == 0.0
-
-    def test_linear_exact(self):
-        coeff = hl.from_segments([-1.0, 1.0], [hl.Linear(1.0, 2.0)])
-        # slope 1/2, minimum value 1
-        assert hl.kappa_ratio(coeff) == pytest.approx(0.5, abs=0.0)
-
-    def test_smooth_sampled(self):
-        seg = hl.Smooth(func=lambda x: np.exp(x) + 1.0,
-                        deriv=lambda x: np.exp(x), sign="positive")
-        coeff = hl.from_segments([-1.0, 1.0], [seg], g_min=1.0, g_max=np.e + 1.0)
-        expected = np.e / (np.e + 1.0)  # |g'/g| increasing, sup at x = 1
-        assert hl.kappa_ratio(coeff) == pytest.approx(expected, rel=1e-3)
-
-    def test_jumps_refused(self):
-        coeff = hl.piecewise_constant([-1.0, 0.0, 1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="jump"):
-            hl.kappa_ratio(coeff)
