@@ -437,19 +437,15 @@ def condition_estimate(system: BandedComplexSystem, last=None) -> float:
     if not np.all(system.offdiag):
         raise ValueError("the condition number needs an irreducible matrix: "
                          "an off-diagonal entry is zero")
+    cols = np.zeros((n, 2 if last is None else 1), dtype=complex, order="F")
+    cols[0, 0] = 1.0
     if last is None:
-        cols = np.zeros((n, 2), dtype=complex, order="F")
-        cols[0, 0] = cols[-1, 1] = 1.0
-        system.solve_vector(cols, overwrite_b=True)
-        mags = np.abs(cols)  # F-ordered like cols, so each column is contiguous
-        del cols
-        first, last = mags[:, 0], mags[:, 1]
-    else:
-        col = np.zeros(n, dtype=complex)
-        col[0] = 1.0
-        first = np.abs(system.solve_vector(col, overwrite_b=True))
-        del col
-        last = np.abs(last.result())
+        cols[-1, 1] = 1.0
+    system.solve_vector(cols, overwrite_b=True)
+    mags = np.abs(cols)  # F-ordered like cols, so each column is contiguous
+    del cols
+    first = mags[:, 0]
+    last = mags[:, 1] if last is None else np.abs(last.result())
     corner = first[-1]
     if not (np.isfinite(corner) and corner > 0.0):
         raise SingularSystemError(
