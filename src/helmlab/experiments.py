@@ -10,11 +10,12 @@ breakpoint collapses the growth.
 
 Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
-significant figures; one helper thread solves the coarser levels, each once
-in place for its ||u_h'|| alone, and then the finest level's condition
-estimate, while the calling thread factorizes, solves and norms the finest
-level and, for data g = (0, 1), hands its solution to the estimate as the
-inverse's last column; an optional cache keeps one record per ladder),
+significant figures; once the calling thread has assembled the finest level,
+one helper thread solves the coarser levels, each once in place for its
+||u_h'|| alone, and then the finest level's condition estimate, while the
+calling thread factorizes, solves and norms the finest level and, for data
+g = (0, 1), hands its solution to the estimate as the inverse's last column
+as soon as LAPACK returns it; an optional cache keeps one record per ladder),
 table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
 probe against the analytic reference (a serial loop over levels, each
@@ -124,11 +125,12 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
                           cache_key: Optional[str] = None) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
 
-    One helper thread solves the coarser levels and then the condition
-    estimate of the finest system, while the calling thread builds,
-    factorizes, solves and norms the finest level (`_run_ladder`); every
-    level still runs the same functions on the same inputs, so the run is
-    the one a serial ladder gives.
+    The calling thread builds and assembles the finest level; then one
+    helper thread solves the coarser levels and the condition estimate of
+    the finest system, while the calling thread factorizes, solves and
+    norms the finest level (`_run_ladder`); every level still runs the same
+    functions on the same inputs, so the run is the one a serial ladder
+    gives.
 
     With a cache directory and key, the ladder is one record keyed by
     problem, base and level count: it is read before the ladder and written
@@ -153,39 +155,42 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     """The ladder's cache record: ||u_h'|| per level, and the finest level's
     weighted norm, residual and condition estimate.
 
-    Levels 0 .. L-2 go to one helper thread at once, coarsest first, each
-    one in-place solve and its ||u_h'|| alone (`_coarse_du`).  The calling
-    thread builds, assembles and factorizes the finest level, then queues
-    its estimate behind them and solves and norms that level; its factors
-    live on for the estimate.  When the finest right-hand side is exactly
-    e_n, its solution is A^-1 e_n, and the estimate takes that column from
-    the solve through a Future instead of solving it again.
+    The calling thread builds and assembles the finest level alone, then
+    hands levels 0 .. L-2 to one helper thread at once, coarsest first, each
+    one in-place solve and its ||u_h'|| alone (`_coarse_du`); until then the
+    helper would only compete with it for the GIL.  It factorizes the finest
+    level, queues its estimate behind the coarse levels, and solves and
+    norms that level; its factors live on for the estimate.  When the
+    finest right-hand side is exactly e_n, its solution is A^-1 e_n, and
+    the estimate takes that column through a Future, resolved as soon as
+    LAPACK returns it, instead of solving it again.  If any step fails, the
+    levels not yet started are cancelled, so the error surfaces at once.
     """
+    last = None
     # no thread starts before the first submit; leaving the block joins it
     with ThreadPoolExecutor(max_workers=1) as pool:
-        coarse = [pool.submit(_coarse_du, problem, base, level)
-                  for level in range(levels - 1)]
-        mesh = fem.build_mesh(problem, base * 2**(levels - 1))
-        system = fem.assemble(problem, mesh)
-        system.factorize()
-        # a right-hand side of exactly e_n has the solution A^-1 e_n
-        unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
-        last = Future() if unit else None
-        estimate = pool.submit(fem.condition_estimate, system, last)
         try:
-            solution = fem.solve(system)
-            if last is not None:
-                pad = int(system.dirichlet_left)
-                last.set_result(solution.values[pad:pad + system.dimension])
-        finally:
+            mesh = fem.build_mesh(problem, base * 2**(levels - 1))
+            system = fem.assemble(problem, mesh)
+            coarse = [pool.submit(_coarse_du, problem, base, level)
+                      for level in range(levels - 1)]
+            system.factorize()
+            # a right-hand side of exactly e_n has the solution A^-1 e_n
+            unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
+            last = Future() if unit else None
+            estimate = pool.submit(fem.condition_estimate, system, last)
+            solution = fem.solve(system, None if last is None else last.set_result)
+            system.rhs = None  # the estimate needs the matrix and its LU only
+            du, wu, _energy = fem.norms(solution, problem, mesh)
+            res = solution.residual
+            del mesh, system, solution  # the system is freed with its estimate
+            du_levels = [level.result() for level in coarse] + [float(du)]
+            cond = estimate.result()
+        except BaseException:
             if last is not None:
                 last.cancel()  # a no-op once resolved; else the estimate raises
-        system.rhs = None  # the estimate needs the matrix and its LU only
-        du, wu, _energy = fem.norms(solution, problem, mesh)
-        res = solution.residual
-        del mesh, system, solution  # the system is freed with its estimate
-        du_levels = [level.result() for level in coarse] + [float(du)]
-        cond = estimate.result()
+            pool.shutdown(cancel_futures=True)
+            raise
     return {"du": du_levels, "wu": float(wu), "res": res, "cond": cond}
 
 

@@ -11,8 +11,10 @@ in the leaf runs of `quadrature._pairwise_tree` (at most `_SUM_LEAF` elements
 or rows each), so their temporaries are run-sized, not mesh-sized, and every
 entry, maximum and sum has the bits of the whole-mesh computation.  The
 complex symmetric tridiagonal system stores its diagonal and a single
-off-diagonal; it is solved by banded LU with partial pivoting, and its 1-norm
-condition number is exact up to round-off: it follows from the first and
+off-diagonal, which is real (float64): only the impedance corners of the
+matrix are complex.  It is solved by banded LU with partial pivoting on
+complex copies of its bands, so the stored matrix stays intact, and its
+1-norm condition number is exact up to round-off: it follows from the first and
 last columns of the inverse, which one two-column solve on the factors gives,
 or a one-column solve when the caller hands in the last column (the solution
 for a right-hand side that is exactly e_n).  A system that needs no factors, no
@@ -96,8 +98,10 @@ class BandedComplexSystem:
     """Complex symmetric tridiagonal system over the free (non-Dirichlet) nodes.
 
     The matrix is symmetric (not Hermitian), so one array `offdiag` holds
-    both the sub- and the super-diagonal.  Factorization state is
-    single-owner and cached after the first solve.
+    both the sub- and the super-diagonal; `assemble` stores it as float64
+    (a complex one is accepted too).  The factorization runs on complex
+    copies of the bands, so `diag` and `offdiag` keep their values; its
+    state is single-owner and cached after the first solve.
     """
 
     diag: np.ndarray
@@ -125,8 +129,12 @@ class BandedComplexSystem:
                     raise SingularSystemError("singular small system", 0)
                 self._factors = ("dense", dense)
                 return self._factors
-            dl, d, du, du2, ipiv, info = lapack.zgttrf(self.offdiag, self.diag,
-                                                       self.offdiag)
+            # numpy makes the complex copies with the GIL released; the
+            # wrapper would make them under it
+            dl, d, du, du2, ipiv, info = lapack.zgttrf(
+                self.offdiag.astype(complex), self.diag.astype(complex),
+                self.offdiag.astype(complex),
+                overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info != 0:
                 raise SingularSystemError(
                     f"zero pivot at row {info - 1} during banded LU", info - 1)
@@ -279,7 +287,7 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
     # with zero imaginary parts gives the same bits
     diag = np.zeros(n, dtype=complex)
     diag_re = diag.real
-    offdiag = np.empty(n - 1, dtype=complex)
+    offdiag = np.empty(n - 1)
     rhs = np.zeros(n, dtype=complex)
     for lo, k in _leaf_runs(n - 1):
         hi = lo + k
@@ -289,8 +297,11 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
         for sl, a_mean, p00, p01, p11 in _element_data(problem, mesh, lo, hi):
             kdiag = a_mean / h[sl]
             om2h = om**2 * h[sl]
-            left[sl] += kdiag - om2h * p00
-            right[sl] += kdiag - om2h * p11
+            end = kdiag - om2h * p00
+            left[sl] += end
+            # a Constant segment's p00 and p11 are one float: same term
+            right[sl] += end if isinstance(p11, float) and p11 == p00 \
+                else kdiag - om2h * p11
             off[sl] = -kdiag - om2h * p01
         if problem.f is not None:
             xg = x[:-1, None] + h[:, None] * G5_T[None, :]
@@ -313,11 +324,13 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
         dirichlet_right=not problem.bc.impedance_right)
 
 
-def solve(system: BandedComplexSystem) -> FemSolution:
+def solve(system: BandedComplexSystem, on_solved=None) -> FemSolution:
     """Banded LU solve; the relative max-norm residual is always reported.
 
     The solution is computed in place in the array returned, between its
-    Dirichlet zeros.  The max norms of b and of A x - b are taken run by run
+    Dirichlet zeros.  `on_solved`, if given, is called once with the
+    free-node part of that array (a view) as soon as LAPACK returns, before
+    the residual.  The max norms of b and of A x - b are taken run by run
     over the leaf runs of `_pairwise_tree` (at most `_SUM_LEAF` rows each);
     a maximum has no rounding order, so both keep their bits.
     """
@@ -327,6 +340,8 @@ def solve(system: BandedComplexSystem) -> FemSolution:
     x = values[pad_l:pad_l + system.dimension]
     x[...] = system.rhs
     system.solve_vector(x, overwrite_b=True)
+    if on_solved is not None:
+        on_solved(x)
     runs = [(lo, lo + k) for lo, k in _leaf_runs(system.dimension)]
     b_inf = np.max([np.abs(system.rhs[lo:hi]).max() for lo, hi in runs])
     if b_inf == 0.0:
@@ -340,10 +355,11 @@ def solve(system: BandedComplexSystem) -> FemSolution:
 
 def solve_in_place(system: BandedComplexSystem) -> np.ndarray:
     """The nodal values, Dirichlet zeros included, from one LAPACK `zgtsv`
-    call: it overwrites the system's diagonal, off-diagonal and right-hand
-    side (the last with the solution), and needs one copy of the stored
-    off-diagonal for the sub-diagonal.  No factors are kept and no residual
-    is computed; the values have the bits of `solve(system).values`, which
+    call: it overwrites the system's diagonal, its right-hand side (with the
+    solution) and two complex copies of the off-diagonal; the float64 one
+    is freed before the second copy, so the peak is that of one complex
+    off-diagonal and its copy.  No factors are kept and no residual is
+    computed; the values have the bits of `solve(system).values`, which
     systems of dimension <= 2 take (the dense fallback of `factorize`).
     Either way the call consumes the system: any later solve, estimate,
     `matvec` or `norm1` on it raises ValueError.
@@ -351,10 +367,11 @@ def solve_in_place(system: BandedComplexSystem) -> np.ndarray:
     if system.dimension <= 2:
         x, info = solve(system).values, 0
     else:
+        dl = system.offdiag.astype(complex)
+        system.offdiag = None
         _, _, _, x, info = lapack.zgtsv(
-            system.offdiag.copy(), system.diag, system.offdiag,
-            system.rhs.reshape(-1, 1), overwrite_dl=1, overwrite_d=1,
-            overwrite_du=1, overwrite_b=1)
+            dl, system.diag, dl.copy(), system.rhs.reshape(-1, 1),
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
         x = x.reshape(-1)
         if system.dirichlet_left or system.dirichlet_right:
             x = np.pad(x, (int(system.dirichlet_left), int(system.dirichlet_right)))
@@ -402,7 +419,8 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
         h = nodes[lo + 1:hi + 1] - nodes[lo:hi]
         ul, ur = u[lo:hi], u[lo + 1:hi + 1]
         slope2 = _slope2(ul, ur, h)
-        ul2, ur2 = np.abs(ul) ** 2, np.abs(ur) ** 2
+        u2 = np.abs(u[lo:hi + 1]) ** 2  # once per node of the run
+        ul2, ur2 = u2[:-1], u2[1:]
         cross = 2.0 * (ul * np.conj(ur)).real
         mass, a_slope2 = np.empty(k), np.empty(k)
         for sl, a_mean, p00, p01, p11 in _element_data(problem, mesh, lo, hi):
@@ -437,6 +455,7 @@ def condition_estimate(system: BandedComplexSystem, last=None) -> float:
     if not np.all(system.offdiag):
         raise ValueError("the condition number needs an irreducible matrix: "
                          "an off-diagonal entry is zero")
+    norm = system.norm1()  # its temporaries go before the columns come
     cols = np.zeros((n, 2 if last is None else 1), dtype=complex, order="F")
     cols[0, 0] = 1.0
     if last is None:
@@ -451,9 +470,14 @@ def condition_estimate(system: BandedComplexSystem, last=None) -> float:
         raise SingularSystemError(
             f"condition number: the inverse's corner entry is {corner}", n - 1)
     with np.errstate(over="ignore"):  # a non-finite kappa raises below
-        col_norms = first * np.cumsum(last)
-        col_norms[:-1] += last[:-1] * np.cumsum(first[::-1])[-2::-1]
-        kappa = system.norm1() * float(col_norms.max() / corner)
+        # first * cumsum(last), plus last * the suffix sums of first, each
+        # product written over its cumsum
+        col_norms = np.cumsum(last)
+        np.multiply(first, col_norms, out=col_norms)
+        suffix = np.cumsum(first[::-1])[-2::-1]
+        np.multiply(last[:-1], suffix, out=suffix)
+        col_norms[:-1] += suffix
+        kappa = norm * float(col_norms.max() / corner)
     if not np.isfinite(kappa):
         raise SingularSystemError("condition number overflows", n - 1)
     return kappa

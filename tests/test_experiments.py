@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import helmlab as hl
-from helmlab import coeffs, experiments, fem, oracle
+from helmlab import coeffs, experiments, fem, oracle, quadrature
+from helmlab.quadrature import G5_T, G5_W
 
 
 class TestFamily:
@@ -215,22 +217,28 @@ class TestRefinementProtocol:
         if case == "warm":
             hl.refine_to_convergence(prob, **kwargs)
         reference = _refine_serial_reference(prob)
-        factorize, solve, solve_in_place, solve_vector, estimate = (
+        factorize, solve, solve_in_place, solve_vector, estimate, assemble = (
             fem.BandedComplexSystem.factorize, fem.solve, fem.solve_in_place,
-            fem.BandedComplexSystem.solve_vector, fem.condition_estimate)
+            fem.BandedComplexSystem.solve_vector, fem.condition_estimate,
+            fem.assemble)
         events = []  # (event, dimension or column count, thread)
 
         def record(event, size):
             events.append((event, size, threading.current_thread()))
+
+        def recording_assemble(problem, mesh):
+            system = assemble(problem, mesh)
+            record("assemble", system.dimension)  # once it has returned
+            return system
 
         def recording_factorize(system):
             if system._factors is None:
                 record("factorize", system.dimension)
             return factorize(system)
 
-        def recording_solve(system):
+        def recording_solve(system, on_solved=None):
             record("solve", system.dimension)
-            return solve(system)
+            return solve(system, on_solved)
 
         def recording_solve_in_place(system):
             record("solve_in_place", system.dimension)
@@ -253,6 +261,7 @@ class TestRefinementProtocol:
         monkeypatch.setattr(fem, "solve", recording_solve)
         monkeypatch.setattr(fem, "solve_in_place", recording_solve_in_place)
         monkeypatch.setattr(fem, "condition_estimate", recording_estimate)
+        monkeypatch.setattr(fem, "assemble", recording_assemble)
         before = threading.active_count()
         caller = threading.current_thread()
         assert hl.refine_to_convergence(prob, **kwargs) == reference
@@ -261,18 +270,22 @@ class TestRefinementProtocol:
             # a stored ladder runs no level and starts no thread
             assert events == []
             return
-        # the calling thread factorizes the finest level alone and solves it
-        # with its residual; the helper thread solves levels 0 .. L-2 in
-        # place, coarsest first, and then runs the estimate, which solves
+        # the calling thread assembles the finest level before the helper
+        # thread starts, then factorizes it alone and solves it with its
+        # residual; the helper thread assembles and solves levels 0 .. L-2
+        # in place, coarsest first, and then runs the estimate, which solves
         # e_1 alone when the finest right-hand side is e_n (g = (0, 1))
         dims = [hl.build_mesh(prob, _LADDER["base"] * 2**level).n_nodes
                 for level in range(levels)]
         (helper,) = {thread for *_, thread in events} - {caller}
+        assert events[0] == ("assemble", dims[-1], caller)
         assert [event[:2] for event in events if event[2] is caller] == [
-            ("factorize", dims[-1]), ("solve", dims[-1]), ("solve_vector", 1)]
+            ("assemble", dims[-1]), ("factorize", dims[-1]), ("solve", dims[-1]),
+            ("solve_vector", 1)]
         columns = 1 if spec.g == (0.0, 1.0) else 2
         assert [event[:2] for event in events if event[2] is helper] == [
-            ("solve_in_place", dim) for dim in dims[:-1]] + [
+            event for dim in dims[:-1]
+            for event in (("assemble", dim), ("solve_in_place", dim))] + [
             ("estimate", dims[-1]), ("solve_vector", columns)]
 
     @pytest.mark.parametrize("case", list(_RECORD_CASES))
@@ -287,6 +300,87 @@ class TestRefinementProtocol:
         assert record.keys() == reference.keys()
         for key in ("du", "wu", "res", "cond"):
             assert record[key] == reference[key], key
+
+    @pytest.mark.parametrize("case", list(_RECORD_CASES) + [
+        f"table1-{m}-{r}" for m in (2, 4, 6, 8, 10, 12) for r in (0.4, 0.5, 0.6)])
+    def test_record_matches_complex_offdiagonal_functions(self, case):
+        if case.startswith("table1"):
+            _, m, r = case.split("-")
+            problem, base, levels = (hl.family(hl.UnstableFamilySpec(int(m), float(r))),
+                                     10, 4)
+        else:
+            problem, base, levels = _RECORD_CASES[case]()
+        for level in range(levels):
+            mesh = hl.build_mesh(problem, base * 2**level)
+            system = hl.assemble(problem, mesh)
+            complex_system = _assemble_complex_offdiagonal(problem, mesh)
+            assert np.array_equal(system.diag, complex_system.diag)
+            assert np.array_equal(system.rhs, complex_system.rhs)
+            assert system.offdiag.dtype == np.float64
+            assert np.array_equal(system.offdiag, complex_system.offdiag.real)
+            assert not np.any(complex_system.offdiag.imag)
+            solution = hl.solve(system)
+            assert solution.residual == hl.solve(complex_system).residual
+            assert hl.norms(solution, problem, mesh) == \
+                _norms_per_end(solution, problem, mesh)
+            if system.dimension > 1:
+                assert hl.condition_estimate(system) == \
+                    _condition_estimate_fresh_products(complex_system)
+        assert experiments._run_ladder(problem, base, levels) == \
+            _ladder_record_complex_offdiagonal(problem, base, levels)
+
+    @pytest.mark.parametrize("case", ["family", "dirichlet-unit", "two-columns"])
+    def test_finest_solution_handed_over_before_residual(self, monkeypatch, case):
+        problem, base, levels = {
+            "family": lambda: (hl.family(_LADDER_SPEC), _LADDER["base"],
+                               _LADDER["levels"]),
+            "dirichlet-unit": _RECORD_CASES["dirichlet-unit"],
+            "two-columns": _RECORD_CASES["family-12-0.6-g"]}[case]()
+        reference = _ladder_record_reference(problem, base, levels)
+        solve, matvec = fem.solve, fem.BandedComplexSystem.matvec
+        events = []
+
+        def recording_solve(system, on_solved=None):
+            def handover(x):
+                events.append(("handover", x))
+                on_solved(x)
+
+            solution = solve(system, None if on_solved is None else handover)
+            events.append(("solved", solution.values, system.dirichlet_left))
+            return solution
+
+        def recording_matvec(system, *args):
+            if threading.current_thread() is runner:
+                events.append(("residual",))
+            return matvec(system, *args)
+
+        monkeypatch.setattr(fem, "solve", recording_solve)
+        monkeypatch.setattr(fem.BandedComplexSystem, "matvec", recording_matvec)
+        records, runner = [], None
+
+        def ladder():
+            nonlocal runner
+            runner = threading.current_thread()
+            records.append(experiments._run_ladder(problem, base, levels))
+
+        # an estimate left waiting for its column fails instead of hanging
+        assert _ladder_with_deadline(ladder) is None
+        assert records == [reference]
+        kinds = [event[0] for event in events]
+        _, values, dirichlet_left = events[-1]
+        if case == "two-columns":
+            assert "handover" not in kinds
+            return
+        # once, before the first residual row, with the free nodes' part of
+        # the solution (after the Dirichlet zero, if any)
+        assert kinds.count("handover") == 1 and kinds[0] == "handover"
+        assert kinds[1] == "residual" and kinds[-1] == "solved"
+        handed = events[0][1]
+        assert dirichlet_left == (case == "dirichlet-unit")
+        assert values[0] == 0.0 if dirichlet_left else values[0] != 0.0
+        assert len(handed) == len(values) - dirichlet_left
+        assert handed.ctypes.data == values.ctypes.data + dirichlet_left * values.itemsize
+        assert np.shares_memory(handed, values)
 
     def test_concurrent_ladders_under_fast_thread_switching(self):
         # four ladders at once, each with its helper thread, on two data
@@ -334,25 +428,48 @@ class TestRefinementProtocol:
 
         monkeypatch.setattr(owner, name, failing)
         before = threading.active_count()
-        outcome = []
-
-        def ladder():
-            try:
-                hl.refine_to_convergence(prob, **_LADDER, cache_dir=str(tmp_path),
-                                         cache_key=_LADDER_SPEC.cache_key())
-            except Exception as exc:
-                outcome.append(exc)
-
-        # on a thread of its own, so that a deadlock fails the test
-        runner = threading.Thread(target=ladder, daemon=True)
-        runner.start()
-        runner.join(timeout=30.0)
-        assert not runner.is_alive(), "the ladder did not return"
-        (error,) = outcome
+        error = _ladder_with_deadline(lambda: hl.refine_to_convergence(
+            prob, **_LADDER, cache_dir=str(tmp_path),
+            cache_key=_LADDER_SPEC.cache_key()))
         assert isinstance(error, Boom) and error.args == (fails,)
         assert threading.active_count() == before
         # a ladder that failed is not stored
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_finest_level_cancels_the_coarse_levels(self, monkeypatch):
+        # five coarse levels are queued when the finest factorize raises; the
+        # first coarse solve holds until then and a little longer, so that
+        # only a coarse level already running may finish
+        prob, base, levels = hl.family(_LADDER_SPEC), _LADDER["base"], 6
+        finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
+        factorize, solve_in_place = (fem.BandedComplexSystem.factorize,
+                                     fem.solve_in_place)
+        failed = threading.Event()
+        calls = []
+
+        class Boom(Exception):
+            pass
+
+        def failing_factorize(system):
+            if system.dimension == finest:
+                failed.set()
+                raise Boom("finest")
+            return factorize(system)
+
+        def held_solve_in_place(system):
+            calls.append(system.dimension)
+            failed.wait(timeout=10.0)
+            time.sleep(0.2)
+            return solve_in_place(system)
+
+        monkeypatch.setattr(fem.BandedComplexSystem, "factorize", failing_factorize)
+        monkeypatch.setattr(fem, "solve_in_place", held_solve_in_place)
+        before = threading.active_count()
+        error = _ladder_with_deadline(
+            lambda: experiments._run_ladder(prob, base, levels))
+        assert isinstance(error, Boom) and error.args == ("finest",)
+        assert len(calls) <= 1, calls
+        assert threading.active_count() == before
 
     def test_parallel_matches_serial(self, tmp_path):
         specs = [hl.UnstableFamilySpec(2, r) for r in (0.4, 0.5)]
@@ -364,6 +481,25 @@ class TestRefinementProtocol:
 
 _LADDER_SPEC = hl.UnstableFamilySpec(2, 0.4)
 _LADDER = dict(base=20, levels=4)
+
+
+def _ladder_with_deadline(ladder, timeout=30.0):
+    """Call ladder() on a daemon thread of its own, so that a deadlock fails
+    the test instead of hanging it; returns the exception it raised, or
+    None."""
+    outcome = []
+
+    def run():
+        try:
+            ladder()
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=timeout)
+    assert not runner.is_alive(), "the ladder did not return"
+    return outcome[0] if outcome else None
 
 
 def _ladder_record_reference(problem, base, levels):
@@ -380,6 +516,97 @@ def _ladder_record_reference(problem, base, levels):
         du.append(float(du_level))
     return {"du": du, "wu": float(wu), "res": solution.residual,
             "cond": hl.condition_estimate(system)}
+
+
+def _assemble_complex_offdiagonal(problem, mesh):
+    """`fem.assemble` with a complex off-diagonal, each end node's term
+    computed on its own."""
+    om = problem.omega
+    n = mesh.n_nodes
+    diag = np.zeros(n, dtype=complex)
+    diag_re = diag.real
+    offdiag = np.empty(n - 1, dtype=complex)
+    rhs = np.zeros(n, dtype=complex)
+    for lo, k in quadrature._leaf_runs(n - 1):
+        hi = lo + k
+        x = mesh.nodes[lo:hi + 1]
+        h = x[1:] - x[:-1]
+        left, right, off = diag_re[lo:hi], diag_re[lo + 1:hi + 1], offdiag[lo:hi]
+        for sl, a_mean, p00, p01, p11 in fem._element_data(problem, mesh, lo, hi):
+            kdiag = a_mean / h[sl]
+            om2h = om**2 * h[sl]
+            left[sl] += kdiag - om2h * p00
+            right[sl] += kdiag - om2h * p11
+            off[sl] = -kdiag - om2h * p01
+        if problem.f is not None:
+            xg = x[:-1, None] + h[:, None] * G5_T[None, :]
+            fg = np.asarray(problem.f(xg.ravel()), dtype=complex).reshape(xg.shape)
+            rhs[lo:hi] += h * ((fg * (1.0 - G5_T)) @ G5_W)
+            rhs[lo + 1:hi + 1] += h * ((fg * G5_T) @ G5_W)
+    if problem.bc.impedance_left:
+        diag[0] -= 1j * om * problem.beta_left
+        rhs[0] += problem.g_left
+    if problem.bc.impedance_right:
+        diag[-1] -= 1j * om * problem.beta_right
+        rhs[-1] += problem.g_right
+    lo = 0 if problem.bc.impedance_left else 1
+    hi = n if problem.bc.impedance_right else n - 1
+    return hl.BandedComplexSystem(
+        diag=diag[lo:hi], offdiag=offdiag[lo:hi - 1], rhs=rhs[lo:hi],
+        dirichlet_left=not problem.bc.impedance_left,
+        dirichlet_right=not problem.bc.impedance_right)
+
+
+def _norms_per_end(solution, problem, mesh):
+    """`fem.norms` with |u|^2 taken separately at each element's ends."""
+    u = solution.values
+    nodes = mesh.nodes
+
+    def leaf_sums(lo, k):
+        hi = lo + k
+        h = nodes[lo + 1:hi + 1] - nodes[lo:hi]
+        ul, ur = u[lo:hi], u[lo + 1:hi + 1]
+        slope2 = np.abs(ur - ul) ** 2 / h
+        ul2, ur2 = np.abs(ul) ** 2, np.abs(ur) ** 2
+        cross = 2.0 * (ul * np.conj(ur)).real
+        mass, a_slope2 = np.empty(k), np.empty(k)
+        for sl, a_mean, p00, p01, p11 in fem._element_data(problem, mesh, lo, hi):
+            mass[sl] = h[sl] * (ul2[sl] * p00 + cross[sl] * p01 + ur2[sl] * p11)
+            a_slope2[sl] = a_mean * slope2[sl]
+        return np.array([np.sum(slope2), np.sum(mass), np.sum(a_slope2)])
+
+    du2, mass2, energy_du2 = quadrature._pairwise_tree(leaf_sums, 0,
+                                                       mesh.n_nodes - 1)
+    wu2 = float(problem.omega**2 * mass2)
+    energy2 = float(energy_du2) + wu2
+    return np.sqrt(float(du2)), np.sqrt(wu2), np.sqrt(energy2)
+
+
+def _condition_estimate_fresh_products(system):
+    """`fem.condition_estimate` of the two-column solve, with fresh arrays
+    for its products and ||A||_1 taken last."""
+    n = system.dimension
+    cols = np.zeros((n, 2), dtype=complex, order="F")
+    cols[0, 0] = cols[-1, 1] = 1.0
+    system.solve_vector(cols, overwrite_b=True)
+    mags = np.abs(cols)
+    first, last = mags[:, 0], mags[:, 1]
+    col_norms = first * np.cumsum(last)
+    col_norms[:-1] += last[:-1] * np.cumsum(first[::-1])[-2::-1]
+    return system.norm1() * float(col_norms.max() / first[-1])
+
+
+def _ladder_record_complex_offdiagonal(problem, base, levels):
+    """`_ladder_record_reference` on the three functions above."""
+    du = []
+    for level in range(levels):
+        mesh = hl.build_mesh(problem, base * 2**level)
+        system = _assemble_complex_offdiagonal(problem, mesh)
+        solution = hl.solve(system)
+        du_level, wu, _energy = _norms_per_end(solution, problem, mesh)
+        du.append(float(du_level))
+    return {"du": du, "wu": float(wu), "res": solution.residual,
+            "cond": _condition_estimate_fresh_products(system)}
 
 
 def _refine_serial_reference(problem, base=_LADDER["base"],

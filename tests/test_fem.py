@@ -366,6 +366,28 @@ class TestSolve:
         assert np.array_equal(x, expected)
         assert np.array_equal(b, expected)
 
+    @pytest.mark.parametrize("case", ["row-interchanges", "mixed", "dense"])
+    def test_factorize_keeps_the_matrix(self, case):
+        # the factorization works on complex copies of the bands
+        prob, count = {
+            "row-interchanges": (hl.family(hl.UnstableFamilySpec(12, 0.6)), 1),
+            "mixed": (_mixed_problem_with_source(), 37),
+            "dense": (unit_problem(omega=1.0), 1)}[case]
+        mesh = hl.build_mesh(prob, count)
+        system = hl.assemble(prob, mesh)
+        kept = {name: getattr(system, name).copy() for name in ("diag", "offdiag")}
+        factors = system.factorize()
+        if case == "row-interchanges":
+            assert np.any(factors[4] != np.arange(1, system.dimension + 1))
+        for name, before in kept.items():
+            after = getattr(system, name)
+            assert after.dtype == before.dtype
+            assert after.tobytes() == before.tobytes(), name
+        fresh = hl.assemble(prob, mesh)
+        assert hl.solve(system).residual == hl.solve(fresh).residual
+        assert hl.solve(system).residual == _residual_reference(
+            fresh, fresh.solve_vector(fresh.rhs))
+
     def test_singular_pivot_raises(self):
         system = hl.BandedComplexSystem(
             diag=np.zeros(3, dtype=complex), offdiag=np.zeros(2, dtype=complex),
@@ -551,9 +573,14 @@ class TestLevelMatchesFreshArrayReferences:
     def _assert_level_identical(problem, mesh):
         system = hl.assemble(problem, mesh)
         ref = _assemble_reference(problem, mesh)
-        for name in ("diag", "offdiag", "rhs"):
+        for name in ("diag", "rhs"):
             got, want = getattr(system, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+        # the off-diagonal is stored real: the reference's real part, and
+        # the reference has no imaginary part
+        assert system.offdiag.dtype == np.float64
+        assert np.array_equal(system.offdiag, ref.offdiag.real)
+        assert not np.any(ref.offdiag.imag)
         solution = hl.solve(system)
         x = ref.solve_vector(ref.rhs)
         assert np.array_equal(solution.residual, _residual_reference(ref, x))
