@@ -157,14 +157,17 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
 
     The calling thread builds and assembles the finest level alone, then
     hands levels 0 .. L-2 to one helper thread at once, coarsest first, each
-    one in-place solve and its ||u_h'|| alone (`_coarse_du`); until then the
-    helper would only compete with it for the GIL.  It factorizes the finest
-    level, queues its estimate behind the coarse levels, and solves and
-    norms that level; its factors live on for the estimate.  When the
-    finest right-hand side is exactly e_n, its solution is A^-1 e_n, and
-    the estimate takes that column through a Future, resolved as soon as
-    LAPACK returns it, instead of solving it again.  If any step fails, the
-    levels not yet started are cancelled, so the error surfaces at once.
+    one in-place solve and its ||u_h'|| alone (`_coarse_du`).  The LAPACK
+    calls of both threads release the GIL and overlap, but assembly is a
+    chain of numpy calls on run-sized arrays that hold it for most of their
+    time, so a helper started earlier would slow the finest assembly.  The
+    calling thread then factorizes the finest level, queues its estimate
+    behind the coarse levels, and solves and norms that level; its factors
+    live on for the estimate.  When the finest right-hand side is exactly
+    e_n, its solution is A^-1 e_n, and the estimate takes that column
+    through a Future, resolved as soon as LAPACK returns it, instead of
+    solving it again.  If any step fails, the levels not yet started are
+    cancelled, so the error surfaces at once.
     """
     last = None
     # no thread starts before the first submit; leaving the block joins it

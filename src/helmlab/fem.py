@@ -20,7 +20,13 @@ or a one-column solve when the caller hands in the last column (the solution
 for a right-hand side that is exactly e_n).  A system that needs no factors, no
 residual and no norm but ||u_h'|| (`derivative_norm`) is solved by one
 in-place `zgtsv` pass (`solve_in_place`), with the bits of the factorized
-solve; this module alone chooses the LAPACK routines.  Condition numbers in
+solve; this module alone chooses the LAPACK routines.  It calls `zgttrf`,
+`zgttrs` and `zgtsv` of scipy's bundled LAPACK through their function
+pointers in `scipy.linalg.cython_lapack`, with ctypes, which releases the
+GIL for the length of each call (scipy's f2py wrappers of `zgtsv` and
+`zgttrf` hold it), so the two threads of a refinement ladder solve at the
+same time; every array is checked for the layout and length that LAPACK
+assumes before its pointer is passed.  Condition numbers in
 the instability studies reach 1e17, which is why plain pivot-free recursions
 are not used here.  At that conditioning the finest ladder levels depend on
 the last bit of the assembled entries, so reordering the element or assembly
@@ -29,11 +35,12 @@ arithmetic changes printed table cells.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack
 
 from .coeffs import Constant, Linear, _seg_values
 from .problem import HelmholtzProblem
@@ -50,6 +57,59 @@ class SingularSystemError(RuntimeError):
     def __init__(self, msg: str, pivot_index: int):
         super().__init__(msg)
         self.pivot_index = pivot_index
+
+
+def _lapack_routine(name: str):
+    """The LAPACK routine `name` that scipy ships, from the function pointer
+    in `scipy.linalg.cython_lapack`'s C-API table, as a ctypes function of
+    pointer arguments; ctypes releases the GIL for the length of a call."""
+    pyapi = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", pyapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(("PyCapsule_GetPointer", pyapi))
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = get_name(capsule)  # "void (int *, int *, ...)": all pointers
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))(
+        get_pointer(capsule, signature))
+
+
+_ZGTSV, _ZGTTRF, _ZGTTRS = map(_lapack_routine, ("zgtsv", "zgttrf", "zgttrs"))
+
+
+def _band(a, length: int, dtype=np.complex128):
+    """A pointer to `a` once it is a writeable C-contiguous 1-D array of
+    `length` entries of `dtype`; else ValueError, since LAPACK reads and
+    writes `length` entries there, whatever the array holds."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+            and a.flags.c_contiguous and a.flags.writeable and len(a) == length):
+        raise ValueError(f"LAPACK needs a contiguous {np.dtype(dtype)} band of "
+                         f"{length} entries")
+    return a.ctypes
+
+
+def _block(b, n: int):
+    """A pointer to `b` once it is a writeable F-contiguous complex128 vector
+    or block of n rows (its leading dimension); else ValueError."""
+    if not (isinstance(b, np.ndarray) and b.dtype == np.complex128
+            and b.ndim in (1, 2) and b.flags.f_contiguous and b.flags.writeable
+            and len(b) == n):
+        raise ValueError(f"LAPACK needs an F-contiguous complex128 block of "
+                         f"{n} rows")
+    return b.ctypes
+
+
+def _lapack(routine, *args) -> int:
+    """Call `routine` with `args`, Python ints passed by reference, and
+    return its `info`; an illegal argument (info < 0) raises ValueError."""
+    if any(isinstance(a, int) and not 0 <= a < 2**31 for a in args):
+        raise ValueError("LAPACK takes sizes from 0 to 2^31 - 1")
+    info = ctypes.c_int()
+    routine(*[ctypes.byref(ctypes.c_int(a)) if isinstance(a, int) else a
+              for a in args], ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"LAPACK rejected argument {-info.value}")
+    return info.value
 
 
 @dataclass(frozen=True)
@@ -129,12 +189,14 @@ class BandedComplexSystem:
                     raise SingularSystemError("singular small system", 0)
                 self._factors = ("dense", dense)
                 return self._factors
-            # numpy makes the complex copies with the GIL released; the
-            # wrapper would make them under it
-            dl, d, du, du2, ipiv, info = lapack.zgttrf(
-                self.offdiag.astype(complex), self.diag.astype(complex),
-                self.offdiag.astype(complex),
-                overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            # LAPACK overwrites complex copies of the bands
+            n = self.dimension
+            dl, du = self.offdiag.astype(complex), self.offdiag.astype(complex)
+            d, du2 = self.diag.astype(complex), np.empty(n - 2, dtype=complex)
+            ipiv = np.empty(n, dtype=np.intc)
+            info = _lapack(_ZGTTRF, n, _band(dl, n - 1), _band(d, n),
+                           _band(du, n - 1), _band(du2, n - 2),
+                           _band(ipiv, n, np.intc))
             if info != 0:
                 raise SingularSystemError(
                     f"zero pivot at row {info - 1} during banded LU", info - 1)
@@ -156,11 +218,12 @@ class BandedComplexSystem:
                 return b
             return x
         dl, d, du, du2, ipiv = fact
-        x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b.reshape(len(b), -1),
-                                overwrite_b=overwrite_b)
-        if info != 0:
-            raise SingularSystemError(f"banded solve failed (info={info})", info)
-        return x.reshape(b.shape)
+        n = len(d)
+        x = b if overwrite_b else b.astype(complex, order="F")
+        _lapack(_ZGTTRS, b"N", n, x.size // n, _band(dl, n - 1), _band(d, n),
+                _band(du, n - 1), _band(du2, n - 2), _band(ipiv, n, np.intc),
+                _block(x, n), n)
+        return x
 
     def matvec(self, x: np.ndarray, lo: int = 0,
                hi: Optional[int] = None) -> np.ndarray:
@@ -367,12 +430,13 @@ def solve_in_place(system: BandedComplexSystem) -> np.ndarray:
     if system.dimension <= 2:
         x, info = solve(system).values, 0
     else:
+        n = system.dimension
         dl = system.offdiag.astype(complex)
         system.offdiag = None
-        _, _, _, x, info = lapack.zgtsv(
-            dl, system.diag, dl.copy(), system.rhs.reshape(-1, 1),
-            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-        x = x.reshape(-1)
+        du = dl.copy()
+        x = system.rhs
+        info = _lapack(_ZGTSV, n, 1, _band(dl, n - 1), _band(system.diag, n),
+                       _band(du, n - 1), _block(x, n), n)
         if system.dirichlet_left or system.dirichlet_right:
             x = np.pad(x, (int(system.dirichlet_left), int(system.dirichlet_right)))
     system.diag = system.offdiag = system.rhs = system._factors = None

@@ -300,25 +300,30 @@ def test_pools_are_with_items(path):
     assert pools_outside_with(path.read_text()) == []
 
 
+LAPACK_MODULES = ("lapack", "cython_lapack")
+
+
 def lapack_imports(source: str) -> list:
-    """Imports of `scipy.linalg.lapack` or of names from it, and the
-    attribute `linalg.lapack` (reached through `import scipy.linalg`)."""
+    """Imports of `scipy.linalg.lapack` or `scipy.linalg.cython_lapack` or
+    of names from them, and the attributes `linalg.lapack` and
+    `linalg.cython_lapack` (reached through `import scipy.linalg`)."""
+    modules = tuple(f"scipy.linalg.{name}" for name in LAPACK_MODULES)
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [f"line {node.lineno}: import {alias.name}"
                       for alias in node.names
-                      if alias.name.startswith("scipy.linalg.lapack")]
+                      if alias.name.startswith(modules)]
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("scipy.linalg.lapack") or (
+            if node.module.startswith(modules) or (
                     node.module == "scipy.linalg" and any(
-                        alias.name in ("lapack", "get_lapack_funcs")
+                        alias.name in LAPACK_MODULES + ("get_lapack_funcs",)
                         for alias in node.names)):
                 found.append(f"line {node.lineno}: from {node.module}")
-        elif (isinstance(node, ast.Attribute) and node.attr == "lapack"
+        elif (isinstance(node, ast.Attribute) and node.attr in LAPACK_MODULES
               and isinstance(node.value, ast.Attribute)
               and node.value.attr == "linalg"):
-            found.append(f"line {node.lineno}: linalg.lapack")
+            found.append(f"line {node.lineno}: linalg.{node.attr}")
     return found
 
 
@@ -330,11 +335,19 @@ def test_scanner_flags_a_lapack_import():
               "import scipy.linalg\n"
               "scipy.linalg.lapack.zgttrf\n"
               "from scipy.linalg import solve_banded\n"
-              "from scipy import sparse\n")
+              "from scipy import sparse\n"
+              "from scipy.linalg import cython_lapack\n"
+              "import scipy.linalg.cython_lapack as cl\n"
+              "from scipy.linalg.cython_lapack import __pyx_capi__\n"
+              "scipy.linalg.cython_lapack.__pyx_capi__\n"
+              "import scipy.linalg.cython_blas\n"
+              "from scipy.linalg import cython_blas\n")
     assert lapack_imports(source) == [
         "line 1: from scipy.linalg", "line 2: import scipy.linalg.lapack",
         "line 3: from scipy.linalg.lapack", "line 4: from scipy.linalg",
-        "line 6: linalg.lapack"]
+        "line 9: from scipy.linalg", "line 10: import scipy.linalg.cython_lapack",
+        "line 11: from scipy.linalg.cython_lapack", "line 6: linalg.lapack",
+        "line 12: linalg.cython_lapack"]
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
