@@ -208,7 +208,8 @@ class BandedComplexSystem:
         """Solve A x = b for an (n,) vector or an (n, k) block `b`.
 
         With `overwrite_b` a contiguous complex `b` (F-ordered if a block)
-        receives the solution and is returned; otherwise `b` is untouched.
+        receives the solution and is returned, and any other `b` raises
+        ValueError; otherwise `b` is untouched.
         """
         fact = self.factorize()
         if isinstance(fact[0], str):  # dense fallback for n <= 2

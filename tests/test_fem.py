@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 
 import helmlab as hl
 from helmlab import fem, quadrature
@@ -462,6 +467,237 @@ class TestSolveInPlace:
         with pytest.raises(SingularSystemError) as in_place:
             hl.solve_in_place(_tridiagonal(diag, offdiag))
         assert in_place.value.pivot_index == factorized.value.pivot_index
+
+
+def _binding_zgttrf(dl, d, du):
+    """fem's `zgttrf` binding on complex copies of the bands, returning what
+    scipy's f2py `zgttrf` returns: (dl, d, du, du2, ipiv, info)."""
+    dl, d, du = (np.array(band, dtype=complex) for band in (dl, d, du))
+    n = len(d)
+    du2, ipiv = np.zeros(n - 2, dtype=complex), np.zeros(n, dtype=np.intc)
+    info = fem._lapack(fem._ZGTTRF, n, fem._band(dl, n - 1), fem._band(d, n),
+                       fem._band(du, n - 1), fem._band(du2, n - 2),
+                       fem._band(ipiv, n, np.intc))
+    return dl, d, du, du2, ipiv, info
+
+
+def _binding_zgtsv(dl, d, du, b):
+    """fem's `zgtsv` binding on complex copies, returning what scipy's f2py
+    `zgtsv` returns: (dl, d, du, x, info), dl holding U's second
+    super-diagonal."""
+    dl, d, du = (np.array(band, dtype=complex) for band in (dl, d, du))
+    x = np.array(b, dtype=complex, order="F")
+    n = len(d)
+    info = fem._lapack(fem._ZGTSV, n, x.shape[1], fem._band(dl, n - 1),
+                       fem._band(d, n), fem._band(du, n - 1), fem._block(x, n), n)
+    return dl, d, du, x, info
+
+
+def _binding_case(case):
+    """(diag, offdiag, b) of a complex symmetric tridiagonal system: the
+    finest (12, 0.6) table1 level (1,280,001 unknowns, row interchanges,
+    b = e_n), random complex bands of n = 3 and 1000 with a two-column b,
+    or a 4 x 4 system whose second pivot is exactly zero."""
+    if case == "finest-12-0.6":
+        prob = hl.family(hl.UnstableFamilySpec(12, 0.6))
+        system = hl.assemble(prob, hl.build_mesh(prob, 800 * 2**6))
+        return system.diag, system.offdiag, system.rhs.reshape(-1, 1)
+    if case == "zero-pivot":
+        return (np.array([1.0, 1.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0]),
+                np.ones((4, 2)))
+    n = int(case.split("-")[1])
+    rng = np.random.default_rng(n)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return draw(n), draw(n - 1), np.asfortranarray(draw(n, 2))
+
+
+def _fail_on_lapack_call(monkeypatch):
+    """Replace the three LAPACK routines by one that fails the test."""
+    def called(*args):
+        raise AssertionError("LAPACK was called")
+
+    for name in ("_ZGTSV", "_ZGTTRF", "_ZGTTRS"):
+        monkeypatch.setattr(fem, name, called)
+
+
+class TestLapackBinding:
+    """The ctypes binding runs the LAPACK code of scipy's f2py wrappers,
+    which stay here as the reference."""
+
+    @pytest.mark.parametrize("case", ["finest-12-0.6", "random-3",
+                                      "random-1000", "zero-pivot"])
+    def test_bit_identical_to_f2py(self, case):
+        diag, offdiag, b = _binding_case(case)
+        off = offdiag.astype(complex)
+        expected = lapack.zgttrf(off, diag.astype(complex), off)
+        for got, ref in zip(_binding_zgttrf(off, diag, off), expected):
+            assert np.array_equal(got, ref)
+        info = expected[-1]
+        if case == "finest-12-0.6":
+            assert np.any(expected[4] != np.arange(1, len(diag) + 1))
+        system = hl.BandedComplexSystem(diag=diag, offdiag=offdiag,
+                                        rhs=b[:, 0].copy(), dirichlet_left=False,
+                                        dirichlet_right=False)
+        if info == 0:
+            for got, ref in zip(system.factorize(), expected[:5]):
+                assert np.array_equal(got, ref)
+            x, solve_info = lapack.zgttrs(*expected[:5], b)
+            assert solve_info == 0
+            assert np.array_equal(system.solve_vector(b), x)
+        else:
+            with pytest.raises(SingularSystemError) as raised:
+                system.factorize()
+            assert raised.value.pivot_index == info - 1
+        del expected, system
+        expected = lapack.zgtsv(off, diag.astype(complex), off, b)
+        for got, ref in zip(_binding_zgtsv(off, diag, off, b), expected):
+            assert np.array_equal(got, ref)
+        del expected
+        system = hl.BandedComplexSystem(diag=diag.astype(complex), offdiag=offdiag,
+                                        rhs=b[:, 0].astype(complex),
+                                        dirichlet_left=False, dirichlet_right=False)
+        *_, x, info = lapack.zgtsv(off, diag.astype(complex), off, b[:, :1])
+        if info == 0:
+            assert np.array_equal(hl.solve_in_place(system), x[:, 0])
+        else:
+            with pytest.raises(SingularSystemError) as raised:
+                hl.solve_in_place(system)
+            assert raised.value.pivot_index == info - 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_systems_take_the_dense_fallback(self, monkeypatch, n):
+        _fail_on_lapack_call(monkeypatch)
+        diag, offdiag = np.array([2.0 + 1.0j, -1.0 + 0.5j])[:n], np.array([0.7])[:n - 1]
+        system = _tridiagonal(diag, offdiag)
+        assert system.factorize()[0] == "dense"
+        b = np.arange(1, n + 1, dtype=complex)
+        x = system.solve_vector(b)
+        assert np.array_equal(x, np.linalg.solve(system.factorize()[1], b))
+        assert np.array_equal(hl.solve_in_place(_tridiagonal(diag, offdiag)),
+                              system.solve_vector(system.rhs))
+
+    @pytest.mark.parametrize("fault", [
+        "real-diagonal", "strided-diagonal", "long-offdiagonal", "c-ordered-block",
+        "real-block", "short-block", "read-only-block", "size-2^31"])
+    def test_layout_mismatch_raises_before_lapack(self, monkeypatch, fault):
+        n = 5
+        system = _tridiagonal(np.full(n, 4.0), np.ones(n - 1))
+        system.factorize()
+        _fail_on_lapack_call(monkeypatch)
+        block = np.ones((n, 2), dtype=complex, order="F")
+        if fault == "real-diagonal":
+            system.diag = system.diag.real.copy()
+            call = lambda: hl.solve_in_place(system)
+        elif fault == "strided-diagonal":
+            system.diag = np.ones(2 * n, dtype=complex)[::2]
+            call = lambda: hl.solve_in_place(system)
+        elif fault == "long-offdiagonal":
+            system.offdiag, system._factors = np.ones(n), None
+            call = system.factorize
+        elif fault == "size-2^31":
+            call = lambda: fem._lapack(fem._ZGTSV, 2**31)
+        else:
+            block = {"c-ordered-block": np.ones((n, 2), dtype=complex),
+                     "real-block": block.real.copy(order="F"),
+                     "short-block": block[:-1],
+                     "read-only-block": block}[fault]
+            block.flags.writeable = fault != "read-only-block"
+            call = lambda: system.solve_vector(block, overwrite_b=True)
+        with pytest.raises(ValueError, match="LAPACK"):
+            call()
+
+    def test_illegal_argument_raises(self):
+        # a leading dimension below n is LAPACK's argument 7 of zgtsv
+        n = 4
+        dl, du = np.ones(n - 1, dtype=complex), np.ones(n - 1, dtype=complex)
+        d = np.full(n, 4.0 + 0j)
+        b = np.ones((n, 1), dtype=complex, order="F")
+        with pytest.raises(ValueError, match="argument 7"):
+            fem._lapack(fem._ZGTSV, n, 1, fem._band(dl, n - 1), fem._band(d, n),
+                        fem._band(du, n - 1), fem._block(b, n), n - 1)
+
+
+class _Counter(threading.Thread):
+    """A Python thread pinned to one CPU that counts as fast as it can: it
+    needs the GIL for every step."""
+
+    def __init__(self, cpu):
+        super().__init__(daemon=True)
+        self.cpu, self.count, self.running = cpu, 0, True
+
+    def run(self):
+        os.sched_setaffinity(0, {self.cpu})  # pid 0: this thread alone
+        while self.running:
+            self.count += 1
+
+
+class TestLapackReleasesTheGil:
+    """A counting thread on another CPU keeps counting while the calling
+    thread is inside LAPACK at the finest table1 size; scipy's f2py `zgtsv`,
+    which holds the GIL, is the control that shows the check can fail."""
+
+    N = 1_280_001
+    ROUNDS = 3
+
+    def _count_ratio(self, counter, make, work):
+        """The median over ROUNDS of the counter's rate while `work(*make())`
+        runs, over its rate while the calling thread sleeps just before."""
+        def rate(call):
+            start, t0 = counter.count, time.perf_counter()
+            call()
+            return (counter.count - start) / (time.perf_counter() - t0)
+
+        ratios = []
+        for _ in range(self.ROUNDS):
+            args = make()
+            idle = rate(lambda: time.sleep(0.05))
+            ratios.append(rate(lambda: work(*args)) / idle)
+        return float(np.median(ratios))
+
+    def test_counter_keeps_running(self):
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two CPUs to pin the two threads to")
+        n = self.N
+
+        def system():
+            return (hl.BandedComplexSystem(
+                diag=np.full(n, 4.0 + 1.0j), offdiag=np.ones(n - 1),
+                rhs=np.ones(n, dtype=complex), dirichlet_left=False,
+                dirichlet_right=False),)
+
+        def bands():
+            return (np.ones(n - 1, dtype=complex), np.full(n, 4.0 + 1.0j),
+                    np.ones(n - 1, dtype=complex), np.ones((n, 1), dtype=complex))
+
+        def f2py_zgtsv(dl, d, du, b):
+            lapack.zgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
+                         overwrite_du=1, overwrite_b=1)
+
+        affinity, interval = os.sched_getaffinity(0), sys.getswitchinterval()
+        first, second = sorted(affinity)[:2]
+        counter = _Counter(second)
+        try:
+            # a waiting thread gets the GIL after at most this interval
+            sys.setswitchinterval(0.001)
+            os.sched_setaffinity(0, {first})
+            counter.start()
+            ratios = {name: self._count_ratio(counter, make, work)
+                      for name, make, work in [
+                          ("solve_in_place", system, hl.solve_in_place),
+                          ("factorize", system, hl.BandedComplexSystem.factorize),
+                          ("f2py zgtsv", bands, f2py_zgtsv)]}
+        finally:
+            counter.running = False
+            counter.join(timeout=10)
+            os.sched_setaffinity(0, affinity)
+            sys.setswitchinterval(interval)
+        assert not counter.is_alive()
+        assert ratios["solve_in_place"] >= 0.5, ratios
+        assert ratios["factorize"] >= 0.5, ratios
+        assert ratios["f2py zgtsv"] < 0.5, ratios
 
 
 class TestNorms:
