@@ -10,12 +10,14 @@ breakpoint collapses the growth.
 
 Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
-significant figures; once the calling thread has assembled the finest level,
-one helper thread solves the coarser levels, each once in place for its
-||u_h'|| alone, and then the finest level's condition estimate, while the
-calling thread factorizes, solves and norms the finest level and, for data
-g = (0, 1), hands its solution to the estimate as the inverse's last column
-as soon as LAPACK returns it; an optional cache keeps one record per ladder),
+significant figures; the calling thread builds, factorizes, solves and
+norms the finest level while one helper thread solves the coarser levels,
+largest first, each once in place for its ||u_h'|| alone, and starts the
+finest level's condition estimate as soon as its factors exist; for data
+g = (0, 1) the calling thread hands its solution to the estimate as the
+inverse's last column as soon as LAPACK returns it, and then solves the
+coarser levels that nobody has started; an optional cache keeps one record
+per ladder),
 table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
 probe against the analytic reference (a serial loop over levels, each
@@ -30,6 +32,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,12 +129,12 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
                           cache_key: Optional[str] = None) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
 
-    The calling thread builds and assembles the finest level; then one
-    helper thread solves the coarser levels and the condition estimate of
-    the finest system, while the calling thread factorizes, solves and
-    norms the finest level (`_run_ladder`); every level still runs the same
-    functions on the same inputs, so the run is the one a serial ladder
-    gives.
+    The calling thread builds, factorizes, solves and norms the finest
+    level while one helper thread solves the coarser levels, largest first,
+    and the finest system's condition estimate as soon as its factors
+    exist; the coarser levels left when the finest is done are shared by
+    both threads (`_run_ladder`).  Every level still runs the same functions
+    on the same inputs, so the run is the one a serial ladder gives.
 
     With a cache directory and key, the ladder is one record keyed by
     problem, base and level count: it is read before the ladder and written
@@ -155,44 +159,84 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     """The ladder's cache record: ||u_h'|| per level, and the finest level's
     weighted norm, residual and condition estimate.
 
-    The calling thread builds and assembles the finest level alone, then
-    hands levels 0 .. L-2 to one helper thread at once, coarsest first, each
-    one in-place solve and its ||u_h'|| alone (`_coarse_du`).  The LAPACK
-    calls of both threads release the GIL and overlap, but assembly is a
-    chain of numpy calls on run-sized arrays that hold it for most of their
-    time, so a helper started earlier would slow the finest assembly.  The
-    calling thread then factorizes the finest level, queues its estimate
-    behind the coarse levels, and solves and norms that level; its factors
-    live on for the estimate.  When the finest right-hand side is exactly
-    e_n, its solution is A^-1 e_n, and the estimate takes that column
-    through a Future, resolved as soon as LAPACK returns it, instead of
-    solving it again.  If any step fails, the levels not yet started are
-    cancelled, so the error surfaces at once.
+    Two threads share the work.  The calling thread builds, assembles,
+    factorizes, solves and norms the finest level; its factors live on for
+    the estimate.  One helper thread starts at once and takes the coarse
+    levels 0 .. L-2, largest first, each one in-place solve and its
+    ||u_h'|| alone (`_coarse_du`); once the finest factors exist it starts
+    the finest level's condition estimate ahead of any level it has not
+    started.  Once its finest level is done, the calling thread runs every
+    coarse level that nobody has started, largest first, and then waits
+    for the helper.  When the finest right-hand side is exactly e_n, its
+    solution is A^-1 e_n, and the estimate takes that column through a
+    Future, resolved as soon as LAPACK returns it, instead of solving it
+    again.  If any step fails, no level that has not started runs, on
+    either thread, and the error surfaces.
     """
+    du_levels = [None] * levels
+    unstarted = list(range(levels - 1))  # coarse levels, the largest last
+    lock = threading.Lock()
+    finest = queue.SimpleQueue()  # the finest (system, last); None on failure
     last = None
-    # no thread starts before the first submit; leaving the block joins it
+
+    def take() -> Optional[int]:
+        with lock:
+            return unstarted.pop() if unstarted else None
+
+    def drop_unstarted() -> None:
+        with lock:
+            unstarted.clear()
+
+    def run_unstarted(until=lambda: False) -> None:
+        """Run the coarse levels nobody has started, largest first, until
+        none is left or `until()` holds."""
+        while not until() and (level := take()) is not None:
+            du_levels[level] = _coarse_du(problem, base, level)
+
+    def helper() -> Optional[float]:
+        try:
+            run_unstarted(until=lambda: not finest.empty())
+            job = finest.get()
+            if job is None:  # the calling thread failed
+                return None
+            cond = fem.condition_estimate(*job)
+            del job  # the finest system goes with its estimate
+            run_unstarted()
+            return cond
+        except BaseException:
+            drop_unstarted()
+            raise
+
+    # leaving the block joins the helper thread
     with ThreadPoolExecutor(max_workers=1) as pool:
+        estimate = pool.submit(helper)
         try:
             mesh = fem.build_mesh(problem, base * 2**(levels - 1))
             system = fem.assemble(problem, mesh)
-            coarse = [pool.submit(_coarse_du, problem, base, level)
-                      for level in range(levels - 1)]
             system.factorize()
             # a right-hand side of exactly e_n has the solution A^-1 e_n
             unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
             last = Future() if unit else None
-            estimate = pool.submit(fem.condition_estimate, system, last)
+            finest.put((system, last))
             solution = fem.solve(system, None if last is None else last.set_result)
             system.rhs = None  # the estimate needs the matrix and its LU only
             du, wu, _energy = fem.norms(solution, problem, mesh)
+            du_levels[-1] = float(du)
             res = solution.residual
-            del mesh, system, solution  # the system is freed with its estimate
-            du_levels = [level.result() for level in coarse] + [float(du)]
+            # resolved: the estimate holds the finest system and its column
+            del mesh, system, solution
+            last = None
+            run_unstarted()
             cond = estimate.result()
         except BaseException:
+            drop_unstarted()
+            try:
+                finest.get_nowait()  # an estimate not yet started never runs
+            except queue.Empty:
+                pass
+            finest.put(None)
             if last is not None:
                 last.cancel()  # a no-op once resolved; else the estimate raises
-            pool.shutdown(cancel_futures=True)
             raise
     return {"du": du_levels, "wu": float(wu), "res": res, "cond": cond}
 

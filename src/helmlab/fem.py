@@ -1,15 +1,17 @@
 """Conforming P1 finite elements for the 1D heterogeneous problem.
 
 A mesh is a partition plus one element count per subinterval, so subinterval
-j owns a known run of elements.  Element integrals are exact for
-piecewise-constant and piecewise-linear coefficients (5-point Gauss for smooth
-data and sources) and are computed one coefficient segment at a time, on the
-elements of a run that the segment owns; a constant segment's element data
-are four scalars, which the arithmetic broadcasts, so no array is filled with
-a constant.  Assembly, the solve's residual and the norms pass over the mesh
-in the leaf runs of `quadrature._pairwise_tree` (at most `_SUM_LEAF` elements
-or rows each), so their temporaries are run-sized, not mesh-sized, and every
-entry, maximum and sum has the bits of the whole-mesh computation.  The
+j owns a known run of elements; its nodes are written into one array with
+`np.linspace`'s arithmetic, subinterval by subinterval.  Element integrals
+are exact for piecewise-constant and piecewise-linear coefficients (5-point
+Gauss for smooth data and sources) and are computed one coefficient segment
+at a time, on the elements of a run that the segment owns; a constant
+segment's element data are four scalars, which the arithmetic broadcasts, so
+no array is filled with a constant.  Assembly, the solve's residual, the
+matrix 1-norm and the norms pass over the mesh in the leaf runs of
+`quadrature._pairwise_tree` (at most `_SUM_LEAF` elements or rows each), so
+their temporaries are run-sized, not mesh-sized, and every entry, maximum
+and sum has the bits of the whole-mesh computation.  The
 complex symmetric tridiagonal system stores its diagonal and a single
 off-diagonal, which is real (float64): only the impedance corners of the
 matrix are complex.  It is solved by banded LU with partial pivoting on
@@ -115,9 +117,11 @@ def _lapack(routine, *args) -> int:
 @dataclass(frozen=True)
 class Mesh1D:
     """`per_segment` = n uniform elements on every subinterval of a partition:
-    one `linspace` per subinterval, then the last breakpoint, so every
-    breakpoint is a node and subinterval j owns elements j*n .. (j+1)*n - 1.
-    Gaps too small for n elements give colliding nodes and are rejected."""
+    the nodes of subinterval [x0, x1] are i * ((x1 - x0) / n) + x0, i = 0 ..
+    n - 1, written into one array (the bits of `np.linspace(x0, x1, n + 1)`
+    without its last node), then the last breakpoint, so every breakpoint is
+    a node and subinterval j owns elements j*n .. (j+1)*n - 1.  Gaps too
+    small for n elements give colliding nodes and are rejected."""
 
     partition: np.ndarray
     per_segment: int
@@ -127,10 +131,19 @@ class Mesh1D:
         if self.per_segment < 1:
             raise ValueError("element count per subinterval must be >= 1")
         part = np.asarray(self.partition, dtype=float)
-        pieces = [np.linspace(part[i], part[i + 1], self.per_segment + 1)[:-1]
-                  for i in range(len(part) - 1)]
-        nodes = np.concatenate(pieces + [part[-1:]])
-        if not np.all(nodes[1:] > nodes[:-1]):
+        n = self.per_segment
+        nodes = np.empty((len(part) - 1) * n + 1)
+        index = np.arange(n, dtype=float)
+        for j in range(len(part) - 1):
+            # linspace's arithmetic; where its step underflows to 0 (a
+            # subnormal gap), its nodes collide too
+            run = nodes[j * n:(j + 1) * n]
+            np.multiply(index, (part[j + 1] - part[j]) / n, out=run)
+            run += part[j]
+        nodes[-1] = part[-1]
+        del index
+        if not all(np.all(nodes[lo + 1:lo + n + 1] > nodes[lo:lo + n])
+                   for lo in range(0, len(nodes) - 1, n)):
             raise ValueError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "partition", part)
         object.__setattr__(self, "nodes", nodes)
@@ -240,13 +253,19 @@ class BandedComplexSystem:
         return y
 
     def norm1(self) -> float:
+        """max_i |d_i| + |o_{i-1}| + |o_i| (added in that order), taken over
+        the leaf runs of `_pairwise_tree`, so no temporary is mesh-sized."""
         n = self.dimension
-        col = np.abs(self.diag)
-        if n > 1:
-            off = np.abs(self.offdiag)
-            col[1:] += off
-            col[:-1] += off
-        return float(col.max())
+
+        def run_max(lo, hi):
+            col = np.abs(self.diag[lo:hi])
+            below = self.offdiag[max(lo - 1, 0):hi - 1]  # o_{i-1}, from i = 1
+            col[hi - lo - len(below):] += np.abs(below)
+            above = self.offdiag[lo:min(hi, n - 1)]  # o_i, up to i = n - 2
+            col[:len(above)] += np.abs(above)
+            return col.max()
+
+        return float(np.max([run_max(lo, lo + k) for lo, k in _leaf_runs(n)]))
 
 
 @dataclass(frozen=True)
@@ -520,7 +539,7 @@ def condition_estimate(system: BandedComplexSystem, last=None) -> float:
     if not np.all(system.offdiag):
         raise ValueError("the condition number needs an irreducible matrix: "
                          "an off-diagonal entry is zero")
-    norm = system.norm1()  # its temporaries go before the columns come
+    norm = system.norm1()  # run-sized temporaries, gone before the columns
     cols = np.zeros((n, 2 if last is None else 1), dtype=complex, order="F")
     cols[0, 0] = 1.0
     if last is None:

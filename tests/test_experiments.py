@@ -222,6 +222,8 @@ class TestRefinementProtocol:
             fem.BandedComplexSystem.solve_vector, fem.condition_estimate,
             fem.assemble)
         events = []  # (event, dimension or column count, thread)
+        caller = threading.current_thread()
+        solving = threading.Event()
 
         def record(event, size):
             events.append((event, size, threading.current_thread()))
@@ -237,11 +239,16 @@ class TestRefinementProtocol:
             return factorize(system)
 
         def recording_solve(system, on_solved=None):
+            solving.set()  # the finest factors are handed over by now
             record("solve", system.dimension)
             return solve(system, on_solved)
 
         def recording_solve_in_place(system):
             record("solve_in_place", system.dimension)
+            if threading.current_thread() is not caller:
+                # the helper's first coarse level ends after the finest
+                # factors exist, so its next start must be the estimate
+                assert solving.wait(timeout=10.0)
             values = solve_in_place(system)
             assert system._factors is None
             return values
@@ -263,30 +270,43 @@ class TestRefinementProtocol:
         monkeypatch.setattr(fem, "condition_estimate", recording_estimate)
         monkeypatch.setattr(fem, "assemble", recording_assemble)
         before = threading.active_count()
-        caller = threading.current_thread()
         assert hl.refine_to_convergence(prob, **kwargs) == reference
         assert threading.active_count() == before
         if case == "warm":
             # a stored ladder runs no level and starts no thread
             assert events == []
             return
-        # the calling thread assembles the finest level before the helper
-        # thread starts, then factorizes it alone and solves it with its
-        # residual; the helper thread assembles and solves levels 0 .. L-2
-        # in place, coarsest first, and then runs the estimate, which solves
-        # e_1 alone when the finest right-hand side is e_n (g = (0, 1))
         dims = [hl.build_mesh(prob, _LADDER["base"] * 2**level).n_nodes
                 for level in range(levels)]
         (helper,) = {thread for *_, thread in events} - {caller}
-        assert events[0] == ("assemble", dims[-1], caller)
-        assert [event[:2] for event in events if event[2] is caller] == [
-            ("assemble", dims[-1]), ("factorize", dims[-1]), ("solve", dims[-1]),
-            ("solve_vector", 1)]
+        on = {thread: [event[:2] for event in events if event[2] is thread]
+              for thread in (caller, helper)}
+        # the calling thread assembles, factorizes and solves the finest
+        # level; every other event of the finest level is the estimate's
+        assert on[caller][:4] == [("assemble", dims[-1]), ("factorize", dims[-1]),
+                                  ("solve", dims[-1]), ("solve_vector", 1)]
+        # each coarse level is assembled and solved in place exactly once,
+        # on one of the two threads, and each thread takes them largest first
+        for thread in (caller, helper):
+            done = [size for event, size in on[thread]
+                    if event == "assemble" and size != dims[-1]]
+            assert sorted(done, reverse=True) == done
+            assert [event for event in on[thread] if event[1] in done] == [
+                event for size in done
+                for event in (("assemble", size), ("solve_in_place", size))]
+        assert sorted(size for event, size, _ in events if event == "assemble") \
+            == dims
+        # the helper runs the estimate, first or right after the level it was
+        # in when the finest factors came; the estimate solves e_1 alone when
+        # the finest right-hand side is e_n (g = (0, 1)), else two columns
+        starts = [event for event in on[helper] if event[0] in ("assemble", "estimate")]
+        assert ("estimate", dims[-1]) in starts[:2]
         columns = 1 if spec.g == (0.0, 1.0) else 2
-        assert [event[:2] for event in events if event[2] is helper] == [
-            event for dim in dims[:-1]
-            for event in (("assemble", dim), ("solve_in_place", dim))] + [
-            ("estimate", dims[-1]), ("solve_vector", columns)]
+        at = on[helper].index(("estimate", dims[-1]))
+        assert on[helper][at + 1] == ("solve_vector", columns)
+        assert [event for event in on[caller] + on[helper]
+                if event[0] in ("factorize", "solve", "solve_vector", "estimate")] \
+            == on[caller][1:4] + on[helper][at:at + 2]
 
     @pytest.mark.parametrize("case", list(_RECORD_CASES))
     def test_record_matches_full_work_ladder(self, case):
@@ -404,37 +424,74 @@ class TestRefinementProtocol:
             hl.refine_to_convergence(hl.family(_LADDER_SPEC), levels=0)
 
     @pytest.mark.parametrize("fails", [
-        "finest-factorize", "finest-solve", "coarse-solve", "estimate"])
+        "finest-factorize", "finest-solve", "coarse-solve", "coarse-solve-caller",
+        "estimate"])
     def test_failure_surfaces_and_thread_is_joined(self, tmp_path, monkeypatch,
                                                    fails):
         prob = hl.family(_LADDER_SPEC)
-        base, levels = _LADDER["base"], _LADDER["levels"]
+        # four coarse levels when one fails on the calling thread
+        base = _LADDER["base"]
+        levels = _LADDER["levels"] + (fails == "coarse-solve-caller")
         finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
         coarse = hl.build_mesh(prob, base * 2).n_nodes  # level 1
         owner, name, dimension = {
             "finest-factorize": (fem.BandedComplexSystem, "factorize", finest),
             "finest-solve": (fem, "solve", finest),
             "coarse-solve": (fem, "solve_in_place", coarse),
+            "coarse-solve-caller": (fem, "solve_in_place", None),
             "estimate": (fem, "condition_estimate", finest)}[fails]
-        original = getattr(owner, name)
+        original, solve = getattr(owner, name), fem.solve
+        caller, coarse_solves, held = None, [], []
+        solving, holding, failed = (threading.Event() for _ in range(3))
 
         class Boom(Exception):
             pass
 
         def failing(system, *args):
-            if system.dimension == dimension:
+            if dimension is None:
+                coarse_solves.append(system.dimension)
+                if threading.current_thread() is caller:
+                    # once the helper holds a level after its estimate
+                    holding.wait(timeout=10.0)
+                    failed.set()
+                    raise Boom(fails)
+                # the helper's first coarse level ends once the finest
+                # factors exist, so it runs the estimate next; its next
+                # level holds until the calling thread has failed in one
+                held.append(system.dimension)
+                if len(held) == 1:
+                    solving.wait(timeout=10.0)
+                else:
+                    holding.set()
+                    failed.wait(timeout=10.0)
+            elif system.dimension == dimension:
                 raise Boom(fails)
             return original(system, *args)
 
+        def signalling_solve(system, on_solved=None):
+            solving.set()
+            return solve(system, on_solved)
+
+        def ladder():
+            nonlocal caller
+            caller = threading.current_thread()
+            hl.refine_to_convergence(prob, base=base, levels=levels,
+                                     cache_dir=str(tmp_path),
+                                     cache_key=_LADDER_SPEC.cache_key())
+
         monkeypatch.setattr(owner, name, failing)
+        if dimension is None:
+            monkeypatch.setattr(fem, "solve", signalling_solve)
         before = threading.active_count()
-        error = _ladder_with_deadline(lambda: hl.refine_to_convergence(
-            prob, **_LADDER, cache_dir=str(tmp_path),
-            cache_key=_LADDER_SPEC.cache_key()))
+        error = _ladder_with_deadline(ladder)
         assert isinstance(error, Boom) and error.args == (fails,)
         assert threading.active_count() == before
         # a ladder that failed is not stored
         assert list(tmp_path.iterdir()) == []
+        if dimension is None:
+            # the helper's two levels and the failed one: the fourth coarse
+            # level never starts, on either thread
+            assert failed.is_set() and len(coarse_solves) == 3, coarse_solves
 
     def test_failed_finest_level_cancels_the_coarse_levels(self, monkeypatch):
         # five coarse levels are queued when the finest factorize raises; the

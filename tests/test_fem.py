@@ -50,6 +50,26 @@ def _two_layer_problem(bc):
         g_right=0.5j if bc.impedance_right else 0.0)
 
 
+def _mesh_nodes_reference(part, n):
+    """The mesh nodes as one `linspace` per subinterval, concatenated."""
+    part = np.asarray(part, dtype=float)
+    pieces = [np.linspace(part[i], part[i + 1], n + 1)[:-1]
+              for i in range(len(part) - 1)]
+    return np.concatenate(pieces + [part[-1:]])
+
+
+@st.composite
+def _partitions(draw):
+    """1 to 30 subintervals of [-1, 1] at random, scaled by 1e-3 to 1e3 and
+    shifted."""
+    count = draw(st.integers(1, 30))
+    points = draw(st.lists(st.floats(-1.0, 1.0), min_size=count + 1,
+                           max_size=count + 1, unique=True))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    shift = draw(st.floats(-10.0, 10.0)) * scale
+    return np.sort(points) * scale + shift
+
+
 class TestMesh:
     def test_single_segment(self):
         mesh = hl.build_mesh(unit_problem(), 2)
@@ -91,6 +111,25 @@ class TestMesh:
         hl.Mesh1D(part, 1)
         with pytest.raises(ValueError, match="strictly increasing"):
             hl.Mesh1D(part, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(part=_partitions(), n=st.integers(1, 3000))
+    def test_nodes_bit_identical_to_linspace_pieces(self, part, n):
+        expected = _mesh_nodes_reference(part, n)
+        if np.all(expected[1:] > expected[:-1]):
+            assert hl.Mesh1D(part, n).nodes.tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                hl.Mesh1D(part, n)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("r", [0.4, 0.5, 0.6])
+    def test_table1_levels_bit_identical_to_linspace_pieces(self, m, r):
+        prob = hl.family(hl.UnstableFamilySpec(m, r))
+        for level in range(7):
+            n = 800 * 2**level
+            assert hl.build_mesh(prob, n).nodes.tobytes() == \
+                _mesh_nodes_reference(prob.partition, n).tobytes(), level
 
 
 class TestAssembly:
@@ -890,7 +929,9 @@ def test_pairwise_tree_matches_numpy_sum(monkeypatch, leaf):
 class TestBoundedMemory:
     """A level's solve and norms build no mesh-sized temporary: with runs of
     2^14 elements their traced peaks stay below a quarter of one mesh-sized
-    float64 array, beyond the solution that `solve` returns."""
+    float64 array, beyond the solution that `solve` returns.  The mesh
+    allocates its nodes and one subinterval's indices, and `norm1` two
+    float64 arrays of one leaf run."""
 
     @pytest.fixture(scope="class")
     def level(self):
@@ -919,6 +960,66 @@ class TestBoundedMemory:
         assert peak < solution.values.nbytes + bound, peak
         _, peak = self._traced_peak(hl.norms, solution, prob, mesh)
         assert peak < bound, peak
+
+    def test_finest_mesh_peak(self):
+        prob = hl.family(hl.UnstableFamilySpec(12, 0.6))
+        mesh, peak = self._traced_peak(hl.build_mesh, prob, 51200)
+        assert mesh.n_nodes == 1_280_001
+        # the float64 indices i = 0 .. n - 1 of one subinterval
+        assert peak <= mesh.nodes.nbytes + 8 * 51200 + 4096, peak
+
+    def test_norm1_peak(self, level):
+        _, _, system = level
+        longest = max(k for _, k in quadrature._leaf_runs(system.dimension))
+        norm, peak = self._traced_peak(system.norm1)
+        assert norm == _norm1_reference(system)
+        # a run's column sums and the moduli of one off-diagonal run
+        assert peak <= 2 * 8 * longest + 4096, peak
+
+
+def _norm1_reference(system):
+    """||A||_1 over whole arrays: |d_i| + |o_{i-1}| + |o_i| per column."""
+    col = np.abs(system.diag)
+    if system.dimension > 1:
+        off = np.abs(system.offdiag)
+        col[1:] += off
+        col[:-1] += off
+    return float(col.max())
+
+
+class TestNorm1:
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1,
+                                   2**17 + 5])
+    @pytest.mark.parametrize("offdiag_dtype", [float, complex])
+    def test_matches_whole_array_formula(self, n, offdiag_dtype):
+        rng = np.random.default_rng(n)
+        diag = rng.standard_normal(n) + 0j
+        # impedance corners: complex ends of an otherwise real diagonal
+        diag[0] -= 1j * rng.uniform(0.5, 2.0)
+        diag[-1] -= 1j * rng.uniform(0.5, 2.0)
+        offdiag = rng.standard_normal(n - 1).astype(offdiag_dtype)
+        if offdiag_dtype is complex:
+            offdiag += 1j * rng.standard_normal(n - 1)
+        system = hl.BandedComplexSystem(diag, offdiag, np.ones(n, complex),
+                                        False, False)
+        assert system.norm1() == _norm1_reference(system)
+        # the largest column at each end and on either side of a leaf edge
+        edges = {lo for lo, _ in quadrature._leaf_runs(n)}
+        for i in sorted({0, n - 1} | {j for lo in edges
+                                       for j in (lo - 1, lo) if 0 <= j < n}):
+            spiked = hl.BandedComplexSystem(diag.copy(), offdiag.copy(),
+                                            system.rhs, False, False)
+            spiked.diag[i] += 10.0 - 10.0j
+            if i < n - 1:
+                spiked.offdiag[i] -= 7.0
+            assert spiked.norm1() == _norm1_reference(spiked), i
+
+    def test_family_impedance_corners(self):
+        for m, r, count in ((2, 0.4, 1), (12, 0.6, 3), (8, 0.5, 400)):
+            prob = hl.family(hl.UnstableFamilySpec(m, r))
+            system = hl.assemble(prob, hl.build_mesh(prob, count))
+            assert system.diag[0].imag != 0.0 and system.diag[-1].imag != 0.0
+            assert system.norm1() == _norm1_reference(system)
 
 
 def _condition_estimate_reference(system, itmax=5):
