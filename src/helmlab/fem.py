@@ -141,7 +141,7 @@ class Mesh1D:
             np.multiply(index, (part[j + 1] - part[j]) / n, out=run)
             run += part[j]
         nodes[-1] = part[-1]
-        del index
+        del index  # so the check's temporaries do not add to the peak
         if not all(np.all(nodes[lo + 1:lo + n + 1] > nodes[lo:lo + n])
                    for lo in range(0, len(nodes) - 1, n)):
             raise ValueError("mesh nodes must be strictly increasing")
