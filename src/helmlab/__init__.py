@@ -7,12 +7,12 @@ high-frequency instability benchmarks.
 """
 
 from .coeffs import (Constant, Linear, PiecewiseCoefficient, Smooth,
-                     CoefficientError, common_partition, constant,
-                     from_segments, on_common_partition, piecewise_constant,
-                     refine, variation_of_square)
+                     CoefficientError, constant, from_segments,
+                     on_common_partition, piecewise_constant, refine,
+                     variation_of_square)
 from .problem import BoundaryConfig, HelmholtzProblem, PiecewisePolynomial
 from .stability import (JumpFactors, MultiplierQ, QDiagnostics, StabilityReport,
-                        apriori_rhs, build_q, jump_factors, q_bound,
+                        build_q, jump_factors, q_bound,
                         q_product_bound, q_sup, stability_constants,
                         stability_report, tech_product_check,
                         verify_q_properties)

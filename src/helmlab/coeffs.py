@@ -233,12 +233,6 @@ class PiecewiseCoefficient:
         return segmentwise(bp, xs, lambda j, x: _seg_values(
             self.segments[j], bp[j], bp[j + 1], x))
 
-    def derivatives(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized regular part of the derivative (right limit at breaks)."""
-        bp = self.breakpoints
-        return segmentwise(bp, xs, lambda j, x: _seg_deriv(
-            self.segments[j], bp[j], bp[j + 1], x))
-
     def left_limit(self, j: int) -> float:
         """g^-(z_j), defined for 1 <= j <= N."""
         return _seg_right(self.segments[j - 1], self.breakpoints[j - 1],
@@ -347,13 +341,6 @@ def shared_interval(a: PiecewiseCoefficient, c: PiecewiseCoefficient) -> tuple:
     return z0, zn
 
 
-def common_partition(a: PiecewiseCoefficient,
-                     c: PiecewiseCoefficient) -> np.ndarray:
-    """Union of the two breakpoint sets (a refinement of either partition)."""
-    shared_interval(a, c)
-    return np.unique(np.concatenate([a.breakpoints, c.breakpoints]))
-
-
 def refine(coeff: PiecewiseCoefficient,
            breakpoints: np.ndarray) -> PiecewiseCoefficient:
     """Re-express the coefficient on a refinement of its own partition;
@@ -382,9 +369,12 @@ def refine(coeff: PiecewiseCoefficient,
 
 
 def on_common_partition(a: PiecewiseCoefficient, c: PiecewiseCoefficient):
-    """Both coefficients re-expressed on the union of their breakpoints; an
-    aligned pair comes back as the same two objects."""
-    bp = common_partition(a, c)
+    """Both coefficients re-expressed on the union of their breakpoints (a
+    refinement of either partition); an aligned pair comes back as the same
+    two objects.  Coefficients on different intervals raise
+    CoefficientError."""
+    shared_interval(a, c)
+    bp = np.unique(np.concatenate([a.breakpoints, c.breakpoints]))
     return refine(a, bp), refine(c, bp)
 
 

@@ -15,14 +15,16 @@ and sum has the bits of the whole-mesh computation.  The
 complex symmetric tridiagonal system stores its diagonal and a single
 off-diagonal, which is real (float64): only the impedance corners of the
 matrix are complex.  It is solved by banded LU with partial pivoting on
-complex copies of its bands, so the stored matrix stays intact, and its
-1-norm condition number is exact up to round-off: it follows from the first and
-last columns of the inverse, which one two-column solve on the factors gives,
-or a one-column solve when the caller hands in the last column (the solution
-for a right-hand side that is exactly e_n).  A system that needs no factors, no
-residual and no norm but ||u_h'|| (`derivative_norm`) is solved by one
-in-place `zgtsv` pass (`solve_in_place`), with the bits of the factorized
-solve; this module alone chooses the LAPACK routines.  It calls `zgttrf`,
+complex copies of its bands, so the stored matrix stays intact; LAPACK's
+tridiagonal routines take every dimension n >= 1, so systems of every size
+go through them.  Its 1-norm condition number is exact up to round-off: it
+follows from the first and last columns of the inverse, which one two-column
+solve on the factors gives, or a one-column solve when the caller hands in
+the last column (the solution for a right-hand side that is exactly e_n).
+A system that needs no factors, no residual and no norm but ||u_h'||
+(`derivative_norm`) is solved by one in-place `zgtsv` pass
+(`solve_in_place`), with the bits of the factorized solve; this module
+alone chooses the LAPACK routines.  It calls `zgttrf`,
 `zgttrs` and `zgtsv` of scipy's bundled LAPACK through their function
 pointers in `scipy.linalg.cython_lapack`, with ctypes, which releases the
 GIL for the length of each call (scipy's f2py wrappers of `zgtsv` and
@@ -192,23 +194,13 @@ class BandedComplexSystem:
 
     def factorize(self):
         if self._factors is None:
-            if self.dimension <= 2:
-                # the tridiagonal LAPACK wrapper needs n >= 3; fall back to
-                # a dense matrix for these degenerate sizes
-                dense = np.diag(self.diag)
-                if self.dimension == 2:
-                    dense[1, 0] = dense[0, 1] = self.offdiag[0]
-                if np.linalg.matrix_rank(dense) < self.dimension:
-                    raise SingularSystemError("singular small system", 0)
-                self._factors = ("dense", dense)
-                return self._factors
             # LAPACK overwrites complex copies of the bands
             n = self.dimension
             dl, du = self.offdiag.astype(complex), self.offdiag.astype(complex)
-            d, du2 = self.diag.astype(complex), np.empty(n - 2, dtype=complex)
-            ipiv = np.empty(n, dtype=np.intc)
+            d, ipiv = self.diag.astype(complex), np.empty(n, dtype=np.intc)
+            du2 = np.empty(max(n - 2, 0), dtype=complex)
             info = _lapack(_ZGTTRF, n, _band(dl, n - 1), _band(d, n),
-                           _band(du, n - 1), _band(du2, n - 2),
+                           _band(du, n - 1), _band(du2, len(du2)),
                            _band(ipiv, n, np.intc))
             if info != 0:
                 raise SingularSystemError(
@@ -224,18 +216,11 @@ class BandedComplexSystem:
         receives the solution and is returned, and any other `b` raises
         ValueError; otherwise `b` is untouched.
         """
-        fact = self.factorize()
-        if isinstance(fact[0], str):  # dense fallback for n <= 2
-            x = np.linalg.solve(fact[1], b)
-            if overwrite_b:
-                b[...] = x
-                return b
-            return x
-        dl, d, du, du2, ipiv = fact
+        dl, d, du, du2, ipiv = self.factorize()
         n = len(d)
         x = b if overwrite_b else b.astype(complex, order="F")
         _lapack(_ZGTTRS, b"N", n, x.size // n, _band(dl, n - 1), _band(d, n),
-                _band(du, n - 1), _band(du2, n - 2), _band(ipiv, n, np.intc),
+                _band(du, n - 1), _band(du2, len(du2)), _band(ipiv, n, np.intc),
                 _block(x, n), n)
         return x
 
@@ -442,23 +427,19 @@ def solve_in_place(system: BandedComplexSystem) -> np.ndarray:
     solution) and two complex copies of the off-diagonal; the float64 one
     is freed before the second copy, so the peak is that of one complex
     off-diagonal and its copy.  No factors are kept and no residual is
-    computed; the values have the bits of `solve(system).values`, which
-    systems of dimension <= 2 take (the dense fallback of `factorize`).
-    Either way the call consumes the system: any later solve, estimate,
-    `matvec` or `norm1` on it raises ValueError.
+    computed; the values have the bits of `solve(system).values`, at every
+    dimension from 1 up.  The call consumes the system: any later solve,
+    estimate, `matvec` or `norm1` on it raises ValueError.
     """
-    if system.dimension <= 2:
-        x, info = solve(system).values, 0
-    else:
-        n = system.dimension
-        dl = system.offdiag.astype(complex)
-        system.offdiag = None
-        du = dl.copy()
-        x = system.rhs
-        info = _lapack(_ZGTSV, n, 1, _band(dl, n - 1), _band(system.diag, n),
-                       _band(du, n - 1), _block(x, n), n)
-        if system.dirichlet_left or system.dirichlet_right:
-            x = np.pad(x, (int(system.dirichlet_left), int(system.dirichlet_right)))
+    n = system.dimension
+    dl = system.offdiag.astype(complex)
+    system.offdiag = None
+    du = dl.copy()
+    x = system.rhs
+    info = _lapack(_ZGTSV, n, 1, _band(dl, n - 1), _band(system.diag, n),
+                   _band(du, n - 1), _block(x, n), n)
+    if system.dirichlet_left or system.dirichlet_right:
+        x = np.pad(x, (int(system.dirichlet_left), int(system.dirichlet_right)))
     system.diag = system.offdiag = system.rhs = system._factors = None
     if info != 0:
         raise SingularSystemError(

@@ -302,7 +302,11 @@ class StabilityReport:
     bound_overflowed: bool
 
     def apriori_rhs(self, f_norm: float, g_norm: float) -> float:
-        return apriori_rhs(self, f_norm, g_norm)
+        """Right-hand side of the energy bound for given data norms."""
+        if f_norm < 0.0 or g_norm < 0.0:
+            raise ValueError("data norms must be nonnegative")
+        return (self.C_I * self.Q_exact * f_norm
+                + self.C_II * math.sqrt(self.Q_exact) * g_norm)
 
 
 def stability_report(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
@@ -321,14 +325,6 @@ def stability_report(a: PiecewiseCoefficient, c: PiecewiseCoefficient,
         bc=BoundaryConfig(bc),
         bound_overflowed=not math.isfinite(qb),
     )
-
-
-def apriori_rhs(report: StabilityReport, f_norm: float, g_norm: float) -> float:
-    """Right-hand side of the energy bound for given data norms."""
-    if f_norm < 0.0 or g_norm < 0.0:
-        raise ValueError("data norms must be nonnegative")
-    return (report.C_I * report.Q_exact * f_norm
-            + report.C_II * math.sqrt(report.Q_exact) * g_norm)
 
 
 # -- verification of the multiplier properties --------------------------------

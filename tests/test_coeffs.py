@@ -181,33 +181,39 @@ class TestTilde:
             tv = t.values(xs)
             assert np.all(tv >= c.g_min - 1e-12)
             assert np.all(tv <= c.g_max + 1e-12)
-            # nondecreasing within every segment
-            d = t.derivatives(xs)
-            assert np.all(d >= -1e-12)
+            # nondecreasing within every segment: its values at points from
+            # the left end up to (not at) the right end do not fall
+            bp = t.breakpoints
+            for j in range(t.n_segments):
+                seg_xs = np.linspace(bp[j], bp[j + 1], 65)[:-1]
+                assert np.all(np.diff(t.values(seg_xs)) >= -1e-12)
 
 
 class TestCommonPartition:
     def test_identical_partitions(self):
         a = hl.piecewise_constant([-1.0, 0.0, 1.0], [1.0, 2.0])
         b = hl.piecewise_constant([-1.0, 0.0, 1.0], [3.0, 4.0])
-        assert np.array_equal(hl.common_partition(a, b), a.breakpoints)
+        assert np.array_equal(hl.on_common_partition(a, b)[0].breakpoints,
+                              a.breakpoints)
 
     def test_union(self):
         a = hl.piecewise_constant([-1.0, 0.0, 1.0], [1.0, 2.0])
         b = hl.piecewise_constant([-1.0, 0.5, 1.0], [3.0, 4.0])
-        assert np.array_equal(hl.common_partition(a, b),
-                              np.array([-1.0, 0.0, 0.5, 1.0]))
+        for coeff in hl.on_common_partition(a, b):
+            assert np.array_equal(coeff.breakpoints,
+                                  np.array([-1.0, 0.0, 0.5, 1.0]))
 
     def test_constant_adds_no_breakpoints(self):
         c = family_c()
         a = hl.constant(1.0)
-        assert np.array_equal(hl.common_partition(a, c), c.breakpoints)
+        assert np.array_equal(hl.on_common_partition(a, c)[0].breakpoints,
+                              c.breakpoints)
 
     def test_domain_mismatch(self):
         a = hl.constant(1.0, half_length=1.0)
         b = hl.constant(1.0, half_length=2.0)
         with pytest.raises(CoefficientError):
-            hl.common_partition(a, b)
+            hl.on_common_partition(a, b)
 
     def test_refined_values_agree(self, rng):
         for _ in range(10):

@@ -443,8 +443,8 @@ class TestSolve:
 
 def _solve_in_place_cases(bc):
     """(problem, element count) pairs with the boundary configuration bc:
-    the unit problem on 1, 2 and 3 elements (dimensions 1 to 4, so the dense
-    fallback and the smallest zgtsv calls), and random layered problems,
+    the unit problem on 1, 2 and 3 elements (dimensions 1 to 4, so the
+    smallest zgtsv calls), and random layered problems,
     whose wavenumbers reach about 100, on 1, 3, 17 and 200 elements."""
     g = (0.5 if bc.impedance_left else 0.0, 1.0 - 1j if bc.impedance_right else 0.0)
     cases = [(unit_problem(omega=1.0, bc=bc, g=g), count) for count in (1, 2, 3)]
@@ -466,9 +466,8 @@ class TestSolveInPlace:
             assert values.dtype == expected.dtype
             assert np.array_equal(values, expected), (bc, count)
             dims.add(dim)
-            if dim > 2:
-                ipiv = hl.assemble(prob, mesh).factorize()[4]
-                swaps += np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1))
+            ipiv = hl.assemble(prob, mesh).factorize()[4]
+            swaps += np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1))
         # both nodes of a single element are free under pure impedance
         assert set(range(2 if bc == BC.PURE_IMPEDANCE else 1, 4)) <= dims
         assert swaps > 0
@@ -498,8 +497,9 @@ class TestSolveInPlace:
 
     @pytest.mark.parametrize("diag, offdiag", [
         ([1.0, 0.0, 1.0], [0.0, 0.0]), (np.zeros(3), np.zeros(2)),
-        ([1.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0]), ([0.0, 1.0], [0.0])],
-        ids=["middle", "first", "after-elimination", "dense"])
+        ([1.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0]), ([0.0, 1.0], [0.0]),
+        ([0.0], [])],
+        ids=["middle", "first", "after-elimination", "dense", "one-by-one-zero"])
     def test_singular_system_raises_like_factorize(self, diag, offdiag):
         with pytest.raises(SingularSystemError) as factorized:
             _tridiagonal(diag, offdiag).factorize()
@@ -513,9 +513,9 @@ def _binding_zgttrf(dl, d, du):
     scipy's f2py `zgttrf` returns: (dl, d, du, du2, ipiv, info)."""
     dl, d, du = (np.array(band, dtype=complex) for band in (dl, d, du))
     n = len(d)
-    du2, ipiv = np.zeros(n - 2, dtype=complex), np.zeros(n, dtype=np.intc)
+    du2, ipiv = np.zeros(max(n - 2, 0), dtype=complex), np.zeros(n, dtype=np.intc)
     info = fem._lapack(fem._ZGTTRF, n, fem._band(dl, n - 1), fem._band(d, n),
-                       fem._band(du, n - 1), fem._band(du2, n - 2),
+                       fem._band(du, n - 1), fem._band(du2, len(du2)),
                        fem._band(ipiv, n, np.intc))
     return dl, d, du, du2, ipiv, info
 
@@ -551,6 +551,18 @@ def _binding_case(case):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     return draw(n), draw(n - 1), np.asfortranarray(draw(n, 2))
+
+
+def _count_lapack_calls(monkeypatch):
+    """Wrap the three LAPACK routines so that each call is counted by name."""
+    calls = {}
+    for name in ("_ZGTSV", "_ZGTTRF", "_ZGTTRS"):
+        def counted(*args, name=name, routine=getattr(fem, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return routine(*args)
+
+        monkeypatch.setattr(fem, name, counted)
+    return calls
 
 
 def _fail_on_lapack_call(monkeypatch):
@@ -606,17 +618,43 @@ class TestLapackBinding:
                 hl.solve_in_place(system)
             assert raised.value.pivot_index == info - 1
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_small_systems_take_the_dense_fallback(self, monkeypatch, n):
-        _fail_on_lapack_call(monkeypatch)
-        diag, offdiag = np.array([2.0 + 1.0j, -1.0 + 0.5j])[:n], np.array([0.7])[:n - 1]
+    @pytest.mark.parametrize("diag, offdiag, ipiv", [
+        ([2.0 + 1.0j], [], [1]), ([2.0 + 1.0j, -1.0 + 0.5j], [0.7], [1, 2]),
+        ([0.3 + 0.2j, -1.0 + 0.5j], [0.7], [2, 2])],
+        ids=["n1", "n2", "n2-row-interchange"])
+    def test_small_systems_go_through_lapack(self, monkeypatch, diag, offdiag,
+                                             ipiv):
+        # scipy's f2py wrappers reject zgttrf at n = 1 and 2 and zgtsv at
+        # n = 1; LAPACK itself takes every n >= 1
+        calls = _count_lapack_calls(monkeypatch)
+        n = len(diag)
         system = _tridiagonal(diag, offdiag)
-        assert system.factorize()[0] == "dense"
-        b = np.arange(1, n + 1, dtype=complex)
-        x = system.solve_vector(b)
-        assert np.array_equal(x, np.linalg.solve(system.factorize()[1], b))
+        dl, d, du, du2, pivots = system.factorize()
+        assert [len(band) for band in (dl, d, du, du2)] == [n - 1, n, n - 1, 0]
+        assert pivots.dtype == np.intc and pivots.tolist() == ipiv
+        # L U = P A: L's multiplier in dl, U's rows in d and du
+        lower, upper = np.eye(n, dtype=complex), np.diag(d)
+        lower[1:, :-1] += np.diag(dl)
+        upper[:-1, 1:] += np.diag(du)
+        rows = [1, 0] if ipiv[0] == 2 else list(range(n))
+        assert np.allclose(lower @ upper, _dense_matrix(system)[rows],
+                           rtol=1e-15, atol=0.0)
+        solution = hl.solve(system)
+        with mpmath.workdps(50):
+            exact = mpmath.lu_solve(mpmath.matrix(_dense_matrix(system).tolist()),
+                                    mpmath.matrix(system.rhs.tolist()))
+            exact = np.array([complex(v) for v in exact])
+        assert np.allclose(solution.values, exact, rtol=1e-15, atol=0.0)
         assert np.array_equal(hl.solve_in_place(_tridiagonal(diag, offdiag)),
-                              system.solve_vector(system.rhs))
+                              solution.values)
+        assert calls == {"_ZGTTRF": 1, "_ZGTTRS": 1, "_ZGTSV": 1}
+        if n == 2:  # the binding has the bits of f2py zgtsv, which takes n = 2
+            off, b = np.asarray(offdiag, dtype=complex), np.ones((n, 2), complex)
+            expected = lapack.zgtsv(off, np.asarray(diag, dtype=complex), off, b)
+            assert expected[-1] == 0
+            for got, ref in zip(_binding_zgtsv(off, diag, off, b), expected):
+                assert np.array_equal(got, ref)
+            assert np.array_equal(solution.values, expected[3][:, 0])
 
     @pytest.mark.parametrize("fault", [
         "real-diagonal", "strided-diagonal", "long-offdiagonal", "c-ordered-block",
@@ -885,6 +923,7 @@ class TestLevelMatchesFreshArrayReferences:
                                               (BC.IMPEDANCE_DIRICHLET, 2)],
                              ids=["n2", "n1", "n2-dirichlet-right"])
     def test_dense_fallback(self, bc, elements):
+        # dimensions 1 and 2, which go through LAPACK like every other size
         prob = unit_problem(omega=1.0, bc=bc,
                             g=(0.5 if bc.impedance_left else 0.0,
                                1.0 - 1j if bc.impedance_right else 0.0))
@@ -1139,9 +1178,9 @@ class TestConditionEstimate:
     def test_one_by_one(self):
         assert hl.condition_estimate(_tridiagonal([2.0 - 1.0j], [])) == 1.0
 
-    def test_two_by_two_dense_fallback(self):
+    def test_two_by_two(self):
         system = _tridiagonal([1.0 + 2.0j, -3.0 + 0.5j], [0.7 - 0.2j])
-        assert isinstance(system.factorize()[0], str)
+        assert [len(band) for band in system.factorize()] == [1, 2, 1, 0, 2]
         assert hl.condition_estimate(system) == pytest.approx(
             _mpmath_condition(system), rel=1e-14)
 

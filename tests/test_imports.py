@@ -354,3 +354,46 @@ def test_scanner_flags_a_lapack_import():
 def test_lapack_only_in_fem(path):
     """The choice of LAPACK routine for the banded systems stays in `fem`."""
     assert bool(lapack_imports(path.read_text())) == (path.name == "fem.py")
+
+
+DENSE_SOLVERS = ("solve", "inv", "lstsq", "matrix_rank")
+
+
+def dense_linalg_uses(source: str) -> list:
+    """Uses of a `linalg` module's `solve`, `inv`, `lstsq` or `matrix_rank`
+    (numpy's or scipy's): the attributes `<...>.linalg.<name>` and
+    `linalg.<name>`, called or not, and imports of those names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found += [(node.lineno, f"from {node.module} import {alias.name}")
+                      for alias in node.names if alias.name in DENSE_SOLVERS]
+        elif isinstance(node, ast.Attribute) and node.attr in DENSE_SOLVERS and (
+                isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                or isinstance(node.value, ast.Name) and node.value.id == "linalg"):
+            found.append((node.lineno, f"linalg.{node.attr}"))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_scanner_flags_a_dense_solve():
+    source = ("import numpy as np\n"
+              "from numpy import linalg\n"
+              "from numpy.linalg import inv, norm\n"
+              "x = np.linalg.solve(a, b)\n"
+              "numpy.linalg.lstsq(a, b)\n"
+              "linalg.matrix_rank(a)\n"
+              "solver = np.linalg.solve\n"
+              "np.linalg.norm(a) + np.diag(a).sum()\n"
+              "solve(system)\n"
+              "system.solve_vector(b)\n"
+              "from scipy.linalg import cython_lapack, solve\n")
+    assert dense_linalg_uses(source) == [
+        "line 3: from numpy.linalg import inv", "line 4: linalg.solve",
+        "line 5: linalg.lstsq", "line 6: linalg.matrix_rank",
+        "line 7: linalg.solve", "line 11: from scipy.linalg import solve"]
+
+
+def test_fem_makes_no_dense_solve():
+    """Every banded system, at every size, goes through `fem`'s LAPACK
+    binding: no dense solve, inverse or rank test stands beside it."""
+    assert dense_linalg_uses((SRC / "fem.py").read_text()) == []

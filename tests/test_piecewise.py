@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helmlab as hl
-from helmlab.coeffs import _seg_deriv, _seg_values, segment_of
+from helmlab.coeffs import _seg_deriv, _seg_values, segment_of, segmentwise
 from helmlab.quadrature import G5_T
 from helmlab.stability import _recip_integrals
 
@@ -38,8 +38,8 @@ def lookup_poly_ref(f, x):
 
 
 def coeff_loop_ref(coeff, xs, seg_fn):
-    """`PiecewiseCoefficient.values` (seg_fn=_seg_values) and `.derivatives`
-    (seg_fn=_seg_deriv)."""
+    """`PiecewiseCoefficient.values` (seg_fn=_seg_values), and `segmentwise`
+    over any other per-segment evaluator, such as seg_fn=_seg_deriv."""
     xs = np.asarray(xs, dtype=float)
     idx = lookup_coeffs_ref(coeff, xs.ravel())
     out = np.empty(idx.shape, dtype=float)
@@ -161,7 +161,10 @@ def test_coefficient_values_and_derivatives_match_mask_loops(rng):
     for coeff in (a, c, *hl.on_common_partition(a, c), a.tilde(), c.tilde()):
         xs = scattered(rng, coeff.breakpoints, -1.5, 1.5)
         assert same_bits(coeff.values(xs), coeff_loop_ref(coeff, xs, _seg_values))
-        assert same_bits(coeff.derivatives(xs), coeff_loop_ref(coeff, xs, _seg_deriv))
+        bp = coeff.breakpoints
+        derivatives = segmentwise(bp, xs, lambda j, x: _seg_deriv(
+            coeff.segments[j], bp[j], bp[j + 1], x))
+        assert same_bits(derivatives, coeff_loop_ref(coeff, xs, _seg_deriv))
         for x in (0.3, xs[:, 0], xs[0]):
             assert same_bits(coeff.values(x), coeff_loop_ref(coeff, x, _seg_values))
 
@@ -207,7 +210,7 @@ def test_polynomial_source_takes_right_piece_at_breakpoint():
 
 def test_refine_matches_per_subinterval_reference(rng):
     a, c = mixed_pair()
-    bp = hl.common_partition(a, c)
+    bp = hl.on_common_partition(a, c)[0].breakpoints
     extra = np.sort(np.concatenate([bp, rng.uniform(-1.0, 1.0, 9)]))
     for coeff in (a, c):
         for target in (bp, extra):
@@ -246,7 +249,8 @@ def test_refinement_keeps_limits_at_original_breakpoints(rng):
     bp = np.linspace(-1.0, 1.0, 41)
     linear = hl.from_segments(bp, [hl.Linear(*ends[j:j + 2])
                                    for j in range(40)])
-    target = np.unique(np.concatenate([bp, hl.common_partition(a, c),
+    common = hl.on_common_partition(a, c)[0].breakpoints
+    target = np.unique(np.concatenate([bp, common,
                                        rng.uniform(-1.0, 1.0, 60)]))
     for coeff in (a, c, linear):
         new = hl.refine(coeff, target)

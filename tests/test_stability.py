@@ -253,12 +253,12 @@ class TestAprioriRhs:
         report = hl.StabilityReport(
             Q_exact=4.0, Q_bound=10.0, Q_product_bound=10.0, C_I=8.0,
             C_II=1.0, factors=None, bc=BC.PURE_IMPEDANCE, bound_overflowed=False)
-        assert hl.apriori_rhs(report, 1.0, 0.0) == pytest.approx(32.0, abs=0.0)
+        assert report.apriori_rhs(1.0, 0.0) == pytest.approx(32.0, abs=0.0)
 
     def test_negative_norms_rejected(self):
         report = hl.stability_report(hl.constant(1.0), hl.constant(1.0))
         with pytest.raises(ValueError):
-            hl.apriori_rhs(report, -1.0, 0.0)
+            report.apriori_rhs(-1.0, 0.0)
 
 
 class TestVerifyQ:
