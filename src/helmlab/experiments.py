@@ -10,14 +10,8 @@ breakpoint collapses the growth.
 
 Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
-significant figures; the calling thread builds, factorizes, solves and
-norms the finest level while one helper thread solves the coarser levels,
-largest first, each once in place for its ||u_h'|| alone, and starts the
-finest level's condition estimate as soon as its factors exist; for data
-g = (0, 1) the calling thread hands its solution to the estimate as the
-inverse's last column as soon as LAPACK returns it, and then solves the
-coarser levels that nobody has started; an optional cache keeps one record
-per ladder),
+significant figures; two threads share each ladder, as `_run_ladder` sets
+out; an optional cache keeps one record per ladder),
 table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
 probe against the analytic reference (a serial loop over levels, each
@@ -32,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,6 +62,9 @@ class UnstableFamilySpec:
             raise ValueError("m must be an even integer >= 2")
         if not (0.0 < self.r < 1.0):
             raise ValueError("r must lie in (0, 1)")
+        # plain Python numbers, so that numpy scalars name the same cache file
+        for name, kind in (("m", int), ("r", float), ("eps", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     def cache_key(self) -> str:
         g1, g2 = self.g
@@ -129,12 +125,9 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
                           cache_key: Optional[str] = None) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
 
-    The calling thread builds, factorizes, solves and norms the finest
-    level while one helper thread solves the coarser levels, largest first,
-    and the finest system's condition estimate as soon as its factors
-    exist; the coarser levels left when the finest is done are shared by
-    both threads (`_run_ladder`).  Every level still runs the same functions
-    on the same inputs, so the run is the one a serial ladder gives.
+    Two threads share the levels (`_run_ladder`); every level still runs
+    the same functions on the same inputs, so the run is the one a serial
+    ladder gives.
 
     With a cache directory and key, the ladder is one record keyed by
     problem, base and level count: it is read before the ladder and written
@@ -161,55 +154,58 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
 
     Two threads share the work.  The calling thread builds, assembles,
     factorizes, solves and norms the finest level; its factors live on for
-    the estimate.  One helper thread starts at once and takes the coarse
-    levels 0 .. L-2, largest first, each one in-place solve and its
-    ||u_h'|| alone (`_coarse_du`); once the finest factors exist it starts
-    the finest level's condition estimate ahead of any level it has not
-    started.  Once its finest level is done, the calling thread runs every
-    coarse level that nobody has started, largest first, and then waits
-    for the helper.  When the finest right-hand side is exactly e_n, its
-    solution is A^-1 e_n, and the estimate takes that column through a
-    Future, resolved as soon as LAPACK returns it, instead of solving it
-    again.  If any step fails, no level that has not started runs, on
-    either thread, and the error surfaces.
+    the estimate.  A coarse level 0 .. L-2 keeps its ||u_h'|| alone, from
+    one in-place solve (`_coarse_du`), and runs on whichever thread takes
+    it from `unstarted`, largest first, by one `list.pop()`.  The helper
+    thread is the one worker of a thread pool, whose queue runs three jobs
+    in order:
+
+    1. from the start, coarse levels, until the estimate is queued, which
+       is as soon as the finest factors exist;
+    2. the finest level's condition estimate;
+    3. the coarse levels that nobody has started.
+
+    Once its finest level is done, the calling thread runs the coarse
+    levels that nobody has started, then waits for the three jobs.  When
+    the finest right-hand side is exactly e_n, its solution is A^-1 e_n,
+    so the estimate solves only A^-1 e_1 and takes A^-1 e_n through a
+    Future, resolved as soon as LAPACK returns it, before the residual.
+    If any step fails, no level that has not started runs, on either
+    thread, and the error surfaces: the unstarted levels are cleared, an
+    estimate after a failed first job returns at once, and a failure on
+    the calling thread cancels the column's Future (a waiting estimate
+    raises) before the pool is joined, and an estimate still queued.
     """
     du_levels = [None] * levels
     unstarted = list(range(levels - 1))  # coarse levels, the largest last
-    lock = threading.Lock()
-    finest = queue.SimpleQueue()  # the finest (system, last); None on failure
+    queued = threading.Event()  # set just before the estimate is queued
     last = None
-
-    def take() -> Optional[int]:
-        with lock:
-            return unstarted.pop() if unstarted else None
-
-    def drop_unstarted() -> None:
-        with lock:
-            unstarted.clear()
 
     def run_unstarted(until=lambda: False) -> None:
         """Run the coarse levels nobody has started, largest first, until
         none is left or `until()` holds."""
-        while not until() and (level := take()) is not None:
+        while not until():
+            try:
+                level = unstarted.pop()  # atomic, so each level runs once
+            except IndexError:  # none left
+                return
             du_levels[level] = _coarse_du(problem, base, level)
 
-    def helper() -> Optional[float]:
+    def dropping(job, *args):
+        """job(*args) on the helper; if it fails, no unstarted level runs."""
         try:
-            run_unstarted(until=lambda: not finest.empty())
-            job = finest.get()
-            if job is None:  # the calling thread failed
-                return None
-            cond = fem.condition_estimate(*job)
-            del job  # the finest system goes with its estimate
-            run_unstarted()
-            return cond
+            return job(*args)
         except BaseException:
-            drop_unstarted()
+            unstarted.clear()
             raise
+
+    def estimate(*args) -> Optional[float]:
+        # the first job ran before this one on the one worker
+        return None if coarse.exception() else fem.condition_estimate(*args)
 
     # leaving the block joins the helper thread
     with ThreadPoolExecutor(max_workers=1) as pool:
-        estimate = pool.submit(helper)
+        coarse = pool.submit(dropping, run_unstarted, queued.is_set)
         try:
             mesh = fem.build_mesh(problem, base * 2**(levels - 1))
             system = fem.assemble(problem, mesh)
@@ -217,7 +213,10 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
             # a right-hand side of exactly e_n has the solution A^-1 e_n
             unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
             last = Future() if unit else None
-            finest.put((system, last))
+            queued.set()
+            # the worker drops a job's arguments once it has run
+            estimated = pool.submit(dropping, estimate, system, last)
+            rest = pool.submit(dropping, run_unstarted)
             solution = fem.solve(system, None if last is None else last.set_result)
             system.rhs = None  # the estimate needs the matrix and its LU only
             du, wu, _energy = fem.norms(solution, problem, mesh)
@@ -227,16 +226,14 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
             del mesh, system, solution
             last = None
             run_unstarted()
-            cond = estimate.result()
+            coarse.result()
+            cond = estimated.result()
+            rest.result()
         except BaseException:
-            drop_unstarted()
-            try:
-                finest.get_nowait()  # an estimate not yet started never runs
-            except queue.Empty:
-                pass
-            finest.put(None)
+            unstarted.clear()
             if last is not None:
-                last.cancel()  # a no-op once resolved; else the estimate raises
+                last.cancel()  # before the join: a waiting estimate raises
+            pool.shutdown(wait=False, cancel_futures=True)  # a queued one never runs
             raise
     return {"du": du_levels, "wu": float(wu), "res": res, "cond": cond}
 

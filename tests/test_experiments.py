@@ -130,6 +130,17 @@ class TestRefinementProtocol:
         assert 123.0 in run2.values
         assert run1.values != run2.values
 
+    def test_numpy_scalar_cell_shares_the_float_cell_file(self, tmp_path):
+        plain = hl.UnstableFamilySpec(2, 0.4, eps=1e-6)
+        scalars = hl.UnstableFamilySpec(np.int64(2), np.float64(0.4),
+                                        eps=np.float64(1e-6))
+        assert scalars.cache_key() == plain.cache_key() == \
+            "m2_r0.4_eps1e-06_g0j_(1+0j)"
+        assert [type(scalars.m), type(scalars.r), type(scalars.eps)] == \
+            [int, float, float]
+        hl.run_cells([plain, scalars], base=10, levels=2, cache_dir=str(tmp_path))
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
     def test_two_writers_of_one_ladder(self, tmp_path, monkeypatch):
         # a second process stores the same ladder between the first one's
         # write and its replace: each replaces the record whole
@@ -433,15 +444,17 @@ class TestRefinementProtocol:
         base = _LADDER["base"]
         levels = _LADDER["levels"] + (fails == "coarse-solve-caller")
         finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
-        coarse = hl.build_mesh(prob, base * 2).n_nodes  # level 1
+        # the largest coarse level: the helper's first
+        coarse = hl.build_mesh(prob, base * 2**(levels - 2)).n_nodes
         owner, name, dimension = {
             "finest-factorize": (fem.BandedComplexSystem, "factorize", finest),
             "finest-solve": (fem, "solve", finest),
             "coarse-solve": (fem, "solve_in_place", coarse),
             "coarse-solve-caller": (fem, "solve_in_place", None),
             "estimate": (fem, "condition_estimate", finest)}[fails]
-        original, solve = getattr(owner, name), fem.solve
-        caller, coarse_solves, held = None, [], []
+        original, solve, estimate = (getattr(owner, name), fem.solve,
+                                     fem.condition_estimate)
+        caller, coarse_solves, held, estimates = None, [], [], []
         solving, holding, failed = (threading.Event() for _ in range(3))
 
         class Boom(Exception):
@@ -465,12 +478,23 @@ class TestRefinementProtocol:
                     holding.set()
                     failed.wait(timeout=10.0)
             elif system.dimension == dimension:
+                if fails == "coarse-solve":
+                    # raise once the estimate is queued
+                    holding.set()
+                    solving.wait(timeout=10.0)
                 raise Boom(fails)
             return original(system, *args)
 
         def signalling_solve(system, on_solved=None):
             solving.set()
+            if fails == "coarse-solve":
+                # the helper, not this thread, takes the failing level
+                holding.wait(timeout=10.0)
             return solve(system, on_solved)
+
+        def recording_estimate(*args):
+            estimates.append(threading.current_thread())
+            return estimate(*args)
 
         def ladder():
             nonlocal caller
@@ -480,8 +504,10 @@ class TestRefinementProtocol:
                                      cache_key=_LADDER_SPEC.cache_key())
 
         monkeypatch.setattr(owner, name, failing)
-        if dimension is None:
+        if fails.startswith("coarse-solve"):
             monkeypatch.setattr(fem, "solve", signalling_solve)
+        if fails == "coarse-solve":
+            monkeypatch.setattr(fem, "condition_estimate", recording_estimate)
         before = threading.active_count()
         error = _ladder_with_deadline(ladder)
         assert isinstance(error, Boom) and error.args == (fails,)
@@ -492,6 +518,50 @@ class TestRefinementProtocol:
             # the helper's two levels and the failed one: the fourth coarse
             # level never starts, on either thread
             assert failed.is_set() and len(coarse_solves) == 3, coarse_solves
+        if fails == "coarse-solve":
+            # an estimate not yet started never runs after a failure
+            assert holding.is_set() and estimates == []
+
+    def test_failed_finest_solve_releases_the_waiting_estimate(self, monkeypatch):
+        # g = (0, 1): the estimate waits on the finest solution as its
+        # column, and the finest solve raises once it waits
+        prob, base, levels = hl.family(_LADDER_SPEC), _LADDER["base"], _LADDER["levels"]
+        estimate = fem.condition_estimate
+        columns, waiting = [], threading.Event()
+
+        class Boom(Exception):
+            pass
+
+        class Awaited:
+            """The column's Future, signalling when the estimate waits on it."""
+
+            def __init__(self, last):
+                self.last = last
+
+            def result(self):
+                waiting.set()
+                return self.last.result()
+
+        def recording_estimate(system, last=None):
+            columns.append(last)
+            return estimate(system, Awaited(last))
+
+        def failing_solve(system, on_solved=None):
+            assert waiting.wait(timeout=10.0)
+            raise Boom("finest")
+
+        monkeypatch.setattr(fem, "condition_estimate", recording_estimate)
+        monkeypatch.setattr(fem, "solve", failing_solve)
+        before = threading.active_count()
+        try:
+            error = _ladder_with_deadline(
+                lambda: experiments._run_ladder(prob, base, levels))
+        finally:
+            for last in columns:
+                last.cancel()  # a ladder that joins first fails, not hangs
+        assert isinstance(error, Boom) and error.args == ("finest",)
+        assert len(columns) == 1
+        assert threading.active_count() == before
 
     def test_failed_finest_level_cancels_the_coarse_levels(self, monkeypatch):
         # five coarse levels are queued when the finest factorize raises; the

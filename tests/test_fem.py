@@ -410,13 +410,13 @@ class TestSolve:
         assert np.array_equal(x, expected)
         assert np.array_equal(b, expected)
 
-    @pytest.mark.parametrize("case", ["row-interchanges", "mixed", "dense"])
+    @pytest.mark.parametrize("case", ["row-interchanges", "mixed", "small"])
     def test_factorize_keeps_the_matrix(self, case):
         # the factorization works on complex copies of the bands
         prob, count = {
             "row-interchanges": (hl.family(hl.UnstableFamilySpec(12, 0.6)), 1),
             "mixed": (_mixed_problem_with_source(), 37),
-            "dense": (unit_problem(omega=1.0), 1)}[case]
+            "small": (unit_problem(omega=1.0), 1)}[case]
         mesh = hl.build_mesh(prob, count)
         system = hl.assemble(prob, mesh)
         kept = {name: getattr(system, name).copy() for name in ("diag", "offdiag")}
@@ -472,7 +472,7 @@ class TestSolveInPlace:
         assert set(range(2 if bc == BC.PURE_IMPEDANCE else 1, 4)) <= dims
         assert swaps > 0
 
-    @pytest.mark.parametrize("count", [1, 20], ids=["dense", "zgtsv"])
+    @pytest.mark.parametrize("count", [1, 20], ids=["small", "zgtsv"])
     @pytest.mark.parametrize("factorized", [False, True])
     def test_consumes_the_system(self, count, factorized):
         # its arrays hold LAPACK's factors and the solution afterwards: on
@@ -499,7 +499,7 @@ class TestSolveInPlace:
         ([1.0, 0.0, 1.0], [0.0, 0.0]), (np.zeros(3), np.zeros(2)),
         ([1.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0]), ([0.0, 1.0], [0.0]),
         ([0.0], [])],
-        ids=["middle", "first", "after-elimination", "dense", "one-by-one-zero"])
+        ids=["middle", "first", "after-elimination", "small", "one-by-one-zero"])
     def test_singular_system_raises_like_factorize(self, diag, offdiag):
         with pytest.raises(SingularSystemError) as factorized:
             _tridiagonal(diag, offdiag).factorize()
@@ -922,7 +922,7 @@ class TestLevelMatchesFreshArrayReferences:
                                               (BC.DIRICHLET_IMPEDANCE, 1),
                                               (BC.IMPEDANCE_DIRICHLET, 2)],
                              ids=["n2", "n1", "n2-dirichlet-right"])
-    def test_dense_fallback(self, bc, elements):
+    def test_small_systems(self, bc, elements):
         # dimensions 1 and 2, which go through LAPACK like every other size
         prob = unit_problem(omega=1.0, bc=bc,
                             g=(0.5 if bc.impedance_left else 0.0,
