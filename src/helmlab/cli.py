@@ -117,14 +117,18 @@ def _cmd_oracle(args) -> int:
     amps = oracle.solve_analytic(problem, extended_precision=args.extended_precision)
     print(f"layers = {len(amps.A)}")
     _print_norms(*oracle.exact_norms(amps), amps.residual)
-    if amps.flagged:
-        print("warning: amplitude system near-singular; values are unreliable",
-              file=sys.stderr)
+    _warn_if_flagged(amps.flagged)
     if args.dump_solution:
         xs = np.linspace(problem.partition[0], problem.partition[-1],
                          args.dump_points)
         _dump_solution(args.dump_solution, xs, amps.eval(xs))
     return 0 if not amps.flagged else 2
+
+
+def _warn_if_flagged(flagged: bool) -> None:
+    if flagged:
+        print("warning: amplitude system near-singular; values are unreliable",
+              file=sys.stderr)
 
 
 def _cmd_stability(args) -> int:
@@ -259,7 +263,8 @@ def _cmd_quasiopt(args) -> int:
                      f"{probe.interp_errors[i]:.6e},{probe.ratios[i]:.6f},"
                      f"{probe.nodal_l2_errors[i]:.6e}")
     _emit(lines, args.output)
-    return 0
+    _warn_if_flagged(probe.flagged)
+    return 0 if not probe.flagged else 2
 
 
 def _cmd_bounds_compare(args) -> int:

@@ -14,11 +14,11 @@ significant figures; two threads share each ladder, as `_run_ladder` sets
 out; an optional cache keeps one record per ladder),
 table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
-probe against the analytic reference (a serial loop over levels, each
-solved once in place; on its layered problems with f = 0 and per-layer
-uniform meshes, the energy errors are closed-form element integrals: six
-per layer, and the oracle at nodes and midpoints, evaluated layer by layer
-on the mesh's element runs).
+probe against the analytic reference (each level solved once in place; two
+threads share the probe, as `quasiopt_probe` sets out; on its layered
+problems with f = 0 and per-layer uniform meshes, the energy errors are
+closed-form element integrals: six per layer, and the oracle at nodes and
+midpoints, evaluated layer by layer on the mesh's element runs).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 from . import fem, oracle, stability
 from .coeffs import constant, piecewise_constant
 from .problem import BoundaryConfig, HelmholtzProblem
+from .quadrature import _pairwise_tree
 
 # Part of every cached ladder's file name and record; a ladder stored under
 # another version is a miss.  Bump it when a change may move a cached value.
@@ -423,12 +424,18 @@ def bound_comparison(m_list: Sequence[int], r: float) -> list:
 
 @dataclass(frozen=True)
 class QuasiOptimalityProbe:
-    """Per-level Galerkin and interpolation errors in the weighted norm."""
+    """Per-level Galerkin and interpolation errors in the weighted norm.
+
+    `flagged` carries the analytic reference's flag
+    (`oracle.WaveAmplitudes.flagged`): a near-singular amplitude system, so
+    every error is measured against an unreliable reference.
+    """
 
     levels: tuple
     energy_errors: tuple
     interp_errors: tuple
     nodal_l2_errors: tuple
+    flagged: bool = False
 
     @property
     def ratios(self) -> tuple:
@@ -444,19 +451,66 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     zero source, and nonzero impedance data: without it the solution is 0 and
     no ratio exists.  The ratio ladder stabilises below the quasi-optimality
     factor once the resolution condition holds, and approaches 1 for easy
-    problems.  Levels run one at a time, coarse to fine (`_level_errors`).
+    problems.
+
+    Two threads share the levels; each level's record is the one
+    `_level_errors` gives on one thread.  The calling thread builds,
+    assembles and solves every level in place, largest first
+    (`_solved_level`), and right after each solve submits that level's
+    error sums (`_error_sums`: the oracle at nodes and midpoints, the
+    closed-form layer integrals and the nodal l2 norm) to the one worker of
+    a thread pool, whose queue runs them largest first.  Once every level
+    is solved, the calling thread walks the levels smallest first: it runs
+    each job it can still cancel itself, and waits for the others.  Every
+    `fem` call and every mesh-sized array stays on the calling thread, since
+    glibc gives the helper its own malloc arena, where freed arrays stay
+    resident; and the finest level is solved first, with nothing else
+    alive, so the probe's memory peak is that one solve.  If any step
+    fails, no further level is solved and no job starts, on either thread:
+    the jobs still queued are cancelled, and the error surfaces once the
+    helper is joined.
     """
     if levels < 1:
         raise ValueError("a quasi-optimality probe needs at least one level")
     amps = oracle.solve_analytic(problem)
     if problem.boundary_norm() == 0.0:
         raise ValueError("a quasi-optimality probe needs nonzero boundary data")
-    errors = [_level_errors(problem, amps, base * 2**level) for level in range(levels)]
+    solved = [None] * levels  # (mesh, u_h, u_nodes) of a level not summed yet
+    submitted = []  # the error jobs, largest level first
+    failed = threading.Event()  # set as soon as any step fails
+
+    def sums(level: int) -> Optional[tuple]:
+        """The level's `_error_sums`; none once a step has failed."""
+        if failed.is_set():
+            return None
+        arrays, solved[level] = solved[level], None  # gone once summed
+        try:
+            return _error_sums(problem, amps, *arrays)
+        except BaseException:
+            failed.set()
+            raise
+
+    # leaving the block joins the helper thread
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            for level in reversed(range(levels)):
+                if failed.is_set():
+                    for job in submitted:  # in order, so the failed one raises
+                        job.result()
+                solved[level] = _solved_level(problem, amps, base * 2**level)
+                submitted.append(pool.submit(sums, level))
+            errors = [sums(level) if job.cancel() else job.result()
+                      for level, job in enumerate(reversed(submitted))]
+        except BaseException:
+            failed.set()
+            pool.shutdown(wait=False, cancel_futures=True)  # a queued job never runs
+            raise
     # per level (FEM, interpolation, nodal), transposed to the fields
-    return QuasiOptimalityProbe(tuple(range(levels)), *zip(*errors))
+    return QuasiOptimalityProbe(tuple(range(levels)), *zip(*errors),
+                                flagged=amps.flagged)
 
 
-# For p and q of `_level_errors`, theta = kh/2, s = sin theta, c = cos theta:
+# For p and q of `_error_sums`, theta = kh/2, s = sin theta, c = cos theta:
 # int p'^2 = k W0, int q'^2 = W1/k, int p^2 = W2/k, int q^2 = W3/k^3,
 # int p = W4/k and int tq = W5/k^3, where W0 = theta - sc, W1 = theta + sc
 # - 2s^2/theta, W2 = theta(1 + 2c^2) - 3sc, W3 = theta - sc - 4s(s - theta c)
@@ -493,7 +547,7 @@ _WEIGHT_SERIES = tuple(_taylor(terms) for terms in _WEIGHT_TERMS)
 
 
 def _layer_weights(k: float, h: float) -> tuple:
-    """(int p'^2, int q'^2, int p^2, int q^2, int p, int tq) of `_level_errors`."""
+    """(int p'^2, int q'^2, int p^2, int q^2, int p, int tq) of `_error_sums`."""
     theta = 0.5 * k * h
     if theta < _SERIES_BELOW:
         w = [np.polynomial.polynomial.polyval(theta, c) for c in _WEIGHT_SERIES]
@@ -505,8 +559,27 @@ def _layer_weights(k: float, h: float) -> tuple:
 
 def _level_errors(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
                   n_elements: int) -> tuple:
+    """One level's record of `quasiopt_probe`, on the calling thread alone."""
+    return _error_sums(problem, amps, *_solved_level(problem, amps, n_elements))
+
+
+def _solved_level(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
+                  n_elements: int) -> tuple:
+    """A level's mesh, its FEM nodal values u_h from one in-place solve, and
+    an unfilled array for the reference's nodal values: all of the level's
+    `fem` calls and mesh-sized allocations."""
+    mesh = fem.build_mesh(problem, n_elements)
+    if not np.array_equal(mesh.partition, amps.partition):
+        raise ValueError("the mesh and the reference solution have different partitions")
+    u_h = fem.solve_in_place(fem.assemble(problem, mesh))
+    return mesh, u_h, np.empty(mesh.n_nodes, dtype=complex)
+
+
+def _error_sums(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
+                mesh: fem.Mesh1D, u_h: np.ndarray, u_nodes: np.ndarray) -> tuple:
     """One level's weighted-norm errors of the FEM solution u_h and of the
-    nodal interpolant of u (closed-form element integrals), and nodal l2 error.
+    nodal interpolant of u (closed-form element integrals), and nodal l2
+    error; u_nodes receives the reference's nodal values.
 
     On an element of width h in a layer of wavenumber k, u = S cos kt +
     D sin(kt)/k with t from the midpoint, S = u(mid) and D = u'(mid).  With
@@ -519,11 +592,6 @@ def _level_errors(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
     d = 0.  The oracle runs layer by layer on the mesh's own element runs: no
     point is looked up, and every temporary is layer-sized.
     """
-    mesh = fem.build_mesh(problem, n_elements)
-    if not np.array_equal(mesh.partition, amps.partition):
-        raise ValueError("the mesh and the reference solution have different partitions")
-    u_h = fem.solve_in_place(fem.assemble(problem, mesh))
-    u_nodes = np.empty(mesh.n_nodes, dtype=complex)
     last = len(amps.a) - 1
     for j in range(last + 1):
         # breakpoints go to the layer on their right, as `eval` looks them up
@@ -550,9 +618,19 @@ def _level_errors(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
 
 def _nodal_l2_error(mesh: fem.Mesh1D, u_exact_nodes: np.ndarray,
                     u_h: np.ndarray) -> float:
-    """Trapezoid-weighted l2 distance between nodal values."""
-    half = 0.5 * mesh.widths
-    w = np.zeros(mesh.n_nodes)
-    w[:-1] += half
-    w[1:] += half
-    return float(np.sqrt(np.sum(w * np.abs(u_exact_nodes - u_h) ** 2)))
+    """Trapezoid-weighted l2 distance between nodal values: the sum of
+    w_i |u_i - u_h,i|^2 with w_i = h_{i-1}/2 + h_i/2 (h_{-1} = h_{n-1} = 0),
+    taken along `_pairwise_tree`.  Each leaf weights its own run of nodes
+    from the widths around it, so the sum has the bits of one `np.sum` over
+    all nodes and no temporary is mesh-sized."""
+    nodes, n = mesh.nodes, mesh.n_nodes
+
+    def leaf_sum(lo, k):
+        hi = lo + k
+        half = np.zeros(k + 1)  # h_{lo-1}/2 .. h_{hi-1}/2
+        first, stop = max(lo - 1, 0), min(hi, n - 1)
+        half[first - lo + 1:stop - lo + 1] = 0.5 * np.diff(nodes[first:stop + 1])
+        w = half[:-1] + half[1:]
+        return np.sum(w * np.abs(u_exact_nodes[lo:hi] - u_h[lo:hi]) ** 2)
+
+    return float(np.sqrt(_pairwise_tree(leaf_sum, 0, n)))

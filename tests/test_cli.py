@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import helmlab as hl
+from helmlab import oracle
 from helmlab.cli import fmt_paper, fmt_sig, parse_and_dispatch
 from helmlab.config import ConfigError, load_problem
 from helmlab.fem import SingularSystemError
@@ -404,6 +405,20 @@ class TestTables:
         assert parse_and_dispatch(["quasiopt", "--m", m, "--r", r]) == 0
         golden = DATA / f"quasiopt_m{m}_r{r}.csv"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    def test_quasiopt_flags_a_near_singular_reference(self, capsys, monkeypatch):
+        argv = ["quasiopt", "--m", "2", "--r", "0.4", "--base", "25",
+                "--levels", "3"]
+        assert parse_and_dispatch(argv) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        # every nonzero residual is flagged
+        monkeypatch.setattr(oracle, "RESIDUAL_FLAG_LEVEL", 0.0)
+        assert parse_and_dispatch(argv) == 2
+        flagged = capsys.readouterr()
+        assert flagged.out == clean.out
+        assert flagged.err == ("warning: amplitude system near-singular; "
+                               "values are unreliable\n")
 
     def test_quasiopt_without_boundary_data_exits_one(self, capsys):
         # with f = 0 and g = 0 the solution is 0 and so is every

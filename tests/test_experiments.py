@@ -981,25 +981,179 @@ class TestQuasiOpt:
             for got, want in zip(weights, reference):
                 assert abs((got - want) / want) < 1e-11, (theta, got, want)
 
-    def test_probe_runs_in_calling_thread(self, monkeypatch):
-        # levels run one after another, with no pool or helper thread
-        solve_in_place = fem.solve_in_place
-        solved = []
+    def test_fem_runs_on_calling_thread_largest_level_first(self, monkeypatch):
+        # every fem call of the probe runs on the calling thread, largest
+        # level first; the error sums run once per level, on the calling
+        # thread or the one helper, and the helper is gone afterwards
+        calls, summed = [], []
 
-        def recording_solve(system):
-            solved.append((system.dimension, threading.current_thread(),
-                           threading.active_count()))
-            return solve_in_place(system)
+        def recording(name, size):
+            original = getattr(fem, name)
 
-        monkeypatch.setattr(fem, "solve_in_place", recording_solve)
+            def call(*args):
+                calls.append((name, size(*args), threading.current_thread()))
+                return original(*args)
+
+            monkeypatch.setattr(fem, name, call)
+
+        recording("build_mesh", lambda problem, n_elements: n_elements)
+        recording("assemble", lambda problem, mesh: mesh.n_nodes)
+        recording("solve_in_place", lambda system: system.dimension)
+        error_sums = experiments._error_sums
+
+        def recording_sums(problem, amps, mesh, *arrays):
+            summed.append((mesh.n_nodes, threading.current_thread()))
+            return error_sums(problem, amps, mesh, *arrays)
+
+        monkeypatch.setattr(experiments, "_error_sums", recording_sums)
         before = threading.active_count()
         prob, base, levels = _probe_case("family")
-        hl.quasiopt_probe(prob, levels=levels, base=base)
         main = threading.current_thread()
-        n_nodes = [hl.build_mesh(prob, base * 2**level).n_nodes
-                      for level in range(levels)]
-        assert solved == [(n, main, before) for n in n_nodes]
+        probe = hl.quasiopt_probe(prob, levels=levels, base=base)
         assert threading.active_count() == before
+        recorded, summed_levels = calls[:], summed[:]
+        n_elements = [base * 2**level for level in reversed(range(levels))]
+        n_nodes = [hl.build_mesh(prob, n).n_nodes for n in n_elements]
+        assert recorded == [call for n, nodes in zip(n_elements, n_nodes)
+                            for call in (("build_mesh", n, main),
+                                         ("assemble", nodes, main),
+                                         ("solve_in_place", nodes, main))]
+        assert sorted(n for n, _ in summed_levels) == sorted(n_nodes)
+        assert len({thread for _, thread in summed_levels} - {main}) <= 1
+        amps = hl.solve_analytic(prob)
+        for level in range(levels):
+            record = (probe.energy_errors[level], probe.interp_errors[level],
+                      probe.nodal_l2_errors[level])
+            assert record == experiments._level_errors(prob, amps,
+                                                       base * 2**level), level
+
+    def test_next_solve_overlaps_the_finest_sums(self, monkeypatch):
+        # the finest level's error sums wait on the next level's solve, so
+        # a probe that summed each level before solving the next would time
+        # out here
+        prob, base, levels = _probe_case("family")
+        finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
+        solve_in_place, error_sums = fem.solve_in_place, experiments._error_sums
+        next_solved, waited = threading.Event(), []
+
+        def signalling_solve(system):
+            coarser = system.dimension < finest
+            u_h = solve_in_place(system)
+            if coarser:
+                next_solved.set()
+            return u_h
+
+        def waiting_sums(problem, amps, mesh, *arrays):
+            if mesh.n_nodes == finest:
+                waited.append(next_solved.wait(timeout=10.0))
+            return error_sums(problem, amps, mesh, *arrays)
+
+        monkeypatch.setattr(fem, "solve_in_place", signalling_solve)
+        monkeypatch.setattr(experiments, "_error_sums", waiting_sums)
+        assert _ladder_with_deadline(
+            lambda: hl.quasiopt_probe(prob, levels=levels, base=base)) is None
+        assert waited == [True]
+
+    def test_failed_finest_solve_starts_nothing(self, monkeypatch):
+        prob, base, levels = _probe_case("family")
+        finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
+        solves, summed = [], []
+
+        class Boom(Exception):
+            pass
+
+        def failing_solve(system):
+            solves.append(system.dimension)
+            raise Boom("finest")
+
+        def recording_sums(problem, amps, mesh, *arrays):
+            summed.append(mesh.n_nodes)
+
+        monkeypatch.setattr(fem, "solve_in_place", failing_solve)
+        monkeypatch.setattr(experiments, "_error_sums", recording_sums)
+        before = threading.active_count()
+        error = _ladder_with_deadline(
+            lambda: hl.quasiopt_probe(prob, levels=levels, base=base))
+        assert isinstance(error, Boom) and error.args == ("finest",)
+        assert solves == [finest] and summed == []
+        assert threading.active_count() == before
+
+    def test_failed_finest_sums_stop_the_probe(self, monkeypatch):
+        # the finest level's error sums raise on the helper once two more
+        # levels are queued behind them and the solve after those has
+        # started, which holds until then and a little longer: no further
+        # level is solved, and no other job starts
+        prob, base, levels = _probe_case("family")[0], 50, 5
+        n_nodes = [hl.build_mesh(prob, base * 2**level).n_nodes
+                   for level in reversed(range(levels))]
+        solve_in_place, error_sums = fem.solve_in_place, experiments._error_sums
+        solving, failing = threading.Event(), threading.Event()
+        solves, summed, caller = [], [], []
+
+        class Boom(Exception):
+            pass
+
+        def held_solve(system):
+            solves.append(system.dimension)
+            if system.dimension == n_nodes[3]:
+                solving.set()
+                failing.wait(timeout=10.0)
+                time.sleep(0.2)
+            return solve_in_place(system)
+
+        def failing_sums(problem, amps, mesh, *arrays):
+            summed.append((mesh.n_nodes, threading.current_thread()))
+            if mesh.n_nodes == n_nodes[0]:
+                solving.wait(timeout=10.0)
+                failing.set()
+                raise Boom("finest sums")
+            return error_sums(problem, amps, mesh, *arrays)
+
+        def probe():
+            caller.append(threading.current_thread())
+            hl.quasiopt_probe(prob, levels=levels, base=base)
+
+        monkeypatch.setattr(fem, "solve_in_place", held_solve)
+        monkeypatch.setattr(experiments, "_error_sums", failing_sums)
+        before = threading.active_count()
+        error = _ladder_with_deadline(probe)
+        assert isinstance(error, Boom) and error.args == ("finest sums",)
+        assert failing.is_set()
+        assert solves == n_nodes[:4]
+        # on the helper, and the two levels queued behind it never summed
+        assert len(summed) == 1 and summed[0][1] is not caller[0], summed
+        assert threading.active_count() == before
+
+    def test_concurrent_probes_under_fast_thread_switching(self):
+        # four probes at once, each with its helper thread, switching threads
+        # every few microseconds: every level is summed exactly once, by
+        # whichever thread takes it, into the record one thread gives
+        cases = [(_probe_case("family")[0], 50, 5), _probe_case("dirichlet")]
+        references = []
+        for prob, base, levels in cases:
+            amps = hl.solve_analytic(prob)
+            errors = [experiments._level_errors(prob, amps, base * 2**level)
+                      for level in range(levels)]
+            references.append(hl.QuasiOptimalityProbe(tuple(range(levels)),
+                                                      *zip(*errors)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                probes = list(pool.map(
+                    lambda case: hl.quasiopt_probe(case[0], levels=case[2],
+                                                   base=case[1]),
+                    cases * 4, timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert probes == references * 4
+
+    def test_probe_carries_the_reference_flag(self, monkeypatch):
+        prob, base, _ = _probe_case("family")
+        assert not hl.quasiopt_probe(prob, levels=2, base=base).flagged
+        monkeypatch.setattr(oracle, "RESIDUAL_FLAG_LEVEL", 0.0)
+        assert hl.solve_analytic(prob).flagged
+        assert hl.quasiopt_probe(prob, levels=2, base=base).flagged
 
     def test_no_boundary_data_rejected(self):
         prob = hl.family(hl.UnstableFamilySpec(2, 0.4, g=(0.0, 0.0)))

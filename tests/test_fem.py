@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
 import helmlab as hl
-from helmlab import fem, quadrature
+from helmlab import experiments, fem, quadrature
 from helmlab.coeffs import Constant, Linear, _seg_values
 from helmlab.fem import MeshAlignmentError, SingularSystemError
 from helmlab.quadrature import G5_T, G5_W
@@ -1000,6 +1000,17 @@ class TestBoundedMemory:
         _, peak = self._traced_peak(hl.norms, solution, prob, mesh)
         assert peak < bound, peak
 
+    def test_nodal_l2_error_peak(self, level, monkeypatch):
+        # the quasi-optimality probe's nodal l2 error of one level
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 2**14)
+        _, mesh, _ = level
+        rng = np.random.default_rng(5)
+        u, v = (rng.standard_normal(mesh.n_nodes)
+                + 1j * rng.standard_normal(mesh.n_nodes) for _ in range(2))
+        error, peak = self._traced_peak(experiments._nodal_l2_error, mesh, u, v)
+        assert error == _nodal_l2_reference(mesh, u, v)
+        assert peak < mesh.n_nodes * 8 / 4, peak
+
     def test_finest_mesh_peak(self):
         prob = hl.family(hl.UnstableFamilySpec(12, 0.6))
         mesh, peak = self._traced_peak(hl.build_mesh, prob, 51200)
@@ -1014,6 +1025,30 @@ class TestBoundedMemory:
         assert norm == _norm1_reference(system)
         # a run's column sums and the moduli of one off-diagonal run
         assert peak <= 2 * 8 * longest + 4096, peak
+
+
+def _nodal_l2_reference(mesh, u, v):
+    """The trapezoid-weighted nodal l2 distance over whole arrays."""
+    half = 0.5 * mesh.widths
+    w = np.zeros(mesh.n_nodes)
+    w[:-1] += half
+    w[1:] += half
+    return float(np.sqrt(np.sum(w * np.abs(u - v) ** 2)))
+
+
+class TestNodalL2Error:
+    @pytest.mark.parametrize("per_segment", [1, 25, 26, 51, 52, 103, 400])
+    @pytest.mark.parametrize("spec", [(2, 0.4), (4, 0.6)])
+    def test_bits_of_the_whole_array_sum(self, monkeypatch, spec, per_segment):
+        # leaves of 128 nodes put leaf edges inside and at the ends of the
+        # meshes; every node's weight comes from the widths around it
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
+        mesh = hl.build_mesh(hl.family(hl.UnstableFamilySpec(*spec)), per_segment)
+        rng = np.random.default_rng(per_segment)
+        u, v = (rng.standard_normal(mesh.n_nodes)
+                + 1j * rng.standard_normal(mesh.n_nodes) for _ in range(2))
+        assert experiments._nodal_l2_error(mesh, u, v) == \
+            _nodal_l2_reference(mesh, u, v)
 
 
 def _norm1_reference(system):
