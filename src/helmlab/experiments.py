@@ -16,9 +16,10 @@ table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
 probe against the analytic reference (each level solved once in place; two
 threads share the probe, as `quasiopt_probe` sets out; on its layered
-problems with f = 0 and per-layer uniform meshes, the energy errors are
-closed-form element integrals: six per layer, and the oracle at nodes and
-midpoints, evaluated layer by layer on the mesh's element runs).
+problems with f = 0 and per-layer uniform meshes, the energy and nodal l2
+errors are closed-form element sums: six per layer, and the oracle at nodes
+and midpoints, evaluated layer by layer on the mesh's element runs, so the
+helper allocates only layer-sized temporaries).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import numpy as np
 from . import fem, oracle, stability
 from .coeffs import constant, piecewise_constant
 from .problem import BoundaryConfig, HelmholtzProblem
-from .quadrature import _pairwise_tree
 
 # Part of every cached ladder's file name and record; a ladder stored under
 # another version is a miss.  Bump it when a change may move a cached value.
@@ -457,25 +457,26 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     `_level_errors` gives on one thread.  The calling thread builds,
     assembles and solves every level in place, largest first
     (`_solved_level`), and right after each solve submits that level's
-    error sums (`_error_sums`: the oracle at nodes and midpoints, the
-    closed-form layer integrals and the nodal l2 norm) to the one worker of
-    a thread pool, whose queue runs them largest first.  Once every level
-    is solved, the calling thread walks the levels smallest first: it runs
-    each job it can still cancel itself, and waits for the others.  Every
-    `fem` call and every mesh-sized array stays on the calling thread, since
-    glibc gives the helper its own malloc arena, where freed arrays stay
-    resident; and the finest level is solved first, with nothing else
-    alive, so the probe's memory peak is that one solve.  If any step
-    fails, no further level is solved and no job starts, on either thread:
-    the jobs still queued are cancelled, and the error surfaces once the
-    helper is joined.
+    error sums (`_error_sums`: the oracle at nodes and midpoints, and the
+    closed-form layer sums of every error, the nodal l2 one included) to
+    the one worker of a thread pool, whose queue runs them largest first.
+    Once every level is solved, the calling thread walks the levels
+    smallest first: it runs each job it can still cancel itself, and waits
+    for the others.  Every `fem` call and every mesh-sized array stays on
+    the calling thread, and the helper allocates only layer-sized
+    temporaries, since glibc gives it its own malloc arena, where freed
+    arrays stay resident; and the finest level is solved first, with
+    nothing else alive, so the probe's memory peak is that one solve.  If
+    any step fails, no further level is solved and no job starts, on either
+    thread: the jobs still queued are cancelled, and the error surfaces
+    once the helper is joined.
     """
     if levels < 1:
         raise ValueError("a quasi-optimality probe needs at least one level")
     amps = oracle.solve_analytic(problem)
     if problem.boundary_norm() == 0.0:
         raise ValueError("a quasi-optimality probe needs nonzero boundary data")
-    solved = [None] * levels  # (mesh, u_h, u_nodes) of a level not summed yet
+    solved = [None] * levels  # (mesh, u_h) of a level not summed yet
     submitted = []  # the error jobs, largest level first
     failed = threading.Event()  # set as soon as any step fails
 
@@ -565,21 +566,19 @@ def _level_errors(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
 
 def _solved_level(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
                   n_elements: int) -> tuple:
-    """A level's mesh, its FEM nodal values u_h from one in-place solve, and
-    an unfilled array for the reference's nodal values: all of the level's
-    `fem` calls and mesh-sized allocations."""
+    """A level's mesh and its FEM nodal values u_h from one in-place solve:
+    all of the level's `fem` calls and mesh-sized allocations."""
     mesh = fem.build_mesh(problem, n_elements)
     if not np.array_equal(mesh.partition, amps.partition):
         raise ValueError("the mesh and the reference solution have different partitions")
-    u_h = fem.solve_in_place(fem.assemble(problem, mesh))
-    return mesh, u_h, np.empty(mesh.n_nodes, dtype=complex)
+    return mesh, fem.solve_in_place(fem.assemble(problem, mesh))
 
 
 def _error_sums(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
-                mesh: fem.Mesh1D, u_h: np.ndarray, u_nodes: np.ndarray) -> tuple:
+                mesh: fem.Mesh1D, u_h: np.ndarray) -> tuple:
     """One level's weighted-norm errors of the FEM solution u_h and of the
-    nodal interpolant of u (closed-form element integrals), and nodal l2
-    error; u_nodes receives the reference's nodal values.
+    nodal interpolant of u (closed-form element integrals), and its
+    trapezoid-weighted nodal l2 error, all from one pass over the layers.
 
     On an element of width h in a layer of wavenumber k, u = S cos kt +
     D sin(kt)/k with t from the midpoint, S = u(mid) and D = u'(mid).  With
@@ -589,48 +588,30 @@ def _error_sums(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
     int |u' - u_h'|^2 = |S|^2 int p'^2 + |D|^2 int q'^2 + |o|^2/h and
     int |u - u_h|^2 = |S|^2 int p^2 + |D|^2 int q^2 + h(|e|^2 + |o|^2/12) +
     2 Re(conj(S) e) int p + 2 Re(conj(D) o) int tq / h; for the interpolant
-    d = 0.  The oracle runs layer by layer on the mesh's own element runs: no
-    point is looked up, and every temporary is layer-sized.
+    d = 0.  The trapezoid term of the nodal l2 error, h/2 (|d_l|^2 +
+    |d_r|^2), is exactly h (|e|^2 + |o|^2/4).  The oracle runs layer by
+    layer on the mesh's own element runs: no point is looked up, and every
+    temporary is layer-sized.
     """
+    interp2 = excess2 = nodal2 = 0.0  # the FEM error^2 is interp2 + excess2
     last = len(amps.a) - 1
-    for j in range(last + 1):
-        # breakpoints go to the layer on their right, as `eval` looks them up
-        own = mesh.elements_of(j)
-        run = slice(own.start, own.stop + 1 if j == last else own.stop)
-        u_nodes[run] = amps.eval_on_layer(j, mesh.nodes[run])
-    interp2 = excess2 = 0.0  # the FEM error^2 is their sum
     for j, (a, c, k) in enumerate(zip(amps.a, amps.c, amps.k)):
         own = mesh.elements_of(j)
         x = mesh.nodes[own.start:own.stop + 1]
         h = (x[-1] - x[0]) / mesh.per_segment
         dp2, dq2, p2, q2, p1, tq = _layer_weights(k, h)
         s, du = amps.eval_on_layer(j, 0.5 * (x[:-1] + x[1:]), deriv=True)
-        d = u_nodes[own.start:own.stop + 1] - u_h[own.start:own.stop + 1]
+        d = amps.eval_on_layer(j, x)
+        if j < last:  # breakpoints go to the layer on their right, as in `eval`
+            d[-1] = amps.eval_on_layer(j + 1, x[-1:])[0]
+        d -= u_h[own.start:own.stop + 1]
         e, o = 0.5 * (d[:-1] + d[1:]), np.diff(d)
         s2, du2, e2, o2 = (np.vdot(z, z).real for z in (s, du, e, o))
         mass_weight = (problem.omega / c) ** 2
         interp2 += a * (s2 * dp2 + du2 * dq2) + mass_weight * (s2 * p2 + du2 * q2)
         excess2 += a * o2 / h + mass_weight * (h * (e2 + o2 / 12.0) + 2.0 * (
             np.vdot(s, e).real * p1 + np.vdot(du, o).real * tq / h))
+        nodal2 += h * (e2 + o2 / 4.0)
+        del s, du, d, e, o  # layer-sized; gone before the next layer's
     return (float(np.sqrt(interp2 + excess2)), float(np.sqrt(interp2)),
-            _nodal_l2_error(mesh, u_nodes, u_h))
-
-
-def _nodal_l2_error(mesh: fem.Mesh1D, u_exact_nodes: np.ndarray,
-                    u_h: np.ndarray) -> float:
-    """Trapezoid-weighted l2 distance between nodal values: the sum of
-    w_i |u_i - u_h,i|^2 with w_i = h_{i-1}/2 + h_i/2 (h_{-1} = h_{n-1} = 0),
-    taken along `_pairwise_tree`.  Each leaf weights its own run of nodes
-    from the widths around it, so the sum has the bits of one `np.sum` over
-    all nodes and no temporary is mesh-sized."""
-    nodes, n = mesh.nodes, mesh.n_nodes
-
-    def leaf_sum(lo, k):
-        hi = lo + k
-        half = np.zeros(k + 1)  # h_{lo-1}/2 .. h_{hi-1}/2
-        first, stop = max(lo - 1, 0), min(hi, n - 1)
-        half[first - lo + 1:stop - lo + 1] = 0.5 * np.diff(nodes[first:stop + 1])
-        w = half[:-1] + half[1:]
-        return np.sum(w * np.abs(u_exact_nodes[lo:hi] - u_h[lo:hi]) ** 2)
-
-    return float(np.sqrt(_pairwise_tree(leaf_sum, 0, n)))
+            float(np.sqrt(nodal2)))

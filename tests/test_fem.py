@@ -968,9 +968,10 @@ def test_pairwise_tree_matches_numpy_sum(monkeypatch, leaf):
 class TestBoundedMemory:
     """A level's solve and norms build no mesh-sized temporary: with runs of
     2^14 elements their traced peaks stay below a quarter of one mesh-sized
-    float64 array, beyond the solution that `solve` returns.  The mesh
-    allocates its nodes and one subinterval's indices, and `norm1` two
-    float64 arrays of one leaf run."""
+    float64 array, beyond the solution that `solve` returns, and the
+    quasi-optimality probe's error sums below a quarter of one mesh-sized
+    complex array.  The mesh allocates its nodes and one subinterval's
+    indices, and `norm1` two float64 arrays of one leaf run."""
 
     @pytest.fixture(scope="class")
     def level(self):
@@ -1000,16 +1001,16 @@ class TestBoundedMemory:
         _, peak = self._traced_peak(hl.norms, solution, prob, mesh)
         assert peak < bound, peak
 
-    def test_nodal_l2_error_peak(self, level, monkeypatch):
-        # the quasi-optimality probe's nodal l2 error of one level
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", 2**14)
-        _, mesh, _ = level
-        rng = np.random.default_rng(5)
-        u, v = (rng.standard_normal(mesh.n_nodes)
-                + 1j * rng.standard_normal(mesh.n_nodes) for _ in range(2))
-        error, peak = self._traced_peak(experiments._nodal_l2_error, mesh, u, v)
-        assert error == _nodal_l2_reference(mesh, u, v)
-        assert peak < mesh.n_nodes * 8 / 4, peak
+    def test_error_sums_peak(self, level):
+        # the quasi-optimality probe's error sums of one level, the helper
+        # thread's whole share of it: layer-sized temporaries only
+        prob, mesh, system = level
+        amps = hl.solve_analytic(prob)
+        u_h = hl.solve(system).values
+        errors, peak = self._traced_peak(experiments._error_sums, prob, amps,
+                                         mesh, u_h)
+        assert all(map(np.isfinite, errors))
+        assert peak < mesh.n_nodes * 16 / 4, peak
 
     def test_finest_mesh_peak(self):
         prob = hl.family(hl.UnstableFamilySpec(12, 0.6))
@@ -1025,30 +1026,6 @@ class TestBoundedMemory:
         assert norm == _norm1_reference(system)
         # a run's column sums and the moduli of one off-diagonal run
         assert peak <= 2 * 8 * longest + 4096, peak
-
-
-def _nodal_l2_reference(mesh, u, v):
-    """The trapezoid-weighted nodal l2 distance over whole arrays."""
-    half = 0.5 * mesh.widths
-    w = np.zeros(mesh.n_nodes)
-    w[:-1] += half
-    w[1:] += half
-    return float(np.sqrt(np.sum(w * np.abs(u - v) ** 2)))
-
-
-class TestNodalL2Error:
-    @pytest.mark.parametrize("per_segment", [1, 25, 26, 51, 52, 103, 400])
-    @pytest.mark.parametrize("spec", [(2, 0.4), (4, 0.6)])
-    def test_bits_of_the_whole_array_sum(self, monkeypatch, spec, per_segment):
-        # leaves of 128 nodes put leaf edges inside and at the ends of the
-        # meshes; every node's weight comes from the widths around it
-        monkeypatch.setattr(quadrature, "_SUM_LEAF", 128)
-        mesh = hl.build_mesh(hl.family(hl.UnstableFamilySpec(*spec)), per_segment)
-        rng = np.random.default_rng(per_segment)
-        u, v = (rng.standard_normal(mesh.n_nodes)
-                + 1j * rng.standard_normal(mesh.n_nodes) for _ in range(2))
-        assert experiments._nodal_l2_error(mesh, u, v) == \
-            _nodal_l2_reference(mesh, u, v)
 
 
 def _norm1_reference(system):
