@@ -606,12 +606,19 @@ def _error_sums(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
             d[-1] = amps.eval_on_layer(j + 1, x[-1:])[0]
         d -= u_h[own.start:own.stop + 1]
         e, o = 0.5 * (d[:-1] + d[1:]), np.diff(d)
-        s2, du2, e2, o2 = (np.vdot(z, z).real for z in (s, du, e, o))
+        s2, du2, e2, o2 = (_real_dot(z, z) for z in (s, du, e, o))
         mass_weight = (problem.omega / c) ** 2
         interp2 += a * (s2 * dp2 + du2 * dq2) + mass_weight * (s2 * p2 + du2 * q2)
         excess2 += a * o2 / h + mass_weight * (h * (e2 + o2 / 12.0) + 2.0 * (
-            np.vdot(s, e).real * p1 + np.vdot(du, o).real * tq / h))
+            _real_dot(s, e) * p1 + _real_dot(du, o) * tq / h))
         nodal2 += h * (e2 + o2 / 4.0)
         del s, du, d, e, o  # layer-sized; gone before the next layer's
     return (float(np.sqrt(interp2 + excess2)), float(np.sqrt(interp2)),
             float(np.sqrt(nodal2)))
+
+
+def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Re(sum conj(x) y) of two contiguous complex arrays, by numpy's
+    pairwise sum and no BLAS call, so its bits do not depend on the BLAS
+    build or its thread count."""
+    return float(np.sum(x.view(float) * y.view(float)))

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 import helmlab as hl
 from helmlab import coeffs, experiments, fem, oracle, quadrature
 from helmlab.quadrature import G5_T, G5_W
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestFamily:
@@ -848,6 +852,11 @@ def _level_errors_reference(problem, amps, n_elements):
     """`experiments._level_errors` with a per-point layer lookup instead:
     the oracle at every mesh node in one `eval` call, and at each layer's
     element midpoints by `eval` and `deriv`."""
+
+    def real_dot(x, y):
+        # Re(sum conj(x) y) over the interleaved parts, by numpy's pairwise sum
+        return float(np.sum(x.view(float) * y.view(float)))
+
     mesh = hl.build_mesh(problem, n_elements)
     u_h = fem.solve_in_place(fem.assemble(problem, mesh))
     u_nodes = amps.eval(mesh.nodes)
@@ -861,11 +870,11 @@ def _level_errors_reference(problem, amps, n_elements):
         s, du = amps.eval(mid), amps.deriv(mid)
         d = u_nodes[own.start:own.stop + 1] - u_h[own.start:own.stop + 1]
         e, o = 0.5 * (d[:-1] + d[1:]), np.diff(d)
-        s2, du2, e2, o2 = (np.vdot(z, z).real for z in (s, du, e, o))
+        s2, du2, e2, o2 = (real_dot(z, z) for z in (s, du, e, o))
         mass_weight = (problem.omega / c) ** 2
         interp2 += a * (s2 * dp2 + du2 * dq2) + mass_weight * (s2 * p2 + du2 * q2)
         excess2 += a * o2 / h + mass_weight * (h * (e2 + o2 / 12.0) + 2.0 * (
-            np.vdot(s, e).real * p1 + np.vdot(du, o).real * tq / h))
+            real_dot(s, e) * p1 + real_dot(du, o) * tq / h))
         nodal2 += h * (e2 + o2 / 4.0)
     return (float(np.sqrt(interp2 + excess2)), float(np.sqrt(interp2)),
             float(np.sqrt(nodal2)))
@@ -1160,6 +1169,22 @@ class TestQuasiOpt:
         finally:
             sys.setswitchinterval(interval)
         assert probes == references * 4
+
+    def test_records_independent_of_blas_threads(self):
+        # the error sums make no BLAS call, so OpenBLAS's thread count moves
+        # no bit of the records
+        script = ("import helmlab as hl\n"
+                  "problem = hl.family(hl.UnstableFamilySpec(2, 0.4))\n"
+                  "print(repr(hl.quasiopt_probe(problem, levels=7, base=800)))\n")
+        outputs = []
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", script], cwd=_ROOT, capture_output=True,
+                text=True, timeout=120.0, env={**os.environ, "PYTHONPATH": "src",
+                                              "OPENBLAS_NUM_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_probe_carries_the_reference_flag(self, monkeypatch):
         prob, base, _ = _probe_case("family")

@@ -397,3 +397,47 @@ def test_fem_makes_no_dense_solve():
     """Every banded system, at every size, goes through `fem`'s LAPACK
     binding: no dense solve, inverse or rank test stands beside it."""
     assert dense_linalg_uses((SRC / "fem.py").read_text()) == []
+
+
+BLAS_PRODUCTS = ("vdot", "dot", "inner", "matmul")
+
+
+def blas_products(source: str) -> list:
+    """Calls of a function or method named `vdot`, `dot`, `inner` or
+    `matmul` (numpy's, an array's or another module's), and uses of the `@`
+    operator, `@=` included: the products numpy hands to BLAS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in BLAS_PRODUCTS:
+                found.append((node.lineno, f"{name}()"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_scanner_flags_a_blas_product():
+    source = ("import numpy as np\n"
+              "from numpy import vdot\n"
+              "s = np.vdot(x, y).real\n"
+              "t = x.dot(y) + np.inner(x, y)\n"
+              "u = np.matmul(a, b)\n"
+              "v = a @ b\n"
+              "a @= b\n"
+              "w = vdot(x, y)\n"
+              "np.sum(x.view(float) * y.view(float))\n"
+              "dotted = np.linalg.norm(x)\n"
+              "np.einsum('i,i', x, y)\n")
+    assert blas_products(source) == [
+        "line 3: vdot()", "line 4: dot()", "line 4: inner()",
+        "line 5: matmul()", "line 6: @", "line 7: @", "line 8: vdot()"]
+
+
+def test_error_sums_make_no_blas_call():
+    """The probe's error sums are numpy's pairwise sums, so their bits do
+    not depend on the BLAS build or its thread count."""
+    assert blas_products((SRC / "experiments.py").read_text()) == []
