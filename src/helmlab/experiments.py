@@ -601,7 +601,7 @@ def _error_sums(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
         h = (x[-1] - x[0]) / mesh.per_segment
         dp2, dq2, p2, q2, p1, tq = _layer_weights(k, h)
         s, du = amps.eval_on_layer(j, 0.5 * (x[:-1] + x[1:]), deriv=True)
-        d = amps.eval_on_layer(j, x)
+        d = amps.eval_on_layer(j, x)  # u at the nodes, less u_h below
         if j < last:  # breakpoints go to the layer on their right, as in `eval`
             d[-1] = amps.eval_on_layer(j + 1, x[-1:])[0]
         d -= u_h[own.start:own.stop + 1]
