@@ -464,8 +464,8 @@ def quasiopt_probe(problem: HelmholtzProblem, levels: int = 7,
     smallest first: it runs each job it can still cancel itself, and waits
     for the others.  Every `fem` call and every mesh-sized array stays on
     the calling thread, and the helper allocates only layer-sized
-    temporaries, since glibc gives it its own malloc arena, where freed
-    arrays stay resident; and the finest level is solved first, with
+    temporaries (glibc gives the helper its own malloc arena, where freed
+    arrays stay resident); and the finest level is solved first, with
     nothing else alive, so the probe's memory peak is that one solve.  If
     any step fails, no further level is solved and no job starts, on either
     thread: the jobs still queued are cancelled, and the error surfaces
