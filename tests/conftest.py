@@ -30,6 +30,16 @@ def random_layered_problem(rng, max_jumps=10, value_range=(0.5, 10.0),
         bc=bc, g_left=g_left, g_right=g_right)
 
 
+def nodal_l2_reference(mesh, u, v):
+    """The trapezoid-weighted nodal l2 distance over whole arrays, from the
+    mesh's own element widths."""
+    half = 0.5 * mesh.widths
+    w = np.zeros(mesh.n_nodes)
+    w[:-1] += half
+    w[1:] += half
+    return float(np.sqrt(np.sum(w * np.abs(u - v) ** 2)))
+
+
 def random_coefficient(rng, max_jumps=10, value_range=(0.5, 10.0),
                        interval=(-1.0, 1.0)):
     z0, zn = interval

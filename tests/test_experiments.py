@@ -16,6 +16,8 @@ import helmlab as hl
 from helmlab import coeffs, experiments, fem, oracle, quadrature
 from helmlab.quadrature import G5_T, G5_W
 
+from conftest import nodal_l2_reference
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -833,19 +835,9 @@ def _reference_probe(problem, levels, base, n_gauss=5):
                                                   u_nodes, n_gauss)
         energy_fem.append(e_fem)
         energy_interp.append(e_interp)
-        nodal.append(_nodal_l2_reference(mesh, u_nodes, u_h))
+        nodal.append(nodal_l2_reference(mesh, u_nodes, u_h))
     return hl.QuasiOptimalityProbe(tuple(range(levels)), tuple(energy_fem),
                                    tuple(energy_interp), tuple(nodal))
-
-
-def _nodal_l2_reference(mesh, u, v):
-    """The trapezoid-weighted nodal l2 distance over whole arrays, from the
-    mesh's own element widths."""
-    half = 0.5 * mesh.widths
-    w = np.zeros(mesh.n_nodes)
-    w[:-1] += half
-    w[1:] += half
-    return float(np.sqrt(np.sum(w * np.abs(u - v) ** 2)))
 
 
 def _level_errors_reference(problem, amps, n_elements):

@@ -16,7 +16,7 @@ from helmlab.coeffs import Constant, Linear, _seg_values
 from helmlab.fem import MeshAlignmentError, SingularSystemError
 from helmlab.quadrature import G5_T, G5_W
 
-from conftest import random_layered_problem
+from conftest import nodal_l2_reference, random_layered_problem
 
 BC = hl.BoundaryConfig
 
@@ -1026,6 +1026,30 @@ class TestBoundedMemory:
         assert norm == _norm1_reference(system)
         # a run's column sums and the moduli of one off-diagonal run
         assert peak <= 2 * 8 * longest + 4096, peak
+
+
+class TestNodalL2Error:
+    """The quasi-optimality probe's nodal l2 error, h (|e|^2 + |o|^2/4)
+    summed layer by layer in `experiments._error_sums`, against the
+    trapezoid-weighted sum over whole arrays with the mesh's own widths."""
+
+    @pytest.mark.parametrize("per_segment", [1, 25, 26, 51, 52, 103, 400])
+    @pytest.mark.parametrize("spec", [(2, 0.4), (4, 0.6)])
+    def test_bits_of_the_whole_array_sum(self, spec, per_segment):
+        # random nodal values in place of u_h: the identity holds for any
+        # nodal error d, with one element per layer and with many
+        prob = hl.family(hl.UnstableFamilySpec(*spec))
+        amps = hl.solve_analytic(prob)
+        mesh = hl.build_mesh(prob, per_segment)
+        rng = np.random.default_rng(per_segment)
+        u_h = (rng.standard_normal(mesh.n_nodes)
+               + 1j * rng.standard_normal(mesh.n_nodes))
+        nodal = experiments._error_sums(prob, amps, mesh, u_h)[2]
+        reference = nodal_l2_reference(mesh, amps.eval(mesh.nodes), u_h)
+        # the two routes round differently, so they share all but the last
+        # few bits: 16 units in the last place
+        assert abs(nodal - reference) <= 16 * np.spacing(reference), \
+            (nodal, reference)
 
 
 def _norm1_reference(system):
