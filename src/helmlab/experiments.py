@@ -46,6 +46,11 @@ CACHE_VERSION = 3
 # A ladder converges when its last three levels agree in this many leading
 # significant figures; the reported value is the finest level so rounded.
 _SIGFIGS = 4
+# The workspace pairs (calling thread's, helper thread's) of the ladders not
+# running: a ladder takes one (the last returned) or makes one, and puts it
+# back once its helper is joined.  A pair keeps its buffers for the life of
+# the process.
+_WORKSPACES = []
 
 
 @dataclass(frozen=True)
@@ -176,21 +181,43 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     estimate after a failed first job returns at once, and a failure on
     the calling thread cancels the column's Future (a waiting estimate
     raises) before the pool is joined, and an estimate still queued.
+
+    Every mesh-sized array of the ladder comes from a pair of
+    `fem.Workspace`s with fixed roles, one per thread, taken from
+    `_WORKSPACES` and put back once the helper is joined, also after a
+    failure.  Each level and the estimate lend their arrays from the first
+    byte of their thread's workspace, in the order the `fem` calls ask for
+    them.  The calling thread's holds the finest level as [nodes | rhs |
+    diag | off-diagonal | dl d du du2 ipiv | solution]; its later coarse
+    levels take only the bytes below the finest diagonal, the nodes and
+    the right-hand side, which are dead once `norms` is done, while the
+    estimate still reads the bands, the factors and the solution.  The
+    helper's holds one coarse level at a time, [nodes | rhs | diag |
+    off-diagonal | dl du], and the estimate's block of two complex columns.
+    A workspace grows to the largest layout asked of it, so a process keeps
+    about as much memory as its largest ladder uses, and every later ladder
+    up to that size maps no fresh page.
     """
     du_levels = [None] * levels
     unstarted = list(range(levels - 1))  # coarse levels, the largest last
     queued = threading.Event()  # set just before the estimate is queued
     last = None
+    try:
+        mine, helpers = _WORKSPACES.pop()  # atomic: one ladder per pair
+    except IndexError:
+        mine, helpers = fem.Workspace(), fem.Workspace()
 
-    def run_unstarted(until=lambda: False) -> None:
+    def run_unstarted(workspace, keep=(), until=lambda: False) -> None:
         """Run the coarse levels nobody has started, largest first, until
-        none is left or `until()` holds."""
+        none is left or `until()` holds, each in `workspace` below the
+        arrays to `keep`."""
         while not until():
             try:
                 level = unstarted.pop()  # atomic, so each level runs once
             except IndexError:  # none left
                 return
-            du_levels[level] = _coarse_du(problem, base, level)
+            workspace.rewind(keep)
+            du_levels[level] = _coarse_du(problem, base, level, workspace)
 
     def dropping(job, *args):
         """job(*args) on the helper; if it fails, no unstarted level runs."""
@@ -202,48 +229,60 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
 
     def estimate(*args) -> Optional[float]:
         # the first job ran before this one on the one worker
-        return None if coarse.exception() else fem.condition_estimate(*args)
+        if coarse.exception():
+            return None
+        helpers.rewind()
+        return fem.condition_estimate(*args, workspace=helpers)
 
-    # leaving the block joins the helper thread
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        coarse = pool.submit(dropping, run_unstarted, queued.is_set)
-        try:
-            mesh = fem.build_mesh(problem, base * 2**(levels - 1))
-            system = fem.assemble(problem, mesh)
-            system.factorize()
-            # a right-hand side of exactly e_n has the solution A^-1 e_n
-            unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
-            last = Future() if unit else None
-            queued.set()
-            # the worker drops a job's arguments once it has run
-            estimated = pool.submit(dropping, estimate, system, last)
-            rest = pool.submit(dropping, run_unstarted)
-            solution = fem.solve(system, None if last is None else last.set_result)
-            system.rhs = None  # the estimate needs the matrix and its LU only
-            du, wu, _energy = fem.norms(solution, problem, mesh)
-            du_levels[-1] = float(du)
-            res = solution.residual
-            # resolved: the estimate holds the finest system and its column
-            del mesh, system, solution
-            last = None
-            run_unstarted()
-            coarse.result()
-            cond = estimated.result()
-            rest.result()
-        except BaseException:
-            unstarted.clear()
-            if last is not None:
-                last.cancel()  # before the join: a waiting estimate raises
-            pool.shutdown(wait=False, cancel_futures=True)  # a queued one never runs
-            raise
+    try:
+        # leaving the block joins the helper thread
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            coarse = pool.submit(dropping, run_unstarted, helpers, (), queued.is_set)
+            try:
+                mine.rewind()
+                mesh = fem.build_mesh(problem, base * 2**(levels - 1), workspace=mine)
+                system = fem.assemble(problem, mesh, workspace=mine)
+                factors = system.factorize(workspace=mine)
+                # a right-hand side of exactly e_n has the solution A^-1 e_n
+                unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
+                last = Future() if unit else None
+                queued.set()
+                # the worker drops a job's arguments once it has run
+                estimated = pool.submit(dropping, estimate, system, last)
+                rest = pool.submit(dropping, run_unstarted, helpers)
+                solution = fem.solve(system, None if last is None else last.set_result,
+                                     workspace=mine)
+                system.rhs = None  # the estimate needs the matrix and its LU only
+                du, wu, _energy = fem.norms(solution, problem, mesh)
+                du_levels[-1] = float(du)
+                res = solution.residual
+                # what the estimate may still read
+                keep = (system.diag, system.offdiag, *factors, solution.values)
+                # resolved: the estimate holds the finest system and its column
+                del mesh, system, factors, solution
+                last = None
+                run_unstarted(mine, keep)
+                coarse.result()
+                cond = estimated.result()
+                rest.result()
+            except BaseException:
+                unstarted.clear()
+                if last is not None:
+                    last.cancel()  # before the join: a waiting estimate raises
+                pool.shutdown(wait=False, cancel_futures=True)  # a queued one never runs
+                raise
+    finally:
+        _WORKSPACES.append((mine, helpers))
     return {"du": du_levels, "wu": float(wu), "res": res, "cond": cond}
 
 
-def _coarse_du(problem: HelmholtzProblem, base: int, level: int) -> float:
+def _coarse_du(problem: HelmholtzProblem, base: int, level: int,
+               workspace: fem.Workspace) -> float:
     """A coarser level's ||u_h'||, from one in-place solve without factors or
     residual: the record keeps no other number of it."""
-    mesh = fem.build_mesh(problem, base * 2**level)
-    return fem.derivative_norm(fem.solve_in_place(fem.assemble(problem, mesh)), mesh)
+    mesh = fem.build_mesh(problem, base * 2**level, workspace=workspace)
+    system = fem.assemble(problem, mesh, workspace=workspace)
+    return fem.derivative_norm(fem.solve_in_place(system, workspace=workspace), mesh)
 
 
 def _cache_path(cache_dir, cache_key, base, levels) -> Optional[Path]:

@@ -21,6 +21,19 @@ go through them.  Its 1-norm condition number is exact up to round-off: it
 follows from the first and last columns of the inverse, which one two-column
 solve on the factors gives, or a one-column solve when the caller hands in
 the last column (the solution for a right-hand side that is exactly e_n).
+The calls of a refinement ladder (`build_mesh`, `assemble`, `factorize`,
+`solve`, `solve_in_place`, `condition_estimate`) take an optional
+`Workspace`: one byte buffer that lends them their mesh-sized arrays, level
+after level, so a ladder run again maps no fresh page.  Each ladder thread
+has its own (`experiments._run_ladder` gives the layouts): the calling
+thread's holds the finest level's nodes, right-hand side, bands, factors
+and solution, and its later coarse levels reuse only the bytes of the
+finest nodes and right-hand side; the helper thread's holds one coarse
+level at a time, then the condition estimate's column block.  The pool of
+workspaces keeps its memory for the life of the process, as much as the
+largest ladder run needs.  Without a workspace every array is fresh; only
+the ladder passes one, since a lent `mesh.nodes` or `solution.values` is
+overwritten by the next level.
 A system that needs no factors, no residual and no norm but ||u_h'||
 (`derivative_norm`) is solved by one in-place `zgtsv` pass
 (`solve_in_place`), with the bits of the factorized solve; this module
@@ -40,7 +53,7 @@ arithmetic changes printed table cells.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -103,6 +116,86 @@ def _block(b, n: int):
     return b.ctypes
 
 
+class Workspace:
+    """One byte buffer that lends its bytes out as arrays, in the order they
+    are asked for, from the first byte after each `rewind`.
+
+    Each function of this module that takes a `workspace` gets its
+    mesh-sized arrays through `_empty`: the next bytes of the buffer (every
+    array starts a multiple of 64 bytes into it), or fresh numpy arrays
+    without one.  An array that does not fit replaces the buffer by one of
+    the next power of two bytes that holds it; the arrays lent before stay
+    valid in the old buffer, which is freed with the last of them, and no
+    page of the new buffer is touched beyond the bytes lent.  Each buffer
+    is at least twice the one it replaces, so a growing workspace maps few
+    buffers, each larger than any it freed (glibc keeps freed heap memory
+    resident, but serves such a request with a fresh mapping).  So the
+    buffer grows to the largest layout asked of it, and a layout asked for
+    again maps no fresh page.  The lent arrays are views: they hold their
+    values only until the same bytes are lent again, so a workspace serves
+    one thread, and one layout whose arrays nobody reads afterwards, at a
+    time.
+    """
+
+    _ALIGN = 64
+
+    def __init__(self):
+        self._buffer = np.empty(0, dtype=np.uint8)
+        self._cursor = self._limit = 0
+        self._grows = True
+
+    def rewind(self, keep=()) -> None:
+        """Lend from the first byte again.  With arrays to `keep`, lend only
+        the bytes below the lowest of them that lies in the buffer (all of
+        it if none does), and give a fresh array, not a larger buffer, to an
+        array that does not fit."""
+        base, size = self._buffer.ctypes.data, len(self._buffer)
+        starts = (a.ctypes.data - base for a in keep)
+        self._limit = min((s for s in starts if 0 <= s < size), default=size)
+        self._cursor, self._grows = 0, not keep
+
+    def _take(self, nbytes: int) -> Optional[np.ndarray]:
+        """The next `nbytes` bytes, or None where they do not fit below a
+        kept array."""
+        start = -(-self._cursor // self._ALIGN) * self._ALIGN
+        self._cursor = start + nbytes
+        if self._cursor > self._limit:
+            if not self._grows:
+                return None
+            self._buffer = None  # freed first if no array of it is alive
+            self._limit = 1 << (self._cursor - 1).bit_length()
+            self._buffer = np.empty(self._limit, dtype=np.uint8)
+        return self._buffer[start:self._cursor]
+
+    def _release(self, array: np.ndarray) -> None:
+        """Lend the bytes of `array` again if it is the last array lent."""
+        start = array.ctypes.data - self._buffer.ctypes.data
+        if start >= 0 and start + array.nbytes == self._cursor:
+            self._cursor = start
+
+
+def _empty(workspace: Optional[Workspace], shape, dtype, zero: bool = False,
+           order: str = "C") -> np.ndarray:
+    """An array of `shape` and `dtype` (zeroed if `zero`): the next bytes of
+    `workspace`, or a fresh array without one or where it has no room."""
+    dtype = np.dtype(dtype)
+    lent = None if workspace is None else workspace._take(
+        int(np.prod(shape)) * dtype.itemsize)
+    if lent is None:
+        return (np.zeros if zero else np.empty)(shape, dtype, order=order)
+    array = lent.view(dtype).reshape(shape, order=order)
+    if zero:
+        array.fill(0)
+    return array
+
+
+def _complex_copy(workspace: Optional[Workspace], a) -> np.ndarray:
+    """A complex copy of the 1-D array `a`, through `_empty`."""
+    copy = _empty(workspace, len(a), complex)
+    copy[...] = a
+    return copy
+
+
 def _lapack(routine, *args) -> int:
     """Call `routine` with `args`, Python ints passed by reference, and
     return its `info`; an illegal argument (info < 0) raises ValueError."""
@@ -123,18 +216,20 @@ class Mesh1D:
     n - 1, written into one array (the bits of `np.linspace(x0, x1, n + 1)`
     without its last node), then the last breakpoint, so every breakpoint is
     a node and subinterval j owns elements j*n .. (j+1)*n - 1.  Gaps too
-    small for n elements give colliding nodes and are rejected."""
+    small for n elements give colliding nodes and are rejected.  The nodes
+    come from `workspace`, if given."""
 
     partition: np.ndarray
     per_segment: int
     nodes: np.ndarray = field(init=False, repr=False)
+    workspace: InitVar[Optional[Workspace]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, workspace):
         if self.per_segment < 1:
             raise ValueError("element count per subinterval must be >= 1")
         part = np.asarray(self.partition, dtype=float)
         n = self.per_segment
-        nodes = np.empty((len(part) - 1) * n + 1)
+        nodes = _empty(workspace, (len(part) - 1) * n + 1, float)
         index = np.arange(n, dtype=float)
         for j in range(len(part) - 1):
             # linspace's arithmetic; where its step underflows to 0 (a
@@ -163,9 +258,10 @@ class Mesh1D:
         return slice(j * self.per_segment, (j + 1) * self.per_segment)
 
 
-def build_mesh(problem: HelmholtzProblem, elems_per_subinterval: int) -> Mesh1D:
+def build_mesh(problem: HelmholtzProblem, elems_per_subinterval: int,
+               workspace: Optional[Workspace] = None) -> Mesh1D:
     """Uniform subdivision of every coefficient subinterval."""
-    return Mesh1D(problem.partition, elems_per_subinterval)
+    return Mesh1D(problem.partition, elems_per_subinterval, workspace)
 
 
 @dataclass
@@ -175,8 +271,9 @@ class BandedComplexSystem:
     The matrix is symmetric (not Hermitian), so one array `offdiag` holds
     both the sub- and the super-diagonal; `assemble` stores it as float64
     (a complex one is accepted too).  The factorization runs on complex
-    copies of the bands, so `diag` and `offdiag` keep their values; its
-    state is single-owner and cached after the first solve.
+    copies of the bands (from `workspace`, if given), so `diag` and
+    `offdiag` keep their values; its state is single-owner and cached after
+    the first solve.
     """
 
     diag: np.ndarray
@@ -192,13 +289,14 @@ class BandedComplexSystem:
             raise ValueError("the system was consumed by solve_in_place")
         return len(self.diag)
 
-    def factorize(self):
+    def factorize(self, workspace: Optional[Workspace] = None):
         if self._factors is None:
             # LAPACK overwrites complex copies of the bands
             n = self.dimension
-            dl, du = self.offdiag.astype(complex), self.offdiag.astype(complex)
-            d, ipiv = self.diag.astype(complex), np.empty(n, dtype=np.intc)
-            du2 = np.empty(max(n - 2, 0), dtype=complex)
+            dl, d, du = (_complex_copy(workspace, band)
+                         for band in (self.offdiag, self.diag, self.offdiag))
+            du2 = _empty(workspace, max(n - 2, 0), complex)
+            ipiv = _empty(workspace, n, np.intc)
             info = _lapack(_ZGTTRF, n, _band(dl, n - 1), _band(d, n),
                            _band(du, n - 1), _band(du2, len(du2)),
                            _band(ipiv, n, np.intc))
@@ -336,7 +434,8 @@ def _linear_mass_integrals(cl: np.ndarray, cr: np.ndarray):
     return j0, j1, j2
 
 
-def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
+def assemble(problem: HelmholtzProblem, mesh: Mesh1D,
+             workspace: Optional[Workspace] = None) -> BandedComplexSystem:
     """Assemble stiffness, weighted mass, impedance and source terms.
 
     The matrix realizes  int a u' v' - omega^2 int u v / c^2
@@ -347,16 +446,17 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
     temporary is mesh-sized.  A node shared
     by two runs gets its right element's term from one run and its left
     element's from the next; IEEE addition commutes, so every entry has the
-    bits of the whole-mesh sums.
+    bits of the whole-mesh sums.  The right-hand side, the diagonal and the
+    off-diagonal come from `workspace`, if given, in that order.
     """
     om = problem.omega
     n = mesh.n_nodes
+    rhs = _empty(workspace, n, complex, zero=True)
     # summed into the real parts of complex zeros: adding complex numbers
     # with zero imaginary parts gives the same bits
-    diag = np.zeros(n, dtype=complex)
+    diag = _empty(workspace, n, complex, zero=True)
     diag_re = diag.real
-    offdiag = np.empty(n - 1)
-    rhs = np.zeros(n, dtype=complex)
+    offdiag = _empty(workspace, n - 1, float)
     for lo, k in _leaf_runs(n - 1):
         hi = lo + k
         x = mesh.nodes[lo:hi + 1]
@@ -392,20 +492,22 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D) -> BandedComplexSystem:
         dirichlet_right=not problem.bc.impedance_right)
 
 
-def solve(system: BandedComplexSystem, on_solved=None) -> FemSolution:
+def solve(system: BandedComplexSystem, on_solved=None,
+          workspace: Optional[Workspace] = None) -> FemSolution:
     """Banded LU solve; the relative max-norm residual is always reported.
 
-    The solution is computed in place in the array returned, between its
-    Dirichlet zeros.  `on_solved`, if given, is called once with the
-    free-node part of that array (a view) as soon as LAPACK returns, before
-    the residual.  The max norms of b and of A x - b are taken run by run
+    The solution is computed in place in the array returned (from
+    `workspace`, if given), between its Dirichlet zeros.  `on_solved`, if
+    given, is called once with the free-node part of that array (a view)
+    as soon as LAPACK returns, before the residual.  The max norms of b and of A x - b are taken run by run
     over the leaf runs of `_pairwise_tree` (at most `_SUM_LEAF` rows each);
     a maximum has no rounding order, so both keep their bits.
     """
     pad_l = int(system.dirichlet_left)
-    values = np.zeros(system.dimension + pad_l + int(system.dirichlet_right),
-                      dtype=complex)
+    values = _empty(workspace, system.dimension + pad_l + int(system.dirichlet_right),
+                    complex)
     x = values[pad_l:pad_l + system.dimension]
+    values[:pad_l] = values[pad_l + system.dimension:] = 0.0
     x[...] = system.rhs
     system.solve_vector(x, overwrite_b=True)
     if on_solved is not None:
@@ -421,20 +523,30 @@ def solve(system: BandedComplexSystem, on_solved=None) -> FemSolution:
     return FemSolution(values=values, residual=residual)
 
 
-def solve_in_place(system: BandedComplexSystem) -> np.ndarray:
+def solve_in_place(system: BandedComplexSystem,
+                   workspace: Optional[Workspace] = None) -> np.ndarray:
     """The nodal values, Dirichlet zeros included, from one LAPACK `zgtsv`
     call: it overwrites the system's diagonal, its right-hand side (with the
-    solution) and two complex copies of the off-diagonal; the float64 one
-    is freed before the second copy, so the peak is that of one complex
-    off-diagonal and its copy.  No factors are kept and no residual is
+    solution) and two complex copies of the off-diagonal (from `workspace`,
+    if given); the float64 one is dropped before the second copy, so
+    without a workspace the peak is that of one complex off-diagonal and
+    its copy.  No factors are kept and no residual is
     computed; the values have the bits of `solve(system).values`, at every
     dimension from 1 up.  The call consumes the system: any later solve,
     estimate, `matvec` or `norm1` on it raises ValueError.
     """
     n = system.dimension
-    dl = system.offdiag.astype(complex)
-    system.offdiag = None
-    du = dl.copy()
+    offdiag, system.offdiag = system.offdiag, None
+    if workspace is not None:  # the first copy may start on offdiag's bytes
+        workspace._release(offdiag)
+    dl = _empty(workspace, len(offdiag), complex)
+    # last run first, each through a run-sized copy (numpy does not guard a
+    # casting assignment against overlap): dl starts at or after offdiag's
+    # first byte, so dl[i] overwrites only entries from 2i on, read by then
+    for lo, k in reversed(_leaf_runs(len(offdiag))):
+        dl[lo:lo + k] = offdiag[lo:lo + k].copy()
+    del offdiag
+    du = _complex_copy(workspace, dl)
     x = system.rhs
     info = _lapack(_ZGTSV, n, 1, _band(dl, n - 1), _band(system.diag, n),
                    _band(du, n - 1), _block(x, n), n)
@@ -499,7 +611,8 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
     return np.sqrt(float(du2)), np.sqrt(wu2), np.sqrt(energy2)
 
 
-def condition_estimate(system: BandedComplexSystem, last=None) -> float:
+def condition_estimate(system: BandedComplexSystem, last=None,
+                       workspace: Optional[Workspace] = None) -> float:
     """The 1-norm condition number ||A||_1 ||A^-1||_1, exact up to round-off.
 
     An irreducible tridiagonal symmetric matrix has a semiseparable inverse
@@ -510,9 +623,12 @@ def condition_estimate(system: BandedComplexSystem, last=None) -> float:
     columns come from one two-column solve on the factors; or, given `last`,
     a Future of c_n (say, the solve of a right-hand side that is exactly
     e_n, which has its bits), only c_1 is solved and c_n is awaited from the
-    Future.  A zero off-diagonal entry (a reducible matrix) raises
-    ValueError; a corner c_1[n-1] that is zero or not finite, or a result
-    that is not finite, raises SingularSystemError.
+    Future.  One block of two complex columns (from `workspace`, if given)
+    holds all of it: the solved columns, then |c_1| in the first quarter of
+    its bytes (written over c_1 run by run), |c_n| in the second, P in the
+    third and S in the fourth.  A zero off-diagonal entry (a reducible
+    matrix) raises ValueError; a corner c_1[n-1] that is zero or not finite,
+    or a result that is not finite, raises SingularSystemError.
     """
     n = system.dimension
     if n == 1:
@@ -521,15 +637,20 @@ def condition_estimate(system: BandedComplexSystem, last=None) -> float:
         raise ValueError("the condition number needs an irreducible matrix: "
                          "an off-diagonal entry is zero")
     norm = system.norm1()  # run-sized temporaries, gone before the columns
-    cols = np.zeros((n, 2 if last is None else 1), dtype=complex, order="F")
+    block = _empty(workspace, (n, 2), complex, order="F")
+    cols = block[:, :2 if last is None else 1]
+    cols[...] = 0.0
     cols[0, 0] = 1.0
     if last is None:
         cols[-1, 1] = 1.0
     system.solve_vector(cols, overwrite_b=True)
-    mags = np.abs(cols)  # F-ordered like cols, so each column is contiguous
-    del cols
-    first = mags[:, 0]
-    last = mags[:, 1] if last is None else np.abs(last.result())
+    # |c_1|, |c_n|, P and S: the block's bytes as four float64 columns
+    first, last_abs, col_norms, suffix = block.T.reshape(-1).view(float).reshape(4, n)
+    for lo, k in _leaf_runs(n):  # over c_1's own bytes, behind its reads
+        # through a run-sized temporary: np.abs into memory that overlaps
+        # its input takes another loop, with other last bits
+        first[lo:lo + k] = np.abs(block[lo:lo + k, 0])
+    np.abs(block[:, 1] if last is None else last.result(), out=last_abs)
     corner = first[-1]
     if not (np.isfinite(corner) and corner > 0.0):
         raise SingularSystemError(
@@ -537,10 +658,10 @@ def condition_estimate(system: BandedComplexSystem, last=None) -> float:
     with np.errstate(over="ignore"):  # a non-finite kappa raises below
         # first * cumsum(last), plus last * the suffix sums of first, each
         # product written over its cumsum
-        col_norms = np.cumsum(last)
+        np.cumsum(last_abs, out=col_norms)
         np.multiply(first, col_norms, out=col_norms)
-        suffix = np.cumsum(first[::-1])[-2::-1]
-        np.multiply(last[:-1], suffix, out=suffix)
+        suffix = np.cumsum(first[::-1], out=suffix)[-2::-1]
+        np.multiply(last_abs[:-1], suffix, out=suffix)
         col_norms[:-1] += suffix
         kappa = norm * float(col_norms.max() / corner)
     if not np.isfinite(kappa):

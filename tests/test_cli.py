@@ -320,7 +320,7 @@ class TestTables:
     def test_table1_infinite_kappa_prints(self, tmp_path, monkeypatch, paper):
         # an overflowing condition estimate is printed, not a crash
         monkeypatch.setattr(hl.fem, "condition_estimate",
-                            lambda system, last=None: float("inf"))
+                            lambda system, last=None, workspace=None: float("inf"))
         out = tmp_path / "t1.csv"
         args = ["table1", "--m", "2", "--r", "0.4", "--base", "20",
                 "--levels", "2", "-o", str(out)]

@@ -245,28 +245,28 @@ class TestRefinementProtocol:
         def record(event, size):
             events.append((event, size, threading.current_thread()))
 
-        def recording_assemble(problem, mesh):
-            system = assemble(problem, mesh)
+        def recording_assemble(problem, mesh, workspace=None):
+            system = assemble(problem, mesh, workspace)
             record("assemble", system.dimension)  # once it has returned
             return system
 
-        def recording_factorize(system):
+        def recording_factorize(system, workspace=None):
             if system._factors is None:
                 record("factorize", system.dimension)
-            return factorize(system)
+            return factorize(system, workspace)
 
-        def recording_solve(system, on_solved=None):
+        def recording_solve(system, on_solved=None, workspace=None):
             solving.set()  # the finest factors are handed over by now
             record("solve", system.dimension)
-            return solve(system, on_solved)
+            return solve(system, on_solved, workspace)
 
-        def recording_solve_in_place(system):
+        def recording_solve_in_place(system, workspace=None):
             record("solve_in_place", system.dimension)
             if threading.current_thread() is not caller:
                 # the helper's first coarse level ends after the finest
                 # factors exist, so its next start must be the estimate
                 assert solving.wait(timeout=10.0)
-            values = solve_in_place(system)
+            values = solve_in_place(system, workspace)
             assert system._factors is None
             return values
 
@@ -274,9 +274,9 @@ class TestRefinementProtocol:
             record("solve_vector", b.reshape(len(b), -1).shape[1])
             return solve_vector(system, b, overwrite_b)
 
-        def recording_estimate(system, last=None):
+        def recording_estimate(system, last=None, workspace=None):
             record("estimate", system.dimension)
-            return estimate(system, last)
+            return estimate(system, last, workspace)
 
         monkeypatch.setattr(fem.BandedComplexSystem, "factorize",
                             recording_factorize)
@@ -377,12 +377,12 @@ class TestRefinementProtocol:
         solve, matvec = fem.solve, fem.BandedComplexSystem.matvec
         events = []
 
-        def recording_solve(system, on_solved=None):
+        def recording_solve(system, on_solved=None, workspace=None):
             def handover(x):
                 events.append(("handover", x))
                 on_solved(x)
 
-            solution = solve(system, None if on_solved is None else handover)
+            solution = solve(system, None if on_solved is None else handover, workspace)
             events.append(("solved", solution.values, system.dirichlet_left))
             return solution
 
@@ -418,6 +418,18 @@ class TestRefinementProtocol:
         assert len(handed) == len(values) - dirichlet_left
         assert handed.ctypes.data == values.ctypes.data + dirichlet_left * values.itemsize
         assert np.shares_memory(handed, values)
+
+    @pytest.mark.parametrize("case", ["family-2-0.4", "dirichlet", "smooth-source",
+                                      "family-12-0.6-g"])
+    def test_one_workspace_pair_serves_ladders_of_every_size(self, monkeypatch, case):
+        # big, small, big again in one process: each ladder is lent bytes
+        # that the one before left behind
+        problem, base, levels = _RECORD_CASES[case]()
+        monkeypatch.setattr(experiments, "_WORKSPACES", [])
+        for size in (levels + 1, levels - 1, levels + 1):
+            assert experiments._run_ladder(problem, base, size) == \
+                _ladder_record_reference(problem, base, size)
+        assert len(experiments._WORKSPACES) == 1
 
     def test_concurrent_ladders_under_fast_thread_switching(self):
         # four ladders at once, each with its helper thread, on two data
@@ -466,7 +478,7 @@ class TestRefinementProtocol:
         class Boom(Exception):
             pass
 
-        def failing(system, *args):
+        def failing(system, *args, **kwargs):
             if dimension is None:
                 coarse_solves.append(system.dimension)
                 if threading.current_thread() is caller:
@@ -489,18 +501,18 @@ class TestRefinementProtocol:
                     holding.set()
                     solving.wait(timeout=10.0)
                 raise Boom(fails)
-            return original(system, *args)
+            return original(system, *args, **kwargs)
 
-        def signalling_solve(system, on_solved=None):
+        def signalling_solve(system, on_solved=None, workspace=None):
             solving.set()
             if fails == "coarse-solve":
                 # the helper, not this thread, takes the failing level
                 holding.wait(timeout=10.0)
-            return solve(system, on_solved)
+            return solve(system, on_solved, workspace)
 
-        def recording_estimate(*args):
+        def recording_estimate(*args, **kwargs):
             estimates.append(threading.current_thread())
-            return estimate(*args)
+            return estimate(*args, **kwargs)
 
         def ladder():
             nonlocal caller
@@ -509,6 +521,8 @@ class TestRefinementProtocol:
                                      cache_dir=str(tmp_path),
                                      cache_key=_LADDER_SPEC.cache_key())
 
+        pair = (fem.Workspace(), fem.Workspace())
+        monkeypatch.setattr(experiments, "_WORKSPACES", [pair])
         monkeypatch.setattr(owner, name, failing)
         if fails.startswith("coarse-solve"):
             monkeypatch.setattr(fem, "solve", signalling_solve)
@@ -527,6 +541,14 @@ class TestRefinementProtocol:
         if fails == "coarse-solve":
             # an estimate not yet started never runs after a failure
             assert holding.is_set() and estimates == []
+        # the failed ladder's workspaces are back, and serve the next ladder
+        assert experiments._WORKSPACES == [pair]  # Workspaces compare by identity
+        for patched, attr, unpatched in ((owner, name, original), (fem, "solve", solve),
+                                         (fem, "condition_estimate", estimate)):
+            monkeypatch.setattr(patched, attr, unpatched)
+        assert experiments._run_ladder(prob, base, levels) == \
+            _ladder_record_reference(prob, base, levels)
+        assert experiments._WORKSPACES == [pair]
 
     def test_failed_finest_solve_releases_the_waiting_estimate(self, monkeypatch):
         # g = (0, 1): the estimate waits on the finest solution as its
@@ -548,11 +570,11 @@ class TestRefinementProtocol:
                 waiting.set()
                 return self.last.result()
 
-        def recording_estimate(system, last=None):
+        def recording_estimate(system, last=None, workspace=None):
             columns.append(last)
-            return estimate(system, Awaited(last))
+            return estimate(system, Awaited(last), workspace)
 
-        def failing_solve(system, on_solved=None):
+        def failing_solve(system, on_solved=None, workspace=None):
             assert waiting.wait(timeout=10.0)
             raise Boom("finest")
 
@@ -583,17 +605,17 @@ class TestRefinementProtocol:
         class Boom(Exception):
             pass
 
-        def failing_factorize(system):
+        def failing_factorize(system, workspace=None):
             if system.dimension == finest:
                 failed.set()
                 raise Boom("finest")
-            return factorize(system)
+            return factorize(system, workspace)
 
-        def held_solve_in_place(system):
+        def held_solve_in_place(system, workspace=None):
             calls.append(system.dimension)
             failed.wait(timeout=10.0)
             time.sleep(0.2)
-            return solve_in_place(system)
+            return solve_in_place(system, workspace)
 
         monkeypatch.setattr(fem.BandedComplexSystem, "factorize", failing_factorize)
         monkeypatch.setattr(fem, "solve_in_place", held_solve_in_place)

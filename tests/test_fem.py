@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -1026,6 +1027,111 @@ class TestBoundedMemory:
         assert norm == _norm1_reference(system)
         # a run's column sums and the moduli of one off-diagonal run
         assert peak <= 2 * 8 * longest + 4096, peak
+
+    def test_ladder_run_again_peak(self, monkeypatch):
+        # a ladder run again in one process takes every mesh-sized array,
+        # on both threads, from the workspaces that its first run grew
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", 2**12)
+        prob = hl.family(hl.UnstableFamilySpec(12, 0.6))
+        base, levels = 200, 7
+        finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
+        first = experiments._run_ladder(prob, base, levels)
+        again, peak = self._traced_peak(experiments._run_ladder, prob, base, levels)
+        assert again == first
+        assert peak < finest * 8 / 4, peak
+
+
+def _dirty_workspace(nbytes):
+    """A workspace of at least `nbytes` bytes, all of them nonzero."""
+    workspace = fem.Workspace()
+    workspace.rewind()
+    fem._empty(workspace, nbytes, np.uint8).fill(0xA5)
+    workspace.rewind()
+    return workspace
+
+
+class TestWorkspace:
+    def test_grows_and_lends_the_same_bytes_again(self):
+        workspace = fem.Workspace()
+        for _ in range(3):
+            workspace.rewind()
+            small = fem._empty(workspace, 10, float)
+            small[:] = 1.0
+            # grows the first time: the arrays lent before keep their values
+            block = fem._empty(workspace, (1000, 2), complex, zero=True, order="F")
+            assert np.all(small == 1.0) and not np.any(block)
+            offset = block.ctypes.data - workspace._buffer.ctypes.data
+            assert block.flags.f_contiguous and offset % 64 == 0
+        buffer = workspace._buffer
+        assert len(buffer) == 32768  # the next power of two
+        workspace.rewind()
+        assert np.shares_memory(fem._empty(workspace, 10, float), small)
+        assert fem._empty(workspace, (1000, 2), complex).ctypes.data == block.ctypes.data
+        assert workspace._buffer is buffer
+
+    def test_kept_arrays_are_never_lent(self):
+        workspace = _dirty_workspace(4096)
+        workspace.rewind()
+        dead = fem._empty(workspace, 100, float)
+        live = fem._empty(workspace, 100, complex)
+        live[:] = np.arange(100)
+        buffer = workspace._buffer
+        workspace.rewind(keep=(live,))
+        below = fem._empty(workspace, 100, float)
+        assert below.ctypes.data == dead.ctypes.data
+        # no room below `live`: a fresh array, and the buffer stays
+        fresh = fem._empty(workspace, 100, complex)
+        assert not np.shares_memory(fresh, buffer) and workspace._buffer is buffer
+        assert np.array_equal(live, np.arange(100))
+        # an array outside the buffer keeps nothing of it
+        workspace.rewind(keep=(fresh,))
+        assert fem._empty(workspace, 4096, np.uint8).ctypes.data == buffer.ctypes.data
+
+    def test_release_lends_only_the_last_array_again(self):
+        workspace = _dirty_workspace(4096)
+        first, last = (fem._empty(workspace, 10, float) for _ in range(2))
+        workspace._release(first)
+        after = fem._empty(workspace, 10, float)
+        assert after.ctypes.data > last.ctypes.data
+        workspace._release(after)
+        assert fem._empty(workspace, 4, complex).ctypes.data == after.ctypes.data
+
+    @pytest.mark.parametrize("leaf", [136, 2**16])
+    @pytest.mark.parametrize("bc", list(BC), ids=lambda bc: bc.name)
+    def test_level_in_a_dirty_workspace_has_fresh_array_bits(self, monkeypatch,
+                                                             bc, leaf):
+        # every fem call of a ladder, on bytes that another layout left
+        # behind; short runs overlap the in-place copies across runs
+        monkeypatch.setattr(quadrature, "_SUM_LEAF", leaf)
+        prob = _two_layer_problem(bc)
+        per = 1013
+        mesh = hl.build_mesh(prob, per)
+        system = hl.assemble(prob, mesh)
+        solution = hl.solve(system)
+        n = system.dimension
+        unit = np.zeros(n, dtype=complex)
+        unit[-1] = 1.0
+        column = Future()
+        column.set_result(system.solve_vector(unit))
+        workspace, helper = (_dirty_workspace(200 * mesh.n_nodes) for _ in range(2))
+        lent_mesh = hl.build_mesh(prob, per, workspace)
+        assert np.array_equal(lent_mesh.nodes, mesh.nodes)
+        lent = hl.assemble(prob, lent_mesh, workspace)
+        for name in ("diag", "offdiag", "rhs"):
+            assert np.array_equal(getattr(lent, name), getattr(system, name)), name
+        for got, want in zip(lent.factorize(workspace), system.factorize()):
+            assert np.array_equal(got, want)
+        lent_solution = hl.solve(lent, workspace=workspace)
+        assert np.array_equal(lent_solution.values, solution.values)
+        assert lent_solution.residual == solution.residual
+        for last in (None, column):
+            helper.rewind()
+            assert hl.condition_estimate(lent, last, workspace=helper) == \
+                hl.condition_estimate(system, last)
+        workspace.rewind()
+        lent_mesh = hl.build_mesh(prob, per, workspace)
+        values = hl.solve_in_place(hl.assemble(prob, lent_mesh, workspace), workspace)
+        assert np.array_equal(values, solution.values)
 
 
 class TestNodalL2Error:

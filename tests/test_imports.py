@@ -441,3 +441,74 @@ def test_error_sums_make_no_blas_call():
     """The probe's error sums are numpy's pairwise sums, so their bits do
     not depend on the BLAS build or its thread count."""
     assert blas_products((SRC / "experiments.py").read_text()) == []
+
+
+LIBRARY_LOADERS = ("CDLL", "PyDLL", "cdll", "pydll", "LoadLibrary", "find_library")
+ENVIRON_WRITERS = ("update", "setdefault", "pop", "popitem", "clear",
+                   "__setitem__", "__delitem__")
+
+
+def process_wide_changes(source: str) -> list:
+    """What would change the whole process, not the library's own state:
+    `mallopt` named anywhere; ctypes' ways to load a shared library, such
+    as libc (`CDLL`, `PyDLL`, `cdll`, `pydll`, `LoadLibrary`,
+    `find_library`); writes to `os.environ` (or a bare `environ`): item
+    assignment and deletion, its writing methods, `putenv` and `unsetenv`;
+    and any string that mentions `GLIBC_TUNABLES`."""
+
+    def environ(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "environ"
+                or isinstance(node, ast.Name) and node.id == "environ")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.attr if isinstance(node, ast.Attribute) else \
+            node.id if isinstance(node, ast.Name) else None
+        if name == "mallopt" or name in LIBRARY_LOADERS or name in ("putenv", "unsetenv"):
+            found.append((node.lineno, name))
+        elif isinstance(node, ast.alias) and (
+                node.name.split(".")[-1] in ("mallopt", "putenv", "unsetenv")
+                or node.name in LIBRARY_LOADERS):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+                else [node.target]
+            found += [(node.lineno, "environ[]") for target in targets
+                      if isinstance(target, ast.Subscript) and environ(target.value)]
+        elif isinstance(node, ast.Attribute) and node.attr in ENVIRON_WRITERS \
+                and environ(node.value):
+            found.append((node.lineno, f"environ.{node.attr}"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "GLIBC_TUNABLES" in node.value:
+            found.append((node.lineno, "GLIBC_TUNABLES"))
+    return [f"line {line}: {text}" for line, text in sorted(set(found))]
+
+
+def test_scanner_flags_a_process_wide_change():
+    source = ("import ctypes, os\n"
+              "libc = ctypes.CDLL('libc.so.6')\n"
+              "libc.mallopt(-3, 1 << 30)\n"
+              "ctypes.cdll.LoadLibrary(ctypes.util.find_library('c'))\n"
+              "os.environ['GLIBC_TUNABLES'] = 'glibc.malloc.trim_threshold=0'\n"
+              "os.environ.update(OPENBLAS_NUM_THREADS='1')\n"
+              "del os.environ['X']\n"
+              "os.putenv('X', '1')\n"
+              "from os import environ, unsetenv\n"
+              "environ.setdefault('X', '1')\n"
+              "environ['Y'] += 'z'\n"
+              "os.environ.get('X'), dict(os.environ), 'MALLOC_ARENA_MAX'\n"
+              "ctypes.pythonapi, ctypes.CFUNCTYPE(None), ctypes.c_int()\n")
+    assert process_wide_changes(source) == [
+        "line 2: CDLL", "line 3: mallopt", "line 4: LoadLibrary",
+        "line 4: cdll", "line 4: find_library", "line 5: GLIBC_TUNABLES",
+        "line 5: environ[]", "line 6: environ.update", "line 7: environ[]",
+        "line 8: putenv", "line 9: unsetenv", "line 10: environ.setdefault",
+        "line 11: environ[]"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_library_changes_nothing_process_wide(path):
+    """The ladder's workspaces keep its memory; the library never tunes
+    malloc, loads libc, or writes the environment, which would change the
+    whole process that imports it."""
+    assert process_wide_changes(path.read_text()) == []
