@@ -185,18 +185,19 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     Every mesh-sized array of the ladder comes from a pair of
     `fem.Workspace`s with fixed roles, one per thread, taken from
     `_WORKSPACES` and put back once the helper is joined, also after a
-    failure.  Each level and the estimate lend their arrays from the first
-    byte of their thread's workspace, in the order the `fem` calls ask for
-    them.  The calling thread's holds the finest level as [nodes | rhs |
-    diag | off-diagonal | dl d du du2 ipiv | solution]; its later coarse
-    levels take only the bytes below the finest diagonal, the nodes and
-    the right-hand side, which are dead once `norms` is done, while the
-    estimate still reads the bands, the factors and the solution.  The
-    helper's holds one coarse level at a time, [nodes | rhs | diag |
-    off-diagonal | dl du], and the estimate's block of two complex columns.
-    A workspace grows to the largest layout asked of it, so a process keeps
-    about as much memory as its largest ladder uses, and every later ladder
-    up to that size maps no fresh page.
+    failure (a mesh stores no nodes, so the arrays are the solver's).
+    Each level and the estimate lend their arrays from the first byte of
+    their thread's workspace, in the order the `fem` calls ask for them.
+    The calling thread's holds the finest level as [rhs | diag |
+    off-diagonal | dl d du du2 ipiv | solution]; its later coarse levels
+    take only the bytes below the finest diagonal, those of the right-hand
+    side, which is dead once `solve` is done, while the estimate still
+    reads the bands, the factors and the solution.  The helper's holds one
+    coarse level at a time, [rhs | diag | dl du], the first complex band
+    copy written over the float off-diagonal, and then the estimate's
+    block of two complex columns.  A workspace grows to the largest layout
+    asked of it, so a process keeps about as much memory as its largest
+    ladder uses, and every later ladder up to that size maps no fresh page.
     """
     du_levels = [None] * levels
     unstarted = list(range(levels - 1))  # coarse levels, the largest last
@@ -240,7 +241,7 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
             coarse = pool.submit(dropping, run_unstarted, helpers, (), queued.is_set)
             try:
                 mine.rewind()
-                mesh = fem.build_mesh(problem, base * 2**(levels - 1), workspace=mine)
+                mesh = fem.build_mesh(problem, base * 2**(levels - 1))
                 system = fem.assemble(problem, mesh, workspace=mine)
                 factors = system.factorize(workspace=mine)
                 # a right-hand side of exactly e_n has the solution A^-1 e_n
@@ -280,7 +281,7 @@ def _coarse_du(problem: HelmholtzProblem, base: int, level: int,
                workspace: fem.Workspace) -> float:
     """A coarser level's ||u_h'||, from one in-place solve without factors or
     residual: the record keeps no other number of it."""
-    mesh = fem.build_mesh(problem, base * 2**level, workspace=workspace)
+    mesh = fem.build_mesh(problem, base * 2**level)
     system = fem.assemble(problem, mesh, workspace=workspace)
     return fem.derivative_norm(fem.solve_in_place(system, workspace=workspace), mesh)
 
@@ -636,14 +637,20 @@ def _error_sums(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
     last = len(amps.a) - 1
     for j, (a, c, k) in enumerate(zip(amps.a, amps.c, amps.k)):
         own = mesh.elements_of(j)
-        x = mesh.nodes[own.start:own.stop + 1]
-        h = (x[-1] - x[0]) / mesh.per_segment
+        ends = mesh.partition[j:j + 2]  # the layer's first and last nodes
+        h = (ends[1] - ends[0]) / mesh.per_segment
         dp2, dq2, p2, q2, p1, tq = _layer_weights(k, h)
+        x = mesh.node_run(own.start, own.stop + 1)
         s, du = amps.eval_on_layer(j, 0.5 * (x[:-1] + x[1:]), deriv=True)
-        d = amps.eval_on_layer(j, x)  # u at the nodes, less u_h below
+        # u at the nodes in two halves: beside s, du and the nodes, one
+        # whole run's oracle temporaries would raise the peak
+        half = mesh.per_segment // 2
+        d = np.concatenate([amps.eval_on_layer(j, x[:half]),
+                            amps.eval_on_layer(j, x[half:])])
+        del x
         if j < last:  # breakpoints go to the layer on their right, as in `eval`
-            d[-1] = amps.eval_on_layer(j + 1, x[-1:])[0]
-        d -= u_h[own.start:own.stop + 1]
+            d[-1] = amps.eval_on_layer(j + 1, ends[1:])[0]
+        d -= u_h[own.start:own.stop + 1]  # u - u_h at the nodes
         e, o = 0.5 * (d[:-1] + d[1:]), np.diff(d)
         s2, du2, e2, o2 = (_real_dot(z, z) for z in (s, du, e, o))
         mass_weight = (problem.omega / c) ** 2

@@ -1,8 +1,9 @@
 """Conforming P1 finite elements for the 1D heterogeneous problem.
 
 A mesh is a partition plus one element count per subinterval, so subinterval
-j owns a known run of elements; its nodes are written into one array with
-`np.linspace`'s arithmetic, subinterval by subinterval.  Element integrals
+j owns a known run of elements; it stores no nodes, but computes any run of
+them with `np.linspace`'s arithmetic, subinterval by subinterval.  Element
+integrals
 are exact for piecewise-constant and piecewise-linear coefficients (5-point
 Gauss for smooth data and sources) and are computed one coefficient segment
 at a time, on the elements of a run that the segment owns; a constant
@@ -21,19 +22,18 @@ go through them.  Its 1-norm condition number is exact up to round-off: it
 follows from the first and last columns of the inverse, which one two-column
 solve on the factors gives, or a one-column solve when the caller hands in
 the last column (the solution for a right-hand side that is exactly e_n).
-The calls of a refinement ladder (`build_mesh`, `assemble`, `factorize`,
-`solve`, `solve_in_place`, `condition_estimate`) take an optional
-`Workspace`: one byte buffer that lends them their mesh-sized arrays, level
-after level, so a ladder run again maps no fresh page.  Each ladder thread
-has its own (`experiments._run_ladder` gives the layouts): the calling
-thread's holds the finest level's nodes, right-hand side, bands, factors
-and solution, and its later coarse levels reuse only the bytes of the
-finest nodes and right-hand side; the helper thread's holds one coarse
-level at a time, then the condition estimate's column block.  The pool of
-workspaces keeps its memory for the life of the process, as much as the
-largest ladder run needs.  Without a workspace every array is fresh; only
-the ladder passes one, since a lent `mesh.nodes` or `solution.values` is
-overwritten by the next level.
+The solver calls of a refinement ladder (`assemble`, `factorize`, `solve`,
+`solve_in_place`, `condition_estimate`) take an optional `Workspace`: one
+byte buffer that lends them their mesh-sized arrays, level after level, so
+a ladder run again maps no fresh page.  Each ladder thread has its own
+(`experiments._run_ladder` gives the layouts): the calling thread's holds
+the finest level's right-hand side, bands, factors and solution, and its
+later coarse levels reuse only the bytes of the finest right-hand side;
+the helper thread's holds one coarse level at a time, then the condition
+estimate's column block.  The pool of workspaces keeps its memory for the
+life of the process, as much as the largest ladder run needs.  Without a
+workspace every array is fresh; only the ladder passes one, since a lent
+`solution.values` is overwritten by the next level.
 A system that needs no factors, no residual and no norm but ||u_h'||
 (`derivative_norm`) is solved by one in-place `zgtsv` pass
 (`solve_in_place`), with the bits of the factorized solve; this module
@@ -53,7 +53,8 @@ arithmetic changes printed table cells.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import InitVar, dataclass, field
+import functools
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -213,41 +214,49 @@ def _lapack(routine, *args) -> int:
 class Mesh1D:
     """`per_segment` = n uniform elements on every subinterval of a partition:
     the nodes of subinterval [x0, x1] are i * ((x1 - x0) / n) + x0, i = 0 ..
-    n - 1, written into one array (the bits of `np.linspace(x0, x1, n + 1)`
-    without its last node), then the last breakpoint, so every breakpoint is
-    a node and subinterval j owns elements j*n .. (j+1)*n - 1.  Gaps too
-    small for n elements give colliding nodes and are rejected.  The nodes
-    come from `workspace`, if given."""
+    n - 1 (the bits of `np.linspace(x0, x1, n + 1)` without its last node),
+    then the last breakpoint, so every breakpoint is a node and subinterval
+    j owns elements j*n .. (j+1)*n - 1.  The nodes are computed, not
+    stored: `node_run(lo, hi)` gives nodes lo .. hi - 1, and `nodes` all of
+    them, computed on first use.  Gaps too small for n elements give
+    colliding nodes and are rejected."""
 
     partition: np.ndarray
     per_segment: int
-    nodes: np.ndarray = field(init=False, repr=False)
-    workspace: InitVar[Optional[Workspace]] = None
 
-    def __post_init__(self, workspace):
+    def __post_init__(self):
         if self.per_segment < 1:
             raise ValueError("element count per subinterval must be >= 1")
-        part = np.asarray(self.partition, dtype=float)
+        object.__setattr__(self, "partition", np.asarray(self.partition, dtype=float))
         n = self.per_segment
-        nodes = _empty(workspace, (len(part) - 1) * n + 1, float)
-        index = np.arange(n, dtype=float)
-        for j in range(len(part) - 1):
-            # linspace's arithmetic; where its step underflows to 0 (a
-            # subnormal gap), its nodes collide too
-            run = nodes[j * n:(j + 1) * n]
-            np.multiply(index, (part[j + 1] - part[j]) / n, out=run)
-            run += part[j]
-        nodes[-1] = part[-1]
-        del index  # so the check's temporaries do not add to the peak
-        if not all(np.all(nodes[lo + 1:lo + n + 1] > nodes[lo:lo + n])
-                   for lo in range(0, len(nodes) - 1, n)):
-            raise ValueError("mesh nodes must be strictly increasing")
-        object.__setattr__(self, "partition", part)
-        object.__setattr__(self, "nodes", nodes)
+        for lo in range(0, self.n_nodes - 1, n):  # one subinterval at a time
+            run = self.node_run(lo, lo + n + 1)
+            if not np.all(run[1:] > run[:-1]):
+                raise ValueError("mesh nodes must be strictly increasing")
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return (len(self.partition) - 1) * self.per_segment + 1
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return self.node_run(0, self.n_nodes)
+
+    def node_run(self, lo: int, hi: int) -> np.ndarray:
+        """Nodes lo .. hi - 1 in a new array, with the bits of `nodes[lo:hi]`."""
+        part, n = self.partition, self.per_segment
+        run = np.empty(hi - lo)
+        for j in range(lo // n, min(-(-hi // n), len(part) - 1)):
+            start, stop = max(j * n, lo), min((j + 1) * n, hi)
+            piece = run[start - lo:stop - lo]
+            # linspace's arithmetic; where its step underflows to 0 (a
+            # subnormal gap), its nodes collide too
+            np.multiply(np.arange(start - j * n, stop - j * n, dtype=float),
+                        (part[j + 1] - part[j]) / n, out=piece)
+            piece += part[j]
+        if hi == self.n_nodes > lo:
+            run[-1] = part[-1]
+        return run
 
     @property
     def widths(self) -> np.ndarray:
@@ -258,10 +267,9 @@ class Mesh1D:
         return slice(j * self.per_segment, (j + 1) * self.per_segment)
 
 
-def build_mesh(problem: HelmholtzProblem, elems_per_subinterval: int,
-               workspace: Optional[Workspace] = None) -> Mesh1D:
+def build_mesh(problem: HelmholtzProblem, elems_per_subinterval: int) -> Mesh1D:
     """Uniform subdivision of every coefficient subinterval."""
-    return Mesh1D(problem.partition, elems_per_subinterval, workspace)
+    return Mesh1D(problem.partition, elems_per_subinterval)
 
 
 @dataclass
@@ -383,8 +391,9 @@ def _element_data(problem: HelmholtzProblem, mesh: Mesh1D, lo: int = 0,
         aseg, cseg = problem.a.segments[j], problem.c.segments[j]
         own = mesh.elements_of(j)
         start, stop = max(own.start, lo), min(own.stop, hi)
-        x = mesh.nodes[start:stop + 1]
-        xl, xr = x[:-1], x[1:]
+        if not isinstance(aseg, Constant) or not isinstance(cseg, Constant):
+            x = mesh.node_run(start, stop + 1)
+            xl, xr = x[:-1], x[1:]
         x0, x1 = part[j], part[j + 1]
 
         if isinstance(aseg, Constant):
@@ -459,7 +468,7 @@ def assemble(problem: HelmholtzProblem, mesh: Mesh1D,
     offdiag = _empty(workspace, n - 1, float)
     for lo, k in _leaf_runs(n - 1):
         hi = lo + k
-        x = mesh.nodes[lo:hi + 1]
+        x = mesh.node_run(lo, hi + 1)
         h = x[1:] - x[:-1]
         left, right, off = diag_re[lo:hi], diag_re[lo + 1:hi + 1], offdiag[lo:hi]
         for sl, a_mean, p00, p01, p11 in _element_data(problem, mesh, lo, hi):
@@ -566,12 +575,11 @@ def _slope2(ul: np.ndarray, ur: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def derivative_norm(values: np.ndarray, mesh: Mesh1D) -> float:
     """||u_h'|| of nodal values, with the bits of `norms(...)[0]`."""
-    nodes = mesh.nodes
 
     def leaf_sum(lo, k):
         hi = lo + k
-        return np.sum(_slope2(values[lo:hi], values[lo + 1:hi + 1],
-                              nodes[lo + 1:hi + 1] - nodes[lo:hi]))
+        x = mesh.node_run(lo, hi + 1)
+        return np.sum(_slope2(values[lo:hi], values[lo + 1:hi + 1], x[1:] - x[:-1]))
 
     return float(np.sqrt(float(_pairwise_tree(leaf_sum, 0, mesh.n_nodes - 1))))
 
@@ -589,11 +597,11 @@ def norms(solution: FemSolution, problem: HelmholtzProblem, mesh: Mesh1D):
     over the whole mesh and no temporary is mesh-sized.
     """
     u = solution.values
-    nodes = mesh.nodes
 
     def leaf_sums(lo, k):
         hi = lo + k
-        h = nodes[lo + 1:hi + 1] - nodes[lo:hi]
+        x = mesh.node_run(lo, hi + 1)
+        h = x[1:] - x[:-1]
         ul, ur = u[lo:hi], u[lo + 1:hi + 1]
         slope2 = _slope2(ul, ur, h)
         u2 = np.abs(u[lo:hi + 1]) ** 2  # once per node of the run

@@ -123,6 +123,18 @@ class TestMesh:
             with pytest.raises(ValueError, match="strictly increasing"):
                 hl.Mesh1D(part, n)
 
+    @settings(max_examples=200, deadline=None)
+    @given(part=_partitions(), n=st.integers(1, 300), data=st.data())
+    def test_node_runs_are_slices_of_the_nodes(self, part, n, data):
+        # any run, across breakpoints, up to the last node, or empty
+        expected = _mesh_nodes_reference(part, n)
+        if not np.all(expected[1:] > expected[:-1]):
+            return
+        mesh = hl.Mesh1D(part, n)
+        lo = data.draw(st.integers(0, mesh.n_nodes))
+        hi = data.draw(st.integers(lo, mesh.n_nodes))
+        assert mesh.node_run(lo, hi).tobytes() == expected[lo:hi].tobytes()
+
     @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
     @pytest.mark.parametrize("r", [0.4, 0.5, 0.6])
     def test_table1_levels_bit_identical_to_linspace_pieces(self, m, r):
@@ -971,8 +983,8 @@ class TestBoundedMemory:
     2^14 elements their traced peaks stay below a quarter of one mesh-sized
     float64 array, beyond the solution that `solve` returns, and the
     quasi-optimality probe's error sums below a quarter of one mesh-sized
-    complex array.  The mesh allocates its nodes and one subinterval's
-    indices, and `norm1` two float64 arrays of one leaf run."""
+    complex array.  The mesh keeps no nodes and checks them one subinterval
+    at a time, and `norm1` allocates two float64 arrays of one leaf run."""
 
     @pytest.fixture(scope="class")
     def level(self):
@@ -1012,6 +1024,20 @@ class TestBoundedMemory:
                                          mesh, u_h)
         assert all(map(np.isfinite, errors))
         assert peak < mesh.n_nodes * 16 / 4, peak
+
+    def test_mesh_keeps_no_nodes(self):
+        # a mesh computes its nodes run by run: building it checks them one
+        # subinterval at a time, and it keeps none of them
+        prob = hl.family(hl.UnstableFamilySpec(12, 0.6))
+        tracemalloc.start()
+        try:
+            mesh = hl.build_mesh(prob, 51200)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_nodes == 1_280_001
+        assert peak <= 3 * 8 * 51201 + 4096, peak
+        assert kept <= 4096, kept
 
     def test_finest_mesh_peak(self):
         prob = hl.family(hl.UnstableFamilySpec(12, 0.6))
@@ -1114,9 +1140,7 @@ class TestWorkspace:
         column = Future()
         column.set_result(system.solve_vector(unit))
         workspace, helper = (_dirty_workspace(200 * mesh.n_nodes) for _ in range(2))
-        lent_mesh = hl.build_mesh(prob, per, workspace)
-        assert np.array_equal(lent_mesh.nodes, mesh.nodes)
-        lent = hl.assemble(prob, lent_mesh, workspace)
+        lent = hl.assemble(prob, mesh, workspace)
         for name in ("diag", "offdiag", "rhs"):
             assert np.array_equal(getattr(lent, name), getattr(system, name)), name
         for got, want in zip(lent.factorize(workspace), system.factorize()):
@@ -1129,8 +1153,7 @@ class TestWorkspace:
             assert hl.condition_estimate(lent, last, workspace=helper) == \
                 hl.condition_estimate(system, last)
         workspace.rewind()
-        lent_mesh = hl.build_mesh(prob, per, workspace)
-        values = hl.solve_in_place(hl.assemble(prob, lent_mesh, workspace), workspace)
+        values = hl.solve_in_place(hl.assemble(prob, mesh, workspace), workspace)
         assert np.array_equal(values, solution.values)
 
 
