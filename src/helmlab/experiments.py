@@ -28,6 +28,7 @@ import json
 import math
 import os
 import threading
+from contextlib import contextmanager
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,10 +204,6 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     unstarted = list(range(levels - 1))  # coarse levels, the largest last
     queued = threading.Event()  # set just before the estimate is queued
     last = None
-    try:
-        mine, helpers = _WORKSPACES.pop()  # atomic: one ladder per pair
-    except IndexError:
-        mine, helpers = fem.Workspace(), fem.Workspace()
 
     def run_unstarted(workspace, keep=(), until=lambda: False) -> None:
         """Run the coarse levels nobody has started, largest first, until
@@ -235,46 +232,59 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
         helpers.rewind()
         return fem.condition_estimate(*args, workspace=helpers)
 
-    try:
-        # leaving the block joins the helper thread
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            coarse = pool.submit(dropping, run_unstarted, helpers, (), queued.is_set)
-            try:
-                mine.rewind()
-                mesh = fem.build_mesh(problem, base * 2**(levels - 1))
-                system = fem.assemble(problem, mesh, workspace=mine)
-                factors = system.factorize(workspace=mine)
-                # a right-hand side of exactly e_n has the solution A^-1 e_n
-                unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
-                last = Future() if unit else None
-                queued.set()
-                # the worker drops a job's arguments once it has run
-                estimated = pool.submit(dropping, estimate, system, last)
-                rest = pool.submit(dropping, run_unstarted, helpers)
-                solution = fem.solve(system, None if last is None else last.set_result,
-                                     workspace=mine)
-                system.rhs = None  # the estimate needs the matrix and its LU only
-                du, wu, _energy = fem.norms(solution, problem, mesh)
-                du_levels[-1] = float(du)
-                res = solution.residual
-                # what the estimate may still read
-                keep = (system.diag, system.offdiag, *factors, solution.values)
-                # resolved: the estimate holds the finest system and its column
-                del mesh, system, factors, solution
-                last = None
-                run_unstarted(mine, keep)
-                coarse.result()
-                cond = estimated.result()
-                rest.result()
-            except BaseException:
-                unstarted.clear()
-                if last is not None:
-                    last.cancel()  # before the join: a waiting estimate raises
-                pool.shutdown(wait=False, cancel_futures=True)  # a queued one never runs
-                raise
-    finally:
-        _WORKSPACES.append((mine, helpers))
+    # leaving the block joins the helper thread, then puts the pair back
+    with _workspace_pair() as (mine, helpers), \
+            ThreadPoolExecutor(max_workers=1) as pool:
+        coarse = pool.submit(dropping, run_unstarted, helpers, (), queued.is_set)
+        try:
+            mine.rewind()
+            mesh = fem.build_mesh(problem, base * 2**(levels - 1))
+            system = fem.assemble(problem, mesh, workspace=mine)
+            factors = system.factorize(workspace=mine)
+            # a right-hand side of exactly e_n has the solution A^-1 e_n
+            unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
+            last = Future() if unit else None
+            queued.set()
+            # the worker drops a job's arguments once it has run
+            estimated = pool.submit(dropping, estimate, system, last)
+            rest = pool.submit(dropping, run_unstarted, helpers)
+            solution = fem.solve(system, None if last is None else last.set_result,
+                                 workspace=mine)
+            system.rhs = None  # the estimate needs the matrix and its LU only
+            du, wu, _energy = fem.norms(solution, problem, mesh)
+            du_levels[-1] = float(du)
+            res = solution.residual
+            # what the estimate may still read
+            keep = (system.diag, system.offdiag, *factors, solution.values)
+            # resolved: the estimate holds the finest system and its column
+            del mesh, system, factors, solution
+            last = None
+            run_unstarted(mine, keep)
+            coarse.result()
+            cond = estimated.result()
+            rest.result()
+        except BaseException:
+            unstarted.clear()
+            if last is not None:
+                last.cancel()  # before the join: a waiting estimate raises
+            pool.shutdown(wait=False, cancel_futures=True)  # a queued one never runs
+            raise
     return {"du": du_levels, "wu": float(wu), "res": res, "cond": cond}
+
+
+@contextmanager
+def _workspace_pair():
+    """A pair of workspaces from `_WORKSPACES` (or a new one), put back on
+    leaving the block; popped and appended whole, so no two ladders share
+    a pair."""
+    try:
+        pair = _WORKSPACES.pop()
+    except IndexError:
+        pair = (fem.Workspace(), fem.Workspace())
+    try:
+        yield pair
+    finally:
+        _WORKSPACES.append(pair)
 
 
 def _coarse_du(problem: HelmholtzProblem, base: int, level: int,
