@@ -242,6 +242,11 @@ class Mesh1D:
     def nodes(self) -> np.ndarray:
         return self.node_run(0, self.n_nodes)
 
+    @functools.cached_property
+    def _index(self) -> np.ndarray:
+        """i = 0 .. n - 1 as floats: one subinterval's node indices."""
+        return np.arange(self.per_segment, dtype=float)
+
     def node_run(self, lo: int, hi: int) -> np.ndarray:
         """Nodes lo .. hi - 1 in a new array, with the bits of `nodes[lo:hi]`."""
         part, n = self.partition, self.per_segment
@@ -251,7 +256,7 @@ class Mesh1D:
             piece = run[start - lo:stop - lo]
             # linspace's arithmetic; where its step underflows to 0 (a
             # subnormal gap), its nodes collide too
-            np.multiply(np.arange(start - j * n, stop - j * n, dtype=float),
+            np.multiply(self._index[start - j * n:stop - j * n],
                         (part[j + 1] - part[j]) / n, out=piece)
             piece += part[j]
         if hi == self.n_nodes > lo:
