@@ -621,6 +621,7 @@ def _solved_level(problem: HelmholtzProblem, amps: oracle.WaveAmplitudes,
     mesh = fem.build_mesh(problem, n_elements)
     if not np.array_equal(mesh.partition, amps.partition):
         raise ValueError("the mesh and the reference solution have different partitions")
+    mesh.nodes  # computed here, so that both threads take views of them
     return mesh, fem.solve_in_place(fem.assemble(problem, mesh))
 
 

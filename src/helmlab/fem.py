@@ -218,7 +218,8 @@ class Mesh1D:
     then the last breakpoint, so every breakpoint is a node and subinterval
     j owns elements j*n .. (j+1)*n - 1.  The nodes are computed, not
     stored: `node_run(lo, hi)` gives nodes lo .. hi - 1, and `nodes` all of
-    them, computed on first use.  Gaps too small for n elements give
+    them, computed on first use; the mesh keeps only the float indices
+    0 .. n - 1 of one subinterval.  Gaps too small for n elements give
     colliding nodes and are rejected."""
 
     partition: np.ndarray
@@ -248,7 +249,10 @@ class Mesh1D:
         return np.arange(self.per_segment, dtype=float)
 
     def node_run(self, lo: int, hi: int) -> np.ndarray:
-        """Nodes lo .. hi - 1 in a new array, with the bits of `nodes[lo:hi]`."""
+        """Nodes lo .. hi - 1, with the bits of `nodes[lo:hi]`: a view of
+        `nodes` once they are computed, else a new array."""
+        if "nodes" in self.__dict__:
+            return self.nodes[lo:hi]
         part, n = self.partition, self.per_segment
         run = np.empty(hi - lo)
         for j in range(lo // n, min(-(-hi // n), len(part) - 1)):
