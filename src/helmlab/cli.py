@@ -196,7 +196,7 @@ def _cmd_table1(args) -> int:
     r_list = _parse_list(args.r, float)
     rows = experiments.table1(r_list, **_table_args(args))
     rates = experiments.growth_rates(rows)
-    grad = ["grad"] + [("" if rates[r] is None else f"{rates[r]:.2f}") + ","
+    grad = ["grad"] + [("" if rates.get(r) is None else f"{rates[r]:.2f}") + ","
                        for r in r_list]
     header = ["m"] + [f"{name} (r={r:g})" for r in r_list
                       for name in ("||u'||", "kappa")]

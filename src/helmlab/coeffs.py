@@ -281,7 +281,7 @@ class PiecewiseCoefficient:
         """The coefficient reflected about x = 0 (for symmetry checks)."""
         bp = -self.breakpoints[::-1].copy()
         segs = []
-        for j, seg in enumerate(reversed(self.segments)):
+        for seg in reversed(self.segments):
             if isinstance(seg, Constant):
                 segs.append(seg)
             elif isinstance(seg, Linear):

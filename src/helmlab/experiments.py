@@ -172,11 +172,12 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     2. the finest level's condition estimate;
     3. the coarse levels that nobody has started.
 
-    Once its finest level is done, the calling thread runs the coarse
-    levels that nobody has started, then waits for the three jobs.  When
-    the finest right-hand side is exactly e_n, its solution is A^-1 e_n,
-    so the estimate solves only A^-1 e_1 and takes A^-1 e_n through a
-    Future, resolved as soon as LAPACK returns it, before the residual.
+    Once its finest level is done, the calling thread waits for the
+    estimate, then runs the coarse levels that nobody has started, then
+    waits for the other two jobs.  When the finest right-hand side is
+    exactly e_n, its solution is A^-1 e_n, so the estimate solves only
+    A^-1 e_1 and takes A^-1 e_n through a Future, resolved as soon as
+    LAPACK returns it, before the residual.
     If any step fails, no level that has not started runs, on either
     thread, and the error surfaces: the unstarted levels are cleared, an
     estimate after a failed first job returns at once, and a failure on
@@ -187,34 +188,35 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     `fem.Workspace`s with fixed roles, one per thread, taken from
     `_WORKSPACES` and put back once the helper is joined, also after a
     failure (a mesh stores no nodes, so the arrays are the solver's).
-    Each level and the estimate lend their arrays from the first byte of
-    their thread's workspace, in the order the `fem` calls ask for them.
-    The calling thread's holds the finest level as [rhs | diag |
-    off-diagonal | dl d du du2 ipiv | solution]; its later coarse levels
-    take only the bytes below the finest diagonal, those of the right-hand
-    side, which is dead once `solve` is done, while the estimate still
-    reads the bands, the factors and the solution.  The helper's holds one
-    coarse level at a time, [rhs | diag | dl du], the first complex band
-    copy written over the float off-diagonal, and then the estimate's
-    block of two complex columns.  A workspace grows to the largest layout
-    asked of it, so a process keeps about as much memory as its largest
-    ladder uses, and every later ladder up to that size maps no fresh page.
+    Each workspace lends one layout at a time: each level and the estimate
+    take their arrays from the first byte of their thread's workspace, in
+    the order the `fem` calls ask for them.  The calling thread's holds
+    the finest level as [rhs | diag | off-diagonal | dl d du du2 ipiv |
+    solution], which the estimate reads (the bands, the factors and the
+    solution); so its coarse levels start only once the estimate has
+    returned, on bytes the finest layout has already touched.  The
+    helper's holds one coarse level at a time, [rhs | diag | dl du], the
+    first complex band copy written over the float off-diagonal, and then
+    the estimate's block of two complex columns.  A workspace grows to the
+    largest layout asked of it, so a process keeps about as much memory as
+    its largest ladder uses, and every later ladder up to that size maps
+    no fresh page.
     """
     du_levels = [None] * levels
     unstarted = list(range(levels - 1))  # coarse levels, the largest last
     queued = threading.Event()  # set just before the estimate is queued
     last = None
 
-    def run_unstarted(workspace, keep=(), until=lambda: False) -> None:
+    def run_unstarted(workspace, until=lambda: False) -> None:
         """Run the coarse levels nobody has started, largest first, until
-        none is left or `until()` holds, each in `workspace` below the
-        arrays to `keep`."""
+        none is left or `until()` holds, each from the first byte of
+        `workspace`."""
         while not until():
             try:
                 level = unstarted.pop()  # atomic, so each level runs once
             except IndexError:  # none left
                 return
-            workspace.rewind(keep)
+            workspace.rewind()
             du_levels[level] = _coarse_du(problem, base, level, workspace)
 
     def dropping(job, *args):
@@ -235,12 +237,12 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     # leaving the block joins the helper thread, then puts the pair back
     with _workspace_pair() as (mine, helpers), \
             ThreadPoolExecutor(max_workers=1) as pool:
-        coarse = pool.submit(dropping, run_unstarted, helpers, (), queued.is_set)
+        coarse = pool.submit(dropping, run_unstarted, helpers, queued.is_set)
         try:
             mine.rewind()
             mesh = fem.build_mesh(problem, base * 2**(levels - 1))
             system = fem.assemble(problem, mesh, workspace=mine)
-            factors = system.factorize(workspace=mine)
+            system.factorize(workspace=mine)
             # a right-hand side of exactly e_n has the solution A^-1 e_n
             unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
             last = Future() if unit else None
@@ -250,18 +252,13 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
             rest = pool.submit(dropping, run_unstarted, helpers)
             solution = fem.solve(system, None if last is None else last.set_result,
                                  workspace=mine)
-            system.rhs = None  # the estimate needs the matrix and its LU only
             du, wu, _energy = fem.norms(solution, problem, mesh)
             du_levels[-1] = float(du)
             res = solution.residual
-            # what the estimate may still read
-            keep = (system.diag, system.offdiag, *factors, solution.values)
-            # resolved: the estimate holds the finest system and its column
-            del mesh, system, factors, solution
-            last = None
-            run_unstarted(mine, keep)
-            coarse.result()
+            # after the estimate nothing reads the finest arrays in `mine`
             cond = estimated.result()
+            run_unstarted(mine)
+            coarse.result()
             rest.result()
         except BaseException:
             unstarted.clear()

@@ -24,16 +24,23 @@ solve on the factors gives, or a one-column solve when the caller hands in
 the last column (the solution for a right-hand side that is exactly e_n).
 The solver calls of a refinement ladder (`assemble`, `factorize`, `solve`,
 `solve_in_place`, `condition_estimate`) take an optional `Workspace`: one
-byte buffer that lends them their mesh-sized arrays, level after level, so
-a ladder run again maps no fresh page.  Each ladder thread has its own
-(`experiments._run_ladder` gives the layouts): the calling thread's holds
-the finest level's right-hand side, bands, factors and solution, and its
-later coarse levels reuse only the bytes of the finest right-hand side;
-the helper thread's holds one coarse level at a time, then the condition
-estimate's column block.  The pool of workspaces keeps its memory for the
-life of the process, as much as the largest ladder run needs.  Without a
-workspace every array is fresh; only the ladder passes one, since a lent
-`solution.values` is overwritten by the next level.
+byte buffer that lends them their mesh-sized arrays, one layout at a time
+from its first byte, level after level, so a ladder run again maps no
+fresh page.  Each ladder thread has its own (`experiments._run_ladder`
+gives the layouts): the calling thread's holds the finest level's
+right-hand side, bands, factors and solution, and its coarse levels start
+only once the condition estimate, which reads them, has returned; the
+helper thread's holds one coarse level at a time, then the estimate's
+column block.  The pool of workspaces keeps its memory for the life of the
+process, as much as the largest ladder run needs.  Without a workspace
+every array is fresh; only the ladder passes one, since a lent
+`solution.values` is overwritten by the next level.  The leaf-run
+temporaries (0.5-1 MiB an array at `_SUM_LEAF` = 2^16) come from the heap
+without page faults only because glibc's dynamic mmap threshold has been
+raised, and it is raised when a mapped chunk below 32 MiB is freed: the
+workspaces do that as a side effect of freeing their smaller buffers while
+they grow.  Buffers mapped outside malloc raise nothing: an in-process
+table1 pass then took about 237,000 minor faults (2-core Xeon).
 A system that needs no factors, no residual and no norm but ||u_h'||
 (`derivative_norm`) is solved by one in-place `zgtsv` pass
 (`solve_in_place`), with the bits of the factorized solve; this module
@@ -119,7 +126,8 @@ def _block(b, n: int):
 
 class Workspace:
     """One byte buffer that lends its bytes out as arrays, in the order they
-    are asked for, from the first byte after each `rewind`.
+    are asked for, from the first byte after each `rewind`: one layout at a
+    time.
 
     Each function of this module that takes a `workspace` gets its
     mesh-sized arrays through `_empty`: the next bytes of the buffer (every
@@ -142,30 +150,20 @@ class Workspace:
 
     def __init__(self):
         self._buffer = np.empty(0, dtype=np.uint8)
-        self._cursor = self._limit = 0
-        self._grows = True
+        self._cursor = 0
 
-    def rewind(self, keep=()) -> None:
-        """Lend from the first byte again.  With arrays to `keep`, lend only
-        the bytes below the lowest of them that lies in the buffer (all of
-        it if none does), and give a fresh array, not a larger buffer, to an
-        array that does not fit."""
-        base, size = self._buffer.ctypes.data, len(self._buffer)
-        starts = (a.ctypes.data - base for a in keep)
-        self._limit = min((s for s in starts if 0 <= s < size), default=size)
-        self._cursor, self._grows = 0, not keep
+    def rewind(self) -> None:
+        """Lend from the first byte again."""
+        self._cursor = 0
 
-    def _take(self, nbytes: int) -> Optional[np.ndarray]:
-        """The next `nbytes` bytes, or None where they do not fit below a
-        kept array."""
+    def _take(self, nbytes: int) -> np.ndarray:
+        """The next `nbytes` bytes."""
         start = -(-self._cursor // self._ALIGN) * self._ALIGN
         self._cursor = start + nbytes
-        if self._cursor > self._limit:
-            if not self._grows:
-                return None
+        if self._cursor > len(self._buffer):
             self._buffer = None  # freed first if no array of it is alive
-            self._limit = 1 << (self._cursor - 1).bit_length()
-            self._buffer = np.empty(self._limit, dtype=np.uint8)
+            self._buffer = np.empty(1 << (self._cursor - 1).bit_length(),
+                                    dtype=np.uint8)
         return self._buffer[start:self._cursor]
 
     def _release(self, array: np.ndarray) -> None:
@@ -178,12 +176,11 @@ class Workspace:
 def _empty(workspace: Optional[Workspace], shape, dtype, zero: bool = False,
            order: str = "C") -> np.ndarray:
     """An array of `shape` and `dtype` (zeroed if `zero`): the next bytes of
-    `workspace`, or a fresh array without one or where it has no room."""
+    `workspace`, or a fresh array without one."""
     dtype = np.dtype(dtype)
-    lent = None if workspace is None else workspace._take(
-        int(np.prod(shape)) * dtype.itemsize)
-    if lent is None:
+    if workspace is None:
         return (np.zeros if zero else np.empty)(shape, dtype, order=order)
+    lent = workspace._take(int(np.prod(shape)) * dtype.itemsize)
     array = lent.view(dtype).reshape(shape, order=order)
     if zero:
         array.fill(0)

@@ -9,7 +9,7 @@ conclusions require certified values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ class FemTheoryInputs:
     c_trace: float = 1.0
 
     def __post_init__(self):
+        # NaN fails every comparison below, so it is rejected first
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("theory inputs must be finite")
         if not (0.0 < self.omega0 <= self.omega):
             raise ValueError("need 0 < omega0 <= omega")
         if not (0.0 < self.a_min <= self.a_max):
@@ -39,8 +42,10 @@ class FemTheoryInputs:
             raise ValueError("need 0 < c_min <= c_max")
         if self.h <= 0.0:
             raise ValueError("mesh size must be positive")
-        if min(self.kappa_a, self.kappa_c) < 0.0 or self.c_stab < 0.0:
-            raise ValueError("kappa and c_stab must be nonnegative")
+        if min(self.kappa_a, self.kappa_c, self.c_stab, self.c_reg, self.c_int,
+               self.c_trace) < 0.0:
+            raise ValueError("kappa, c_stab, c_reg, c_int and c_trace must be "
+                             "nonnegative")
 
     @property
     def beta_max(self) -> float:

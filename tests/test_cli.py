@@ -262,6 +262,14 @@ class TestDispatch:
         assert "C_ac = 4" in out
         assert "sigma_star_bound = 0.0808" in out
 
+    @pytest.mark.parametrize("option, value", [("--h", "nan"), ("--c-reg", "nan"),
+                                               ("--c-reg", "-1")])
+    def test_bounds_rejects_invalid_input(self, capsys, option, value):
+        assert parse_and_dispatch(["bounds", option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 SMALL_TABLE2 = ["table2", "--m", "2,4", "--base", "50", "--levels", "3"]
 SMALL_TABLE3 = ["table3", "--m", "6,14", "--eps", "0,1e-3", "--base", "50",
@@ -451,6 +459,19 @@ class TestTables:
         # one record per ladder
         assert [p.name for p in cache.iterdir()] == \
             [f"{hl.UnstableFamilySpec(2, 0.4).cache_key()}_base25_levels2_v3.json"]
+
+    @pytest.mark.parametrize("command, lines", [
+        ("table1", ["m,||u'|| (r=0.4),kappa (r=0.4),||u'|| (r=0.5),kappa (r=0.5),"
+                    "||u'|| (r=0.6),kappa (r=0.6)", "grad,,,,,,"]),
+        ("table2", ["m,||u'|| (g1=1 g2=1),||u'|| (g1=2 g2=0.5)"]),
+        ("table3", ["m\\eps,0,1e-09,1e-08,1e-07,1e-06,1e-05,0.0001,0.001"]),
+        ("bounds-compare", ["m,ln_norm_du,bound_closed_form,bound_variation,"
+                            "bound_exact_q,satisfied"])])
+    def test_empty_m_prints_the_header(self, capsys, command, lines):
+        assert parse_and_dispatch([command, "--m="]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        assert captured.err == ""
 
     def test_bounds_compare_csv(self, tmp_path):
         out = tmp_path / "b.csv"

@@ -276,7 +276,9 @@ class TestRefinementProtocol:
 
         def recording_estimate(system, last=None, workspace=None):
             record("estimate", system.dimension)
-            return estimate(system, last, workspace)
+            kappa = estimate(system, last, workspace)
+            record("estimated", system.dimension)
+            return kappa
 
         monkeypatch.setattr(fem.BandedComplexSystem, "factorize",
                             recording_factorize)
@@ -313,6 +315,11 @@ class TestRefinementProtocol:
                 for event in (("assemble", size), ("solve_in_place", size))]
         assert sorted(size for event, size, _ in events if event == "assemble") \
             == dims
+        # the estimate reads the finest arrays in the calling thread's
+        # workspace, so that thread's coarse levels start once it returns
+        estimated = events.index(("estimated", dims[-1], helper))
+        assert all(at > estimated for at, (event, size, thread) in enumerate(events)
+                   if thread is caller and event == "assemble" and size != dims[-1])
         # the helper runs the estimate, first or right after the level it was
         # in when the finest factors came; the estimate solves e_1 alone when
         # the finest right-hand side is e_n (g = (0, 1)), else two columns

@@ -1095,24 +1095,6 @@ class TestWorkspace:
         assert fem._empty(workspace, (1000, 2), complex).ctypes.data == block.ctypes.data
         assert workspace._buffer is buffer
 
-    def test_kept_arrays_are_never_lent(self):
-        workspace = _dirty_workspace(4096)
-        workspace.rewind()
-        dead = fem._empty(workspace, 100, float)
-        live = fem._empty(workspace, 100, complex)
-        live[:] = np.arange(100)
-        buffer = workspace._buffer
-        workspace.rewind(keep=(live,))
-        below = fem._empty(workspace, 100, float)
-        assert below.ctypes.data == dead.ctypes.data
-        # no room below `live`: a fresh array, and the buffer stays
-        fresh = fem._empty(workspace, 100, complex)
-        assert not np.shares_memory(fresh, buffer) and workspace._buffer is buffer
-        assert np.array_equal(live, np.arange(100))
-        # an array outside the buffer keeps nothing of it
-        workspace.rewind(keep=(fresh,))
-        assert fem._empty(workspace, 4096, np.uint8).ctypes.data == buffer.ctypes.data
-
     def test_release_lends_only_the_last_array_again(self):
         workspace = _dirty_workspace(4096)
         first, last = (fem._empty(workspace, 10, float) for _ in range(2))

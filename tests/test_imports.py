@@ -37,6 +37,58 @@ def test_no_unused_module_imports(path):
     assert unused_module_imports(path.read_text()) == []
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def unused_locals(source: str) -> list:
+    """Names a function assigns and never reads, in its own body or in a
+    function nested in it.  Names starting with `_` are exempt, and so are
+    the names a function declares global or nonlocal; parameters are not
+    checked."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(func)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assigned, declared, stack = {}, set(), list(func.body)
+        while stack:  # the function's own scope: no nested definition
+            node = stack.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assigned[node.id] = min(node.lineno,
+                                        assigned.get(node.id, node.lineno))
+            if not isinstance(node, SCOPES):
+                stack.extend(ast.iter_child_nodes(node))
+        found += [(line, f"line {line}: {func.name}.{name}")
+                  for name, line in assigned.items()
+                  if name not in read | declared and not name.startswith("_")]
+    return [where for _, where in sorted(found)]
+
+
+def test_scanner_flags_an_unused_local():
+    source = ("total = 0\n"
+              "def f(items, unused_parameter):\n"
+              "    dead = 1\n"
+              "    _exempt = 2\n"
+              "    for j, item in enumerate(items):\n"
+              "        print(item)\n"
+              "    seen = []\n"
+              "    def g():\n"
+              "        global total\n"
+              "        total = len(seen)\n"
+              "        inner = 3\n"
+              "    return g\n")
+    assert unused_locals(source) == ["line 3: f.dead", "line 5: f.j",
+                                     "line 11: g.inner"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
+
+
 def nested_relative_imports(source: str) -> list:
     """Relative imports anywhere but at module level."""
     tree = ast.parse(source)

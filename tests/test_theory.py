@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -92,4 +94,11 @@ class TestResolution:
             unit_inputs(h=0.0)
         with pytest.raises(ValueError):
             unit_inputs(c_min=2.0)  # c_min > c_max
+        for field in dataclasses.fields(hl.FemTheoryInputs):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError):
+                    unit_inputs(**{field.name: bad})
+        for name in ("c_stab", "kappa_a", "kappa_c", "c_reg", "c_int", "c_trace"):
+            with pytest.raises(ValueError):
+                unit_inputs(**{name: -1.0})
 
