@@ -172,6 +172,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _table_args(args):
+    if args.jobs < 1:
+        raise UsageError("argument --jobs: must be at least 1")
     return dict(m_list=_parse_list(args.m, int), base=args.base,
                 levels=args.levels, jobs=args.jobs, cache_dir=args.cache)
 
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="0,1e-9,1e-8,1e-7,1e-6,1e-5,1e-4,1e-3")
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--attempt-blank", action="store_true",
-                   help="run the FEM ladder even on m>=14, eps<=1e-7 cells")
+                   help="run the FEM ladder even on m>=14, |eps|<=1e-7 cells")
     p.add_argument("--beyond-paper", action="store_true",
                    help="fill skipped cells from the analytic reference "
                         "(extended precision); marked with '!'")

@@ -10,8 +10,10 @@ breakpoint collapses the growth.
 
 Protocols: refine-to-convergence ladders (uniform per-subinterval meshes,
 doubling counts, convergence when the last three levels agree in the leading
-significant figures; two threads share each ladder, as `_run_ladder` sets
-out; an optional cache keeps one record per ladder),
+significant figures; each ladder runs in two fixed lanes, the finest level
+on the calling thread and the coarse levels and then the estimate on a
+helper, as `_run_ladder` sets out; an optional cache keeps one record per
+ladder),
 table grids over (m, r, data, perturbation), least-squares growth-rate fits,
 comparison against the theoretical bound, and an empirical quasi-optimality
 probe against the analytic reference (each level solved once in place; two
@@ -132,8 +134,10 @@ def refine_to_convergence(problem: HelmholtzProblem, base: int = 800,
                           cache_key: Optional[str] = None) -> RefinementRun:
     """Run the refinement ladder base * 2^i, i = 0 .. levels-1.
 
-    Two threads share the levels (`_run_ladder`); every level still runs
-    the same functions on the same inputs, so the run is the one a serial
+    Two threads run the ladder in fixed lanes (`_run_ladder`): the
+    calling thread the finest level, a helper the coarse levels and then
+    the finest level's condition estimate.  Every level still runs the
+    same functions on the same inputs, so the run is the one a serial
     ladder gives.
 
     With a cache directory and key, the ladder is one record keyed by
@@ -159,30 +163,22 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     """The ladder's cache record: ||u_h'|| per level, and the finest level's
     weighted norm, residual and condition estimate.
 
-    Two threads share the work.  The calling thread builds, assembles,
-    factorizes, solves and norms the finest level; its factors live on for
-    the estimate.  A coarse level 0 .. L-2 keeps its ||u_h'|| alone, from
-    one in-place solve (`_coarse_du`), and runs on whichever thread takes
-    it from `unstarted`, largest first, by one `list.pop()`.  The helper
-    thread is the one worker of a thread pool, whose queue runs three jobs
-    in order:
-
-    1. from the start, coarse levels, until the estimate is queued, which
-       is as soon as the finest factors exist;
-    2. the finest level's condition estimate;
-    3. the coarse levels that nobody has started.
-
-    Once its finest level is done, the calling thread waits for the
-    estimate, then runs the coarse levels that nobody has started, then
-    waits for the other two jobs.  When the finest right-hand side is
-    exactly e_n, its solution is A^-1 e_n, so the estimate solves only
-    A^-1 e_1 and takes A^-1 e_n through a Future, resolved as soon as
-    LAPACK returns it, before the residual.
-    If any step fails, no level that has not started runs, on either
-    thread, and the error surfaces: the unstarted levels are cleared, an
-    estimate after a failed first job returns at once, and a failure on
-    the calling thread cancels the column's Future (a waiting estimate
-    raises) before the pool is joined, and an estimate still queued.
+    Two threads share the work, each in one fixed lane.  The calling
+    thread builds, assembles, factorizes, solves and norms the finest
+    level; its factors live on for the estimate.  The helper thread, the
+    one worker of a thread pool, runs one job: the coarse levels L-2 down
+    to 0, largest first, each keeping its ||u_h'|| alone from one in-place
+    solve (`_coarse_du`), and then the finest level's condition estimate,
+    on the system and factors that the calling thread hands over through
+    the Future `finest` as soon as they exist.  When the finest right-hand
+    side is exactly e_n, its solution is A^-1 e_n, so the estimate solves
+    only A^-1 e_1 and takes A^-1 e_n through a second Future, resolved as
+    soon as LAPACK returns it, before the residual.
+    If any step fails, no level that has not started runs, and the error
+    surfaces: a failure on the calling thread sets `stop`, which the
+    helper reads before each coarse level, and cancels both Futures (a
+    helper waiting on either raises) before the pool is joined; a failure
+    on the helper surfaces from its job's result.
 
     Every mesh-sized array of the ladder comes from a pair of
     `fem.Workspace`s with fixed roles, one per thread, taken from
@@ -191,53 +187,34 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
     Each workspace lends one layout at a time: each level and the estimate
     take their arrays from the first byte of their thread's workspace, in
     the order the `fem` calls ask for them.  The calling thread's holds
-    the finest level as [rhs | diag | off-diagonal | dl d du du2 ipiv |
-    solution], which the estimate reads (the bands, the factors and the
-    solution); so its coarse levels start only once the estimate has
-    returned, on bytes the finest layout has already touched.  The
-    helper's holds one coarse level at a time, [rhs | diag | dl du], the
-    first complex band copy written over the float off-diagonal, and then
-    the estimate's block of two complex columns.  A workspace grows to the
-    largest layout asked of it, so a process keeps about as much memory as
-    its largest ladder uses, and every later ladder up to that size maps
-    no fresh page.
+    only the finest level, as [rhs | diag | off-diagonal | dl d du du2 ipiv
+    | solution], which the estimate reads (the bands, the factors and the
+    solution).  The helper's holds one coarse level at a time, [rhs | diag
+    | dl du], the first complex band copy written over the float
+    off-diagonal, and then the estimate's block of two complex columns.  A
+    workspace grows to the largest layout asked of it, so a process keeps
+    about as much memory as its largest ladder uses, and every later
+    ladder up to that size maps no fresh page.
     """
     du_levels = [None] * levels
-    unstarted = list(range(levels - 1))  # coarse levels, the largest last
-    queued = threading.Event()  # set just before the estimate is queued
+    stop = threading.Event()  # set when the calling thread fails
+    finest = Future()  # the finest system and its column's Future
     last = None
 
-    def run_unstarted(workspace, until=lambda: False) -> None:
-        """Run the coarse levels nobody has started, largest first, until
-        none is left or `until()` holds, each from the first byte of
-        `workspace`."""
-        while not until():
-            try:
-                level = unstarted.pop()  # atomic, so each level runs once
-            except IndexError:  # none left
-                return
-            workspace.rewind()
-            du_levels[level] = _coarse_du(problem, base, level, workspace)
-
-    def dropping(job, *args):
-        """job(*args) on the helper; if it fails, no unstarted level runs."""
-        try:
-            return job(*args)
-        except BaseException:
-            unstarted.clear()
-            raise
-
-    def estimate(*args) -> Optional[float]:
-        # the first job ran before this one on the one worker
-        if coarse.exception():
-            return None
+    def coarse_then_estimate() -> Optional[float]:
+        for level in reversed(range(levels - 1)):  # the largest first
+            if stop.is_set():
+                return None
+            helpers.rewind()
+            du_levels[level] = _coarse_du(problem, base, level, helpers)
+        system, last = finest.result()  # raises once cancelled
         helpers.rewind()
-        return fem.condition_estimate(*args, workspace=helpers)
+        return fem.condition_estimate(system, last, workspace=helpers)
 
     # leaving the block joins the helper thread, then puts the pair back
     with _workspace_pair() as (mine, helpers), \
             ThreadPoolExecutor(max_workers=1) as pool:
-        coarse = pool.submit(dropping, run_unstarted, helpers, queued.is_set)
+        helped = pool.submit(coarse_then_estimate)
         try:
             mine.rewind()
             mesh = fem.build_mesh(problem, base * 2**(levels - 1))
@@ -246,25 +223,18 @@ def _run_ladder(problem: HelmholtzProblem, base: int, levels: int) -> dict:
             # a right-hand side of exactly e_n has the solution A^-1 e_n
             unit = system.rhs[-1] == 1.0 and not np.any(system.rhs[:-1])
             last = Future() if unit else None
-            queued.set()
-            # the worker drops a job's arguments once it has run
-            estimated = pool.submit(dropping, estimate, system, last)
-            rest = pool.submit(dropping, run_unstarted, helpers)
+            finest.set_result((system, last))
             solution = fem.solve(system, None if last is None else last.set_result,
                                  workspace=mine)
             du, wu, _energy = fem.norms(solution, problem, mesh)
             du_levels[-1] = float(du)
             res = solution.residual
-            # after the estimate nothing reads the finest arrays in `mine`
-            cond = estimated.result()
-            run_unstarted(mine)
-            coarse.result()
-            rest.result()
+            cond = helped.result()
         except BaseException:
-            unstarted.clear()
+            stop.set()
+            finest.cancel()  # before the join: a helper waiting on it raises
             if last is not None:
-                last.cancel()  # before the join: a waiting estimate raises
-            pool.shutdown(wait=False, cancel_futures=True)  # a queued one never runs
+                last.cancel()  # so does a waiting estimate
             raise
     return {"du": du_levels, "wu": float(wu), "res": res, "cond": cond}
 
@@ -385,13 +355,13 @@ def table3(m_list: Sequence[int] = (6, 8, 10, 12, 14, 16, 18, 20),
            r: float = 0.5, skip_unattempted: bool = True, **kwargs) -> list:
     """Perturbation-sensitivity grid at r = 0.5 with data g = (0, 1).
 
-    Cells with m >= 14 and eps <= 1e-7 sit beyond double precision and are
+    Cells with m >= 14 and |eps| <= 1e-7 sit beyond double precision and are
     not attempted by default: their rows have run=None and carry in `value`
     the analytic ||u'|| with extended-precision refinement.  Pass
     skip_unattempted=False to run the ladder on them anyway.
     """
     specs = [UnstableFamilySpec(m, r, eps=eps) for m in m_list for eps in eps_list]
-    skipped = [skip_unattempted and s.m >= 14 and s.eps <= 1e-7 for s in specs]
+    skipped = [skip_unattempted and s.m >= 14 and abs(s.eps) <= 1e-7 for s in specs]
     done = iter(run_cells([s for s, skip in zip(specs, skipped) if not skip],
                           **kwargs))
 

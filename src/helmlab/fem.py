@@ -27,11 +27,10 @@ The solver calls of a refinement ladder (`assemble`, `factorize`, `solve`,
 byte buffer that lends them their mesh-sized arrays, one layout at a time
 from its first byte, level after level, so a ladder run again maps no
 fresh page.  Each ladder thread has its own (`experiments._run_ladder`
-gives the layouts): the calling thread's holds the finest level's
-right-hand side, bands, factors and solution, and its coarse levels start
-only once the condition estimate, which reads them, has returned; the
-helper thread's holds one coarse level at a time, then the estimate's
-column block.  The pool of workspaces keeps its memory for the life of the
+gives the layouts): the calling thread's holds only the finest level's
+right-hand side, bands, factors and solution, which the condition
+estimate reads; the helper thread's holds one coarse level at a time,
+then the estimate's column block.  The pool of workspaces keeps its memory for the life of the
 process, as much as the largest ladder run needs.  Without a workspace
 every array is fresh; only the ladder passes one, since a lent
 `solution.values` is overwritten by the next level.  The leaf-run
@@ -141,9 +140,11 @@ class Workspace:
     resident, but serves such a request with a fresh mapping).  So the
     buffer grows to the largest layout asked of it, and a layout asked for
     again maps no fresh page.  The lent arrays are views: they hold their
-    values only until the same bytes are lent again, so a workspace serves
-    one thread, and one layout whose arrays nobody reads afterwards, at a
-    time.
+    values only until the same bytes are lent again, so a workspace lends to
+    one thread, and lends a new layout only once nobody reads the last one.
+    A refinement ladder gives each of its two threads one workspace, and
+    the calling thread's holds only the finest level, which the other
+    thread's condition estimate reads.
     """
 
     _ALIGN = 64

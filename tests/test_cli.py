@@ -93,6 +93,14 @@ class TestDispatch:
     def test_unknown_flag_exits_one(self, capsys):
         assert parse_and_dispatch(["table1", "--definitely-not-a-flag"]) == 1
 
+    @pytest.mark.parametrize("command", ["table1", "table2", "table3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_one(self, capsys, command, jobs):
+        assert parse_and_dispatch([command, "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err
+
     def test_unknown_command_exits_one(self):
         assert parse_and_dispatch(["frobnicate"]) == 1
 

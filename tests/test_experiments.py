@@ -240,7 +240,6 @@ class TestRefinementProtocol:
             fem.assemble)
         events = []  # (event, dimension or column count, thread)
         caller = threading.current_thread()
-        solving = threading.Event()
 
         def record(event, size):
             events.append((event, size, threading.current_thread()))
@@ -256,16 +255,11 @@ class TestRefinementProtocol:
             return factorize(system, workspace)
 
         def recording_solve(system, on_solved=None, workspace=None):
-            solving.set()  # the finest factors are handed over by now
             record("solve", system.dimension)
             return solve(system, on_solved, workspace)
 
         def recording_solve_in_place(system, workspace=None):
             record("solve_in_place", system.dimension)
-            if threading.current_thread() is not caller:
-                # the helper's first coarse level ends after the finest
-                # factors exist, so its next start must be the estimate
-                assert solving.wait(timeout=10.0)
             values = solve_in_place(system, workspace)
             assert system._factors is None
             return values
@@ -301,36 +295,18 @@ class TestRefinementProtocol:
         on = {thread: [event[:2] for event in events if event[2] is thread]
               for thread in (caller, helper)}
         # the calling thread assembles, factorizes and solves the finest
-        # level; every other event of the finest level is the estimate's
-        assert on[caller][:4] == [("assemble", dims[-1]), ("factorize", dims[-1]),
-                                  ("solve", dims[-1]), ("solve_vector", 1)]
-        # each coarse level is assembled and solved in place exactly once,
-        # on one of the two threads, and each thread takes them largest first
-        for thread in (caller, helper):
-            done = [size for event, size in on[thread]
-                    if event == "assemble" and size != dims[-1]]
-            assert sorted(done, reverse=True) == done
-            assert [event for event in on[thread] if event[1] in done] == [
-                event for size in done
-                for event in (("assemble", size), ("solve_in_place", size))]
-        assert sorted(size for event, size, _ in events if event == "assemble") \
-            == dims
-        # the estimate reads the finest arrays in the calling thread's
-        # workspace, so that thread's coarse levels start once it returns
-        estimated = events.index(("estimated", dims[-1], helper))
-        assert all(at > estimated for at, (event, size, thread) in enumerate(events)
-                   if thread is caller and event == "assemble" and size != dims[-1])
-        # the helper runs the estimate, first or right after the level it was
-        # in when the finest factors came; the estimate solves e_1 alone when
+        # level, the solve's one column included, and nothing else
+        assert on[caller] == [("assemble", dims[-1]), ("factorize", dims[-1]),
+                              ("solve", dims[-1]), ("solve_vector", 1)]
+        # the helper assembles and solves in place every coarse level,
+        # largest first, then runs the estimate, which solves e_1 alone when
         # the finest right-hand side is e_n (g = (0, 1)), else two columns
-        starts = [event for event in on[helper] if event[0] in ("assemble", "estimate")]
-        assert ("estimate", dims[-1]) in starts[:2]
         columns = 1 if spec.g == (0.0, 1.0) else 2
-        at = on[helper].index(("estimate", dims[-1]))
-        assert on[helper][at + 1] == ("solve_vector", columns)
-        assert [event for event in on[caller] + on[helper]
-                if event[0] in ("factorize", "solve", "solve_vector", "estimate")] \
-            == on[caller][1:4] + on[helper][at:at + 2]
+        assert on[helper] == [
+            event for size in reversed(dims[:-1])
+            for event in (("assemble", size), ("solve_in_place", size))] + [
+            ("estimate", dims[-1]), ("solve_vector", columns),
+            ("estimated", dims[-1])]
 
     @pytest.mark.parametrize("case", list(_RECORD_CASES))
     def test_record_matches_full_work_ladder(self, case):
@@ -460,14 +436,11 @@ class TestRefinementProtocol:
             hl.refine_to_convergence(hl.family(_LADDER_SPEC), levels=0)
 
     @pytest.mark.parametrize("fails", [
-        "finest-factorize", "finest-solve", "coarse-solve", "coarse-solve-caller",
-        "estimate"])
+        "finest-factorize", "finest-solve", "coarse-solve", "estimate"])
     def test_failure_surfaces_and_thread_is_joined(self, tmp_path, monkeypatch,
                                                    fails):
         prob = hl.family(_LADDER_SPEC)
-        # four coarse levels when one fails on the calling thread
-        base = _LADDER["base"]
-        levels = _LADDER["levels"] + (fails == "coarse-solve-caller")
+        base, levels = _LADDER["base"], _LADDER["levels"]
         finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
         # the largest coarse level: the helper's first
         coarse = hl.build_mesh(prob, base * 2**(levels - 2)).n_nodes
@@ -475,36 +448,20 @@ class TestRefinementProtocol:
             "finest-factorize": (fem.BandedComplexSystem, "factorize", finest),
             "finest-solve": (fem, "solve", finest),
             "coarse-solve": (fem, "solve_in_place", coarse),
-            "coarse-solve-caller": (fem, "solve_in_place", None),
             "estimate": (fem, "condition_estimate", finest)}[fails]
         original, solve, estimate = (getattr(owner, name), fem.solve,
                                      fem.condition_estimate)
-        caller, coarse_solves, held, estimates = None, [], [], []
-        solving, holding, failed = (threading.Event() for _ in range(3))
+        calls, estimates = [], []
+        solving, holding = threading.Event(), threading.Event()
 
         class Boom(Exception):
             pass
 
         def failing(system, *args, **kwargs):
-            if dimension is None:
-                coarse_solves.append(system.dimension)
-                if threading.current_thread() is caller:
-                    # once the helper holds a level after its estimate
-                    holding.wait(timeout=10.0)
-                    failed.set()
-                    raise Boom(fails)
-                # the helper's first coarse level ends once the finest
-                # factors exist, so it runs the estimate next; its next
-                # level holds until the calling thread has failed in one
-                held.append(system.dimension)
-                if len(held) == 1:
-                    solving.wait(timeout=10.0)
-                else:
-                    holding.set()
-                    failed.wait(timeout=10.0)
-            elif system.dimension == dimension:
+            calls.append(system.dimension)
+            if system.dimension == dimension:
                 if fails == "coarse-solve":
-                    # raise once the estimate is queued
+                    # raise once the finest factors are handed over
                     holding.set()
                     solving.wait(timeout=10.0)
                 raise Boom(fails)
@@ -512,9 +469,7 @@ class TestRefinementProtocol:
 
         def signalling_solve(system, on_solved=None, workspace=None):
             solving.set()
-            if fails == "coarse-solve":
-                # the helper, not this thread, takes the failing level
-                holding.wait(timeout=10.0)
+            holding.wait(timeout=10.0)  # the helper is in its failing level
             return solve(system, on_solved, workspace)
 
         def recording_estimate(*args, **kwargs):
@@ -522,8 +477,6 @@ class TestRefinementProtocol:
             return estimate(*args, **kwargs)
 
         def ladder():
-            nonlocal caller
-            caller = threading.current_thread()
             hl.refine_to_convergence(prob, base=base, levels=levels,
                                      cache_dir=str(tmp_path),
                                      cache_key=_LADDER_SPEC.cache_key())
@@ -531,9 +484,8 @@ class TestRefinementProtocol:
         pair = (fem.Workspace(), fem.Workspace())
         monkeypatch.setattr(experiments, "_WORKSPACES", [pair])
         monkeypatch.setattr(owner, name, failing)
-        if fails.startswith("coarse-solve"):
-            monkeypatch.setattr(fem, "solve", signalling_solve)
         if fails == "coarse-solve":
+            monkeypatch.setattr(fem, "solve", signalling_solve)
             monkeypatch.setattr(fem, "condition_estimate", recording_estimate)
         before = threading.active_count()
         error = _ladder_with_deadline(ladder)
@@ -541,13 +493,11 @@ class TestRefinementProtocol:
         assert threading.active_count() == before
         # a ladder that failed is not stored
         assert list(tmp_path.iterdir()) == []
-        if dimension is None:
-            # the helper's two levels and the failed one: the fourth coarse
-            # level never starts, on either thread
-            assert failed.is_set() and len(coarse_solves) == 3, coarse_solves
         if fails == "coarse-solve":
-            # an estimate not yet started never runs after a failure
-            assert holding.is_set() and estimates == []
+            # no later coarse level starts, and the estimate never runs,
+            # though the finest factors were handed over before the failure
+            assert holding.is_set() and calls == [coarse]
+            assert estimates == []
         # the failed ladder's workspaces are back, and serve the next ladder
         assert experiments._WORKSPACES == [pair]  # Workspaces compare by identity
         for patched, attr, unpatched in ((owner, name, original), (fem, "solve", solve),
@@ -556,6 +506,37 @@ class TestRefinementProtocol:
         assert experiments._run_ladder(prob, base, levels) == \
             _ladder_record_reference(prob, base, levels)
         assert experiments._WORKSPACES == [pair]
+
+    def test_failed_finest_factorize_releases_the_waiting_helper(self, monkeypatch):
+        # two levels: the helper has run its one coarse level and waits on
+        # the finest factors when the finest factorize raises
+        prob, base, levels = hl.family(_LADDER_SPEC), _LADDER["base"], 2
+        coarse_du = experiments._coarse_du
+        coarse_done = threading.Event()
+        estimates = []
+
+        class Boom(Exception):
+            pass
+
+        def signalling_coarse_du(*args):
+            du = coarse_du(*args)
+            coarse_done.set()
+            return du
+
+        def failing_factorize(system, workspace=None):
+            assert coarse_done.wait(timeout=10.0)
+            raise Boom("finest")
+
+        monkeypatch.setattr(experiments, "_coarse_du", signalling_coarse_du)
+        monkeypatch.setattr(fem.BandedComplexSystem, "factorize", failing_factorize)
+        monkeypatch.setattr(fem, "condition_estimate",
+                            lambda *args, **kwargs: estimates.append(args))
+        before = threading.active_count()
+        error = _ladder_with_deadline(
+            lambda: experiments._run_ladder(prob, base, levels))
+        assert isinstance(error, Boom) and error.args == ("finest",)
+        assert estimates == []
+        assert threading.active_count() == before
 
     def test_failed_finest_solve_releases_the_waiting_estimate(self, monkeypatch):
         # g = (0, 1): the estimate waits on the finest solution as its
@@ -599,9 +580,10 @@ class TestRefinementProtocol:
         assert threading.active_count() == before
 
     def test_failed_finest_level_cancels_the_coarse_levels(self, monkeypatch):
-        # five coarse levels are queued when the finest factorize raises; the
-        # first coarse solve holds until then and a little longer, so that
-        # only a coarse level already running may finish
+        # five coarse levels wait in the helper's lane when the finest
+        # factorize raises; the first coarse solve holds until then and a
+        # little longer, so that only a coarse level already running may
+        # finish
         prob, base, levels = hl.family(_LADDER_SPEC), _LADDER["base"], 6
         finest = hl.build_mesh(prob, base * 2**(levels - 1)).n_nodes
         factorize, solve_in_place = (fem.BandedComplexSystem.factorize,
@@ -1265,3 +1247,11 @@ class TestTables:
         assert by_eps[1e-8].value == hl.exact_norms(amps)[0]
         assert by_eps[1e-8].run is None
         assert math.isfinite(by_eps[1e-3].value)
+
+    def test_table3_skips_by_the_size_of_eps(self):
+        # -1e-3 is as benign as +1e-3 and the two cells agree in four
+        # figures; only |eps| <= 1e-7 sits beyond double precision
+        rows = hl.table3([14], [1e-3, -1e-3, -1e-8], base=25, levels=3)
+        assert [row.eps for row in rows] == [1e-3, -1e-3, -1e-8]
+        assert [row.run is None for row in rows] == [False, False, True]
+        assert rows[0].value == rows[1].value == 0.1608
